@@ -151,6 +151,24 @@ def _aggregate(profiles: list[tuple[CohomologyEntry, ...]]) -> tuple[CohomologyE
     return tuple(out)
 
 
+def _intermediate(lam: WeightTriple, m: int, classical, strata) -> IntermediateProfile:
+    """Intermediate profile of parabolic m from built classical profiles:
+    the Klingen profile for m = 1, one Siegel profile per stratum for m = 0."""
+    r = lam.r
+    if m == KLINGEN:
+        kept = tuple(e for e in perverse_reindex(classical, lam) if e.n_perverse <= r + 2)
+        return IntermediateProfile(m=m, entries=kept, kernel_entry=None)
+    truncated = [
+        tuple(e for e in perverse_reindex(profile, lam) if e.n_perverse <= r + 1)
+        for profile in classical
+    ]
+    return IntermediateProfile(
+        m=m,
+        entries=_aggregate(truncated),
+        kernel_entry=_kernel_entry(lam, strata),
+    )
+
+
 def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfile:
     """Boundary profile of the intermediate extension on parabolic-m strata.
 
@@ -162,51 +180,34 @@ def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfi
     require_dominant(lam)
     check_parabolic(m)
     strata = _require_strata(strata)
-    r = lam.r
     if m == KLINGEN:
-        reindexed = perverse_reindex(klingen_profile(lam), lam)
-        kept = tuple(e for e in reindexed if e.n_perverse <= r + 2)
-        return IntermediateProfile(m=m, entries=kept, kernel_entry=None)
-    per_stratum = []
-    for s in strata:
-        reindexed = perverse_reindex(siegel_profile(lam, s), lam)
-        per_stratum.append(tuple(e for e in reindexed if e.n_perverse <= r + 1))
-    return IntermediateProfile(
-        m=m,
-        entries=_aggregate(per_stratum),
-        kernel_entry=_kernel_entry(lam, strata),
-    )
+        classical = klingen_profile(lam)
+    else:
+        classical = tuple(siegel_profile(lam, s) for s in strata)
+    return _intermediate(lam, m, classical, strata)
+
+
+def _minimal_gap(profiles) -> tuple[int, tuple[CohomologyEntry, ...]]:
+    """k and its witnesses over the nonzero entries of the given profiles."""
+    nonzero = [e for profile in profiles for e in profile.all_entries() if e.nonzero is True]
+    k = min(e.n_perverse - e.weight for e in nonzero)
+    return k, tuple(e for e in nonzero if e.n_perverse - e.weight == k)
 
 
 def avoided_interval(lam: WeightTriple, strata) -> tuple[int, tuple[CohomologyEntry, ...]]:
     """(k, witnesses): k = min(n_perverse - weight) over nonzero entries
     of both intermediate profiles, witnesses the entries attaining it.
 
-    Computed stratum by stratum and minimized; since weights and vanishing
-    are stratum-independent, every stratum yields the same k.
+    Computed in one pass over the profiles aggregated over all strata.  This
+    is also the minimum of the per-stratum values of k: the strata's profiles
+    agree in every field but the ranks, ranks are non-negative and summed,
+    and so an aggregated entry is nonzero exactly when the entry of some
+    stratum is (for the kernel entry, the summed lower bound is >= 1 exactly
+    when some stratum's is).
     """
     require_dominant(lam)
     strata = _require_strata(strata)
-    per_stratum_k = set()
-    for s in strata:
-        gaps = []
-        for m in (SIEGEL, KLINGEN):
-            profile = intermediate_profile(lam, m, (s,))
-            gaps.extend(
-                e.n_perverse - e.weight for e in profile.all_entries() if e.nonzero is True
-            )
-        per_stratum_k.add(min(gaps))
-    k = min(per_stratum_k)
-
-    witnesses = []
-    for m in (SIEGEL, KLINGEN):
-        profile = intermediate_profile(lam, m, strata)
-        witnesses.extend(
-            e
-            for e in profile.all_entries()
-            if e.nonzero is True and e.n_perverse - e.weight == k
-        )
-    return k, tuple(witnesses)
+    return _minimal_gap(intermediate_profile(lam, m, strata) for m in (SIEGEL, KLINGEN))
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,7 +222,6 @@ class AnalysisReport:
     regular: bool
     in_avoidance_category: bool
     duality_twist: int
-    interior_concentration_degree: int | None
     kostant: dict[int, tuple[LeviModule, ...]]
     boundary: dict[int, tuple]
     intermediate: dict[int, IntermediateProfile]
@@ -235,13 +235,25 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
     and k + 1 occur, the upper one by duality with twist s = r + 3, so
     occurring_weights = (-k, k + 1) whenever k >= 1.  For k = 0 the boundary
     weight structure is not decided here and occurring_weights is None.
+
+    Each classical profile is built once and serves both the boundary field
+    and the intermediate profiles, from which k and the witnesses come.
     """
     require_dominant(lam)
     strata = _require_strata(strata)
-    k, witnesses = avoided_interval(lam, strata)
+    point = tuple(siegel_profile(lam, s) for s in strata)
+    curve = klingen_profile(lam)
+    intermediate = {
+        SIEGEL: _intermediate(lam, SIEGEL, point, strata),
+        KLINGEN: _intermediate(lam, KLINGEN, curve, strata),
+    }
+    k, witnesses = _minimal_gap(intermediate.values())
     regular = is_regular(lam)
-    assert k == k_invariant(lam)
-    assert (k >= 1) == regular
+    if k != k_invariant(lam) or (k >= 1) != regular:
+        raise PreconditionViolation(
+            f"internal: profile k = {k} disagrees with k_invariant = {k_invariant(lam)}"
+            f" or regular = {regular}"
+        )
     return AnalysisReport(
         lam=lam,
         strata=strata,
@@ -251,12 +263,8 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
         regular=regular,
         in_avoidance_category=k >= 1,
         duality_twist=lam.r + 3,
-        interior_concentration_degree=lam.r + 3 if regular else None,
         kostant={m: nilpotent_cohomology(lam, m) for m in (SIEGEL, KLINGEN)},
-        boundary={
-            SIEGEL: tuple((s, siegel_profile(lam, s)) for s in strata),
-            KLINGEN: klingen_profile(lam),
-        },
-        intermediate={m: intermediate_profile(lam, m, strata) for m in (SIEGEL, KLINGEN)},
+        boundary={SIEGEL: tuple(zip(strata, point)), KLINGEN: curve},
+        intermediate=intermediate,
         witnesses=witnesses,
     )

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from itertools import count
 
 from . import root_data, weyl
-from .laurent import LaurentPolynomial, poly_sum
+from .errors import PreconditionViolation
+from .laurent import LaurentPolynomial
 from .root_data import (
     WeightTriple,
     check_parabolic,
@@ -99,7 +100,8 @@ def weyl_dimension(lam: WeightTriple) -> int:
     require_dominant(lam)
     k1, k2 = lam.k1, lam.k2
     num = (k1 - k2 + 1) * (k2 + 1) * (k1 + 2) * (k1 + k2 + 3)
-    assert num % 6 == 0
+    if num % 6:
+        raise PreconditionViolation(f"internal: Weyl product {num} is not divisible by 6")
     return num // 6
 
 
@@ -168,7 +170,11 @@ def freudenthal_multiplicities(lam: WeightTriple) -> dict[tuple[int, int], int]:
                     if j > 2 * (k1 + k2 + 4):
                         break
         denom = lam_norm - pairing(mu + rho, mu + rho)
-        assert denom > 0 and numer % denom == 0, (lam, mu, numer, denom)
+        if denom <= 0 or numer % denom:
+            raise PreconditionViolation(
+                f"internal: Freudenthal step at mu = ({mu.k1}, {mu.k2}) divides"
+                f" {numer} by {denom}"
+            )
         m_mu = numer // denom
         if m_mu:
             mult[(mu.k1, mu.k2)] = m_mu
@@ -182,10 +188,6 @@ def freudenthal_character(lam: WeightTriple) -> LaurentPolynomial:
         for x, y in _orbit(WeightTriple(n1, n2, lam.r)):
             terms[(x, y, lam.r)] = terms.get((x, y, lam.r), 0) + m
     return LaurentPolynomial(terms)
-
-
-def freudenthal_mass(lam: WeightTriple) -> int:
-    return freudenthal_character(lam).mass()
 
 
 def levi_character(module: LeviModule) -> LaurentPolynomial:
@@ -208,9 +210,12 @@ def euler_check(lam: WeightTriple, m: int) -> bool:
     """Exact Euler characteristic identity for the Kostant tables of (lam, m)."""
     require_dominant(lam)
     check_parabolic(m)
-    lhs = poly_sum(
-        levi_character(mod).scale(-1 if mod.q % 2 else 1)
-        for mod in nilpotent_cohomology(lam, m)
+    lhs = sum(
+        (
+            levi_character(mod).scale(-1 if mod.q % 2 else 1)
+            for mod in nilpotent_cohomology(lam, m)
+        ),
+        LaurentPolynomial.zero(),
     )
     rhs = character(lam)
     one = LaurentPolynomial.one()

@@ -10,7 +10,7 @@ remainder raises DivisionFailure.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import DivisionFailure
 from .root_data import WeightTriple
@@ -141,10 +141,3 @@ class LaurentPolynomial:
                         (base[0] + t * b[0], base[1] + t * b[1], base[2] + t * b[2])
                     ] = running
         return LaurentPolynomial(quotient)
-
-
-def poly_sum(polys: Iterable[LaurentPolynomial]) -> LaurentPolynomial:
-    out = LaurentPolynomial.zero()
-    for p in polys:
-        out = out + p
-    return out

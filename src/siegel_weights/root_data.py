@@ -102,7 +102,6 @@ POSITIVE_ROOTS: tuple[WeightTriple, ...] = (
     WeightTriple(2, 0, 0),  # a^2/q
 )
 RHO = WeightTriple(2, 1, 0)  # half-sum of POSITIVE_ROOTS; not a character
-SIMILITUDE_WEIGHT = WeightTriple(0, 0, -2)  # the similitude character q
 
 SIEGEL = 0
 KLINGEN = 1
@@ -125,30 +124,6 @@ def nilradical_roots(m: int) -> tuple[WeightTriple, ...]:
     check_parabolic(m)
     gamma = levi_root(m)
     return tuple(b for b in POSITIVE_ROOTS if b != gamma)
-
-
-@dataclass(frozen=True, slots=True)
-class RootDatum:
-    """Record bundling the constants above for callers that want one object."""
-
-    positive_roots: tuple[WeightTriple, ...]
-    simple_roots: tuple[WeightTriple, WeightTriple]
-    rho: WeightTriple
-    similitude_weight: WeightTriple
-
-    def levi_root(self, m: int) -> WeightTriple:
-        return levi_root(m)
-
-    def nilradical_roots(self, m: int) -> tuple[WeightTriple, ...]:
-        return nilradical_roots(m)
-
-
-ROOT_DATUM = RootDatum(
-    positive_roots=POSITIVE_ROOTS,
-    simple_roots=(SIMPLE_ROOT_SHORT, SIMPLE_ROOT_LONG),
-    rho=RHO,
-    similitude_weight=SIMILITUDE_WEIGHT,
-)
 
 
 def is_dominant(lam: WeightTriple) -> bool:

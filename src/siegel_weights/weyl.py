@@ -84,10 +84,6 @@ def compose(w: WeylElement, u: WeylElement) -> WeylElement:
     )
 
 
-def act(w: WeylElement, lam: WeightTriple) -> WeightTriple:
-    return w(lam)
-
-
 def _is_negative(v: WeightTriple) -> bool:
     return v.k1 < 0 or (v.k1 == 0 and v.k2 < 0)
 

@@ -16,7 +16,6 @@ from siegel_weights import (
     avoided_interval,
     character,
     freudenthal_character,
-    freudenthal_mass,
     intermediate_profile,
     kernel_map_ranks,
     make_weight,
@@ -162,7 +161,7 @@ def test_criterion_6_rank_inequality_on_the_neat_grid():
 def test_criterion_7_character_masses_against_the_recursion_oracle():
     lam = make_weight(3, 1, 4)
     ch = character(lam)
-    assert ch.mass() == freudenthal_mass(lam) == weyl_dimension(lam) == 35
+    assert ch.mass() == freudenthal_character(lam).mass() == weyl_dimension(lam) == 35
     assert ch == freudenthal_character(lam)
     for r in (1, 5):
         std = character(make_weight(1, 0, r))

@@ -228,6 +228,23 @@ def test_verify_negative_control_catches_corrupted_cohomology(monkeypatch, capsy
     assert "FAIL" in captured.out
 
 
+def test_negative_control_k_mismatch_fails_under_python_O():
+    # the report's consistency checks must survive assertion stripping
+    code = (
+        "import sys\n"
+        "if __debug__: sys.exit(3)\n"
+        "import siegel_weights.intersection as intersection\n"
+        "intersection.k_invariant = lambda lam: -1\n"
+        "from siegel_weights import cli\n"
+        "sys.exit(cli.main(['analyze', '--k1', '3', '--k2', '1', '--r', '4']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 2
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "PreconditionViolation"
+    assert payload["message"].startswith("internal:")
+
+
 # --- environment knobs ------------------------------------------------------------
 
 def test_thread_env_var_does_not_change_output():

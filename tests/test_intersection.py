@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from siegel_weights import (
     EmptyStrata,
@@ -10,8 +12,10 @@ from siegel_weights import (
     intermediate_profile,
     k_invariant,
     kernel_map_ranks,
+    klingen_profile,
     make_weight,
     rank_inequality_check,
+    siegel_profile,
 )
 from siegel_weights.errors import PreconditionViolation
 
@@ -191,7 +195,6 @@ def test_report_for_the_reference_weight():
     assert report.regular is True
     assert report.in_avoidance_category is True
     assert report.duality_twist == 7
-    assert report.interior_concentration_degree == 7
     assert report.strata == (P03,)
     assert len(report.kostant[0]) == len(report.kostant[1]) == 4
     assert report.witnesses
@@ -205,7 +208,6 @@ def test_report_for_a_wall_weight():
     assert report.regular is False
     assert report.in_avoidance_category is False
     assert report.duality_twist == 7
-    assert report.interior_concentration_degree is None
 
 
 def test_report_small_k_zero_case():
@@ -240,3 +242,36 @@ def test_report_with_multiple_strata():
     assert kernel.rank_upper == 14
     assert kernel.rank_lower == 4 + 6
     assert len(report.boundary[0]) == 2
+
+
+# --- one-pass k, property-tested ---------------------------------------------------
+
+
+@st.composite
+def dominant_weights(draw):
+    k1 = draw(st.integers(0, 300))
+    k2 = draw(st.one_of(st.just(0), st.just(k1), st.integers(0, k1)))  # walls often
+    return make_weight(k1, k2, k1 + k2 + 2 * draw(st.integers(-20, 20)))
+
+
+@st.composite
+def strata_data(draw):
+    g = draw(st.integers(0, 5))
+    return StratumDatum(g, draw(st.integers(3 if g == 0 else 1, 20)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(lam=dominant_weights(), strata=st.lists(strata_data(), min_size=1, max_size=6))
+@example(lam=make_weight(0, 0, 0), strata=[P03, StratumDatum(1, 1)])
+def test_one_pass_k_matches_strata_and_closed_form(lam, strata):
+    k, witnesses = avoided_interval(lam, strata)
+    assert k == min(avoided_interval(lam, (s,))[0] for s in strata)
+    assert k == min(lam.k1 - lam.k2, lam.k2)
+
+    report = analysis_report(lam, strata)
+    assert (report.k, report.witnesses) == (k, witnesses)
+    assert report.strata == tuple(strata)
+    for m in (0, 1):
+        assert report.intermediate[m] == intermediate_profile(lam, m, strata)
+    assert report.boundary[0] == tuple((s, siegel_profile(lam, s)) for s in strata)
+    assert report.boundary[1] == klingen_profile(lam)

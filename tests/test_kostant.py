@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -9,7 +11,6 @@ from siegel_weights import (
     character,
     euler_check,
     freudenthal_character,
-    freudenthal_mass,
     freudenthal_multiplicities,
     levi_character,
     make_weight,
@@ -140,7 +141,7 @@ def test_character_mass_of_the_reference_weight():
     lam = make_weight(3, 1, 4)
     assert character(lam).mass() == 35
     assert weyl_dimension(lam) == 35
-    assert freudenthal_mass(lam) == 35
+    assert freudenthal_character(lam).mass() == 35
 
 
 def test_weyl_dimension_small_values():
@@ -222,3 +223,25 @@ def test_euler_identity_sees_r_shifts():
         lam = make_weight(2, 1, 3 + 2 * t)
         assert euler_check(lam, 0)
         assert euler_check(lam, 1)
+
+
+def test_negative_control_corrupted_rho_fails_freudenthal_under_python_O():
+    # a wrong rho leaves a Freudenthal step inexact; that must raise even with
+    # assertions stripped, instead of returning wrong multiplicities
+    code = (
+        "import sys\n"
+        "if __debug__: sys.exit(3)\n"
+        "from siegel_weights import root_data\n"
+        "from siegel_weights.errors import PreconditionViolation\n"
+        "from siegel_weights.kostant import freudenthal_multiplicities\n"
+        "root_data.RHO = root_data.WeightTriple(2, 2, 0)\n"
+        "try:\n"
+        "    freudenthal_multiplicities(root_data.make_weight(3, 1, 4))\n"
+        "except PreconditionViolation as err:\n"
+        "    print(err)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("internal:")

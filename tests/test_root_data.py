@@ -8,7 +8,6 @@ from siegel_weights import (
     ParityViolation,
     POSITIVE_ROOTS,
     RHO,
-    ROOT_DATUM,
     WeightTriple,
     is_dominant,
     is_regular,
@@ -99,14 +98,6 @@ def test_parabolic_root_partition():
         levi_root(2)
     with pytest.raises(BadParabolicIndex):
         nilradical_roots(-1)
-
-
-def test_root_datum_record_matches_module_constants():
-    assert ROOT_DATUM.positive_roots == POSITIVE_ROOTS
-    assert ROOT_DATUM.rho == RHO
-    assert ROOT_DATUM.levi_root(1) == levi_root(1)
-    assert ROOT_DATUM.nilradical_roots(0) == nilradical_roots(0)
-    assert ROOT_DATUM.similitude_weight == WeightTriple(0, 0, -2)
 
 
 def test_dominance_and_regularity():

@@ -9,7 +9,6 @@ from siegel_weights import (
     S1,
     S2,
     WeightTriple,
-    act,
     all_elements,
     compose,
     dot,
@@ -42,10 +41,10 @@ def test_there_are_eight_distinct_elements_in_length_order():
 
 def test_generators_act_as_swap_and_sign_flip():
     v = WeightTriple(3, 1, 4)
-    assert act(S1, v) == WeightTriple(1, 3, 4)
-    assert act(S2, v) == WeightTriple(3, -1, 4)
-    assert act(LONGEST, v) == WeightTriple(-3, -1, 4)
-    assert act(IDENTITY, v) == v
+    assert S1(v) == WeightTriple(1, 3, 4)
+    assert S2(v) == WeightTriple(3, -1, 4)
+    assert LONGEST(v) == WeightTriple(-3, -1, 4)
+    assert IDENTITY(v) == v
 
 
 def test_r_coordinate_is_always_fixed():
@@ -53,7 +52,7 @@ def test_r_coordinate_is_always_fixed():
     for _ in range(20):
         v = random_character(rng)
         for w in all_elements():
-            assert act(w, v).r == v.r
+            assert w(v).r == v.r
 
 
 def test_composition_is_function_composition():
@@ -63,7 +62,7 @@ def test_composition_is_function_composition():
         for u in all_elements():
             wu = compose(w, u)
             for v in vs:
-                assert act(wu, v) == act(w, act(u, v))
+                assert wu(v) == w(u(v))
 
 
 def test_inverses():
@@ -121,11 +120,11 @@ def test_minimal_representatives_lengths_and_criterion():
         assert reps[0] == IDENTITY
         gamma = levi_root(m)
         for w in reps:
-            assert not _is_negative(act(w.inverse(), gamma))
+            assert not _is_negative(w.inverse()(gamma))
         # and any element outside the set fails the criterion
         rest = [w for w in all_elements() if w not in reps]
         for w in rest:
-            assert _is_negative(act(w.inverse(), gamma))
+            assert _is_negative(w.inverse()(gamma))
     assert minimal_representatives(0)[1] == S2
     assert minimal_representatives(1)[1] == S1
     with pytest.raises(BadParabolicIndex):
@@ -152,10 +151,10 @@ def test_longest_element_is_minus_identity_and_central():
     for w in all_elements():
         assert compose(w, LONGEST) == compose(LONGEST, w)
     v = WeightTriple(2, -5, 1)
-    assert act(LONGEST, v) == WeightTriple(-2, 5, 1)
+    assert LONGEST(v) == WeightTriple(-2, 5, 1)
 
 
 def test_orbit_of_positive_roots_is_the_root_system():
     roots = set(POSITIVE_ROOTS) | {-b for b in POSITIVE_ROOTS}
     for w in all_elements():
-        assert {act(w, b) for b in roots} == roots
+        assert {w(b) for b in roots} == roots
