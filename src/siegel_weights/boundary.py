@@ -65,7 +65,7 @@ class StratumDatum:
     c: int
 
     def __post_init__(self):
-        if not (isinstance(self.g, int) and isinstance(self.c, int)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.g, self.c)):
             raise InvalidStratum(f"stratum data must be integers, got {self!r}")
         if self.g < 0 or self.c < 1 or (self.g == 0 and self.c < 3):
             raise InvalidStratum(

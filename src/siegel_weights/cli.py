@@ -4,19 +4,14 @@ All output is deterministic: JSON is emitted with a fixed key order and
 2-space indentation, tables are fixed-width.  Exit codes: 0 success, 1 a
 verification suite found a counterexample, 2 invalid input (reported as a
 one-line JSON object {"error": ..., "message": ...} on stdout).
-
-SIEGEL_WEIGHTS_THREADS (positive integer) caps worker threads for the grid
-sweeps; results do not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import weyl
 from .boundary import CohomologyEntry, StratumDatum
@@ -36,32 +31,11 @@ from .kostant import (
     nilpotent_cohomology,
     weyl_dimension,
 )
-from .root_data import KLINGEN, SIEGEL, WeightTriple, make_weight
+from .root_data import KLINGEN, SIEGEL, WeightTriple, k_invariant, make_weight
 
 DEFAULT_STRATUM = (0, 3)
 MAX_SWEEP_BOUND = 200
-
-
-def _threads() -> int:
-    raw = os.environ.get("SIEGEL_WEIGHTS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise PreconditionViolation(f"SIEGEL_WEIGHTS_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise PreconditionViolation(f"SIEGEL_WEIGHTS_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
-def _map(fn, items):
-    items = list(items)
-    n = _threads()
-    if n == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+MAX_VERIFY_BOUND = 40
 
 
 def _parse_stratum(text: str) -> StratumDatum:
@@ -231,10 +205,9 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _dominant_pairs(bound: int):
-    for k1 in range(bound + 1):
-        for k2 in range(k1 + 1):
-            yield k1, k2
+def _dominant_grid(bound: int) -> list[WeightTriple]:
+    """Every dominant pair with k1 <= bound, at the parity-valid lift r = k1 + k2."""
+    return [make_weight(k1, k2, k1 + k2) for k1 in range(bound + 1) for k2 in range(k1 + 1)]
 
 
 def _cmd_sweep(args) -> int:
@@ -242,15 +215,10 @@ def _cmd_sweep(args) -> int:
     if bound < 0 or bound > MAX_SWEEP_BOUND:
         raise PreconditionViolation(f"sweep bound must satisfy 0 <= bound <= {MAX_SWEEP_BOUND}")
     strata = _strata_from_args(args)
-
-    def row(pair):
-        k1, k2 = pair
-        lam = make_weight(k1, k2, k1 + k2)  # parity-valid canonical lift
-        k, _ = avoided_interval(lam, strata)
-        closed = min(k1 - k2, k2)
-        return (k1, k2, lam.r, k, closed)
-
-    rows = _map(row, _dominant_pairs(bound))
+    rows = [
+        (lam.k1, lam.k2, lam.r, avoided_interval(lam, strata)[0], k_invariant(lam))
+        for lam in _dominant_grid(bound)
+    ]
     if args.format == "json":
         payload = {
             "bound": bound,
@@ -282,10 +250,6 @@ def _sample_dominant(rng: random.Random, max_k1: int) -> WeightTriple:
     k2 = rng.randint(0, k1)
     r = k1 + k2 + 2 * rng.randint(-5, 5)
     return make_weight(k1, k2, r)
-
-
-def _dominant_grid(max_k1: int):
-    return [make_weight(k1, k2, k1 + k2) for k1, k2 in _dominant_pairs(max_k1)]
 
 
 def _suite_dot_action(rng: random.Random, max_k1: int):
@@ -352,14 +316,8 @@ def _suite_kostant_tables(rng: random.Random, max_k1: int):
 
 def _suite_euler(max_k1: int):
     grid = [(lam, m) for lam in _dominant_grid(max_k1) for m in (SIEGEL, KLINGEN)]
-
-    def one(pair):
-        lam, m = pair
-        return euler_check(lam, m)
-
-    results = _map(one, grid)
-    for (lam, m), ok in zip(grid, results):
-        if not ok:
+    for lam, m in grid:
+        if not euler_check(lam, m):
             return len(grid), {
                 "check": "euler characteristic",
                 "lambda": _weight_json(lam),
@@ -466,17 +424,11 @@ def _suite_rank_inequality(max_k1: int):
 def _suite_avoided_interval(max_k1: int):
     strata_a = (StratumDatum(0, 3),)
     strata_b = (StratumDatum(1, 1), StratumDatum(2, 5))
-
-    def one(lam):
+    checks = 0
+    for lam in _dominant_grid(max_k1):
         ka, _ = avoided_interval(lam, strata_a)
         kb, _ = avoided_interval(lam, strata_b)
-        return ka, kb
-
-    grid = _dominant_grid(max_k1)
-    results = _map(one, grid)
-    checks = 0
-    for lam, (ka, kb) in zip(grid, results):
-        closed = min(lam.k1 - lam.k2, lam.k2)
+        closed = k_invariant(lam)
         checks += 2
         if ka != closed or kb != closed:
             return checks, {
@@ -548,9 +500,8 @@ def _suite_dimension_oracle(max_k1: int):
 def _cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     max_k1 = args.max_k1
-    if max_k1 < 0 or max_k1 > MAX_SWEEP_BOUND:
-        raise PreconditionViolation(f"--max-k1 must satisfy 0 <= bound <= {MAX_SWEEP_BOUND}")
-    _threads()  # fail on a bad thread setting before any suite runs
+    if max_k1 < 0 or max_k1 > MAX_VERIFY_BOUND:
+        raise PreconditionViolation(f"--max-k1 must satisfy 0 <= bound <= {MAX_VERIFY_BOUND}")
     suites = [
         ("dot_action_laws", lambda: _suite_dot_action(rng, max_k1)),
         ("kostant_tables", lambda: _suite_kostant_tables(rng, max_k1)),
@@ -576,8 +527,13 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise PreconditionViolation(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="siegel-weights",
         description="Exact boundary weight profiles for degree-two Siegel modular threefolds.",
     )
@@ -606,8 +562,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except SiegelWeightsError as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)}))

@@ -34,8 +34,9 @@ def test_stratum_validation():
     for g, c in [(0, 2), (0, 0), (1, 0), (-1, 3), (0, -3)]:
         with pytest.raises(InvalidStratum):
             StratumDatum(g, c)
-    with pytest.raises(InvalidStratum):
-        StratumDatum(1.0, 3)
+    for g, c in [(1.0, 3), (True, 3), (1, True)]:
+        with pytest.raises(InvalidStratum):
+            StratumDatum(g, c)
 
 
 # --- group cohomology dimensions --------------------------------------------

@@ -22,12 +22,11 @@ TOP_LEVEL_KEYS = [
 ]
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "siegel_weights", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -158,8 +157,9 @@ def test_sweep_trivial_bound():
 
 
 def test_sweep_rejects_out_of_range_bounds():
-    for bound in ("-1", "201", "1000"):
-        proc = run_cli("sweep", "--max-k1", bound)
+    cases = [("sweep", b) for b in ("-1", "201", "1000")] + [("verify", b) for b in ("-1", "41")]
+    for command, bound in cases:
+        proc = run_cli(command, "--max-k1", bound)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"] == "PreconditionViolation"
 
@@ -245,32 +245,24 @@ def test_negative_control_k_mismatch_fails_under_python_O():
     assert payload["message"].startswith("internal:")
 
 
-# --- environment knobs ------------------------------------------------------------
-
-def test_thread_env_var_does_not_change_output():
-    import os
-
-    base = os.environ.copy()
-    env1 = dict(base, SIEGEL_WEIGHTS_THREADS="1")
-    env3 = dict(base, SIEGEL_WEIGHTS_THREADS="3")
-    a = run_cli("sweep", "--max-k1", "6", env=env1)
-    b = run_cli("sweep", "--max-k1", "6", env=env3)
-    assert a.stdout == b.stdout
-    assert a.returncode == b.returncode == 0
-    c = run_cli("verify", "--max-k1", "3", env=env3)
-    assert c.returncode == 0
-
-
-def test_thread_env_var_is_validated():
-    import os
-
-    for bad in ("0", "-2", "many"):
-        env = dict(os.environ, SIEGEL_WEIGHTS_THREADS=bad)
-        proc = run_cli("sweep", "--max-k1", "2", env=env)
-        assert proc.returncode == 2
-        assert json.loads(proc.stdout)["error"] == "PreconditionViolation"
-
+# --- entry point ------------------------------------------------------------------
 
 def test_in_process_entry_point_matches_subprocess():
     code = cli.main(["analyze", "--k1", "1", "--k2", "3", "--r", "4"])
     assert code == 2
+
+
+def test_argparse_errors_are_one_json_line_exit_2():
+    for args in (("analyze", "--k1", "x", "--k2", "1", "--r", "4"), (), ("verify", "--bogus")):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "PreconditionViolation"
+
+
+def test_help_still_exits_0():
+    proc = run_cli("--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: siegel-weights")

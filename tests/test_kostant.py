@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from siegel_weights import (
     LaurentPolynomial,
@@ -223,6 +225,34 @@ def test_euler_identity_sees_r_shifts():
         lam = make_weight(2, 1, 3 + 2 * t)
         assert euler_check(lam, 0)
         assert euler_check(lam, 1)
+
+
+@st.composite
+def dominant_weights(draw, max_k1):
+    k1 = draw(st.integers(0, max_k1))
+    k2 = draw(st.one_of(st.just(0), st.just(k1), st.integers(0, k1)))  # walls often
+    return make_weight(k1, k2, k1 + k2 + 2 * draw(st.integers(-20, 20)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(lam=dominant_weights(16))
+@example(lam=make_weight(0, 0, 0))
+@example(lam=make_weight(16, 0, -24))
+@example(lam=make_weight(16, 16, 72))
+def test_weyl_and_freudenthal_characters_agree(lam):
+    ch = character(lam)
+    assert ch == freudenthal_character(lam)
+    assert ch.mass() == weyl_dimension(lam)
+
+
+@settings(derandomize=True, deadline=None)
+@given(lam=dominant_weights(24))
+@example(lam=make_weight(0, 0, 0))
+@example(lam=make_weight(24, 0, 24))
+@example(lam=make_weight(24, 24, 8))
+def test_euler_identity_on_wide_weights(lam):
+    assert euler_check(lam, 0)
+    assert euler_check(lam, 1)
 
 
 def test_negative_control_corrupted_rho_fails_freudenthal_under_python_O():
