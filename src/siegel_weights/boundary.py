@@ -34,23 +34,16 @@ pairs, and a provenance tag: "paper" rows restate the printed profile of the
 weight computation this package reproduces, "derived" rows extend it by the
 same weight map.
 
-perverse_reindex shifts a profile to the normalization of the middle
-perversity: n_perverse = n_classical + r for m = 0 and n_classical + r + 1
-for m = 1, where the extra 1 is dim of the curve stratum; the same shift is
-added to the weight, because placing a lisse sheaf in degree -1 raises the
-Frobenius weight of its perverse incarnation by one.
+An entry's nonzero is read off its rank bounds: True when rank_lower >= 1,
+False when rank_upper == 0, and "unknown" when the bounds straddle zero
+(only a kernel entry can, as its lower bound may be 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import (
-    DegreeOutOfRange,
-    InvalidStratum,
-    MixedStrata,
-    PreconditionViolation,
-)
+from .errors import DegreeOutOfRange, InvalidStratum, PreconditionViolation
 from .kostant import nilpotent_cohomology
 from .root_data import KLINGEN, SIEGEL, WeightTriple, require_dominant
 
@@ -87,7 +80,6 @@ class CohomologyEntry:
     weight: int
     rank_lower: int
     rank_upper: int
-    nonzero: bool | str
     origin: tuple[tuple[int, int], ...]
     provenance: ProvenanceTag
     n_perverse: int | None = None
@@ -97,6 +89,13 @@ class CohomologyEntry:
             raise PreconditionViolation(
                 f"bad rank bounds [{self.rank_lower}, {self.rank_upper}]"
             )
+
+    @property
+    def nonzero(self) -> bool | str:
+        """True, False, or "unknown" when the rank bounds straddle zero."""
+        if self.rank_lower >= 1:
+            return True
+        return False if self.rank_upper == 0 else "unknown"
 
 
 def group_cohomology_dim(u: int, stratum: StratumDatum, p: int) -> int:
@@ -118,7 +117,7 @@ def siegel_profile(lam: WeightTriple, stratum: StratumDatum) -> tuple[Cohomology
 
     Entries are keyed by (n_classical, weight); distinct Kostant inputs of one
     degree always carry distinct weights here, but the schema allows merging.
-    Rank-0 pieces are kept with nonzero=False so vanishing is an assertion,
+    Rank-0 pieces are kept (nonzero is False) so vanishing is an assertion,
     not an omission.
     """
     require_dominant(lam)
@@ -140,7 +139,6 @@ def siegel_profile(lam: WeightTriple, stratum: StratumDatum) -> tuple[Cohomology
                 weight=w,
                 rank_lower=rank,
                 rank_upper=rank,
-                nonzero=rank > 0,
                 origin=tuple(pq for pq, _ in contribs),
                 provenance="paper" if n <= 2 else "derived",
             )
@@ -164,37 +162,9 @@ def klingen_profile(lam: WeightTriple) -> tuple[CohomologyEntry, ...]:
                 weight=mod.motivic_weight,
                 rank_lower=mod.levi_dim,
                 rank_upper=mod.levi_dim,
-                nonzero=True,
                 origin=((0, q),),
                 provenance="paper" if q <= 1 else "derived",
             )
         )
     return tuple(entries)
 
-
-def perverse_reindex(
-    entries: tuple[CohomologyEntry, ...] | list[CohomologyEntry],
-    lam: WeightTriple,
-) -> tuple[CohomologyEntry, ...]:
-    """Shift a single-parabolic profile to the perverse normalization.
-
-    n_perverse = n_classical + r + dim(stratum) and the weight picks up the
-    same dim(stratum) = m shift (0 for point strata, 1 for curve strata).
-    Mixing entries of both parabolics in one call raises MixedStrata.
-    """
-    entries = tuple(entries)
-    if not entries:
-        return entries
-    ms = {e.m for e in entries}
-    if len(ms) != 1:
-        raise MixedStrata(f"entries mix parabolic indices {sorted(ms)}")
-    (m,) = ms
-    shift = 0 if m == SIEGEL else 1
-    return tuple(
-        replace(
-            e,
-            n_perverse=e.n_classical + lam.r + shift,
-            weight=e.weight + shift,
-        )
-        for e in entries
-    )

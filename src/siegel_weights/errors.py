@@ -33,10 +33,6 @@ class InvalidStratum(SiegelWeightsError):
     """Stratum data (g, c) violates c >= 1, or c >= 3 when g = 0."""
 
 
-class MixedStrata(SiegelWeightsError):
-    """Entries from different parabolics were mixed in one reindexing call."""
-
-
 class EmptyStrata(SiegelWeightsError):
     """At least one boundary stratum is required."""
 

@@ -31,13 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boundary import (
-    CohomologyEntry,
-    StratumDatum,
-    klingen_profile,
-    perverse_reindex,
-    siegel_profile,
-)
+from .boundary import CohomologyEntry, StratumDatum, klingen_profile, siegel_profile
 from .errors import EmptyStrata, PreconditionViolation
 from .kostant import LeviModule, nilpotent_cohomology
 from .root_data import (
@@ -107,66 +101,57 @@ def _kernel_entry(lam: WeightTriple, strata: tuple[StratumDatum, ...]) -> Cohomo
             lower += max(src - s.c, 1)
         else:
             lower += max(src - s.c, 0)
-    nonzero: bool | str = True if lower >= 1 else "unknown"
     return CohomologyEntry(
         m=SIEGEL,
         n_classical=2,
         weight=(r + 2) - (k1 - k2),
         rank_lower=lower,
         rank_upper=source,
-        nonzero=nonzero,
         origin=((1, 1),),
         provenance="paper",
         n_perverse=r + 2,
     )
 
 
-def _aggregate(profiles: list[tuple[CohomologyEntry, ...]]) -> tuple[CohomologyEntry, ...]:
-    """Sum ranks of per-stratum profiles; the strata form a disjoint union."""
-    head, *rest = profiles
-    keys = [(e.m, e.n_classical, e.n_perverse, e.weight, e.origin, e.provenance) for e in head]
+def _intermediate(lam: WeightTriple, m: int, profiles, strata) -> IntermediateProfile:
+    """Intermediate profile of parabolic m from built classical profiles:
+    the Klingen profile alone for m = 1, one Siegel profile per stratum for
+    m = 0.
+
+    Both truncations (n_perverse <= r + 2 on curves, <= r + 1 on points)
+    keep exactly the classical degrees n <= 1.  Each survivor is built once,
+    in the perverse normalization: n_perverse = n + r + dim and weight + dim,
+    with dim = 0 on point strata and 1 on curve strata; the weight rises
+    because placing a lisse sheaf in degree -1 raises the Frobenius weight of
+    its perverse incarnation by one.  Ranks are summed over the strata, which
+    form a disjoint union.
+    """
+    dim = 1 if m == KLINGEN else 0
+    head, *rest = [[e for e in profile if e.n_classical <= 1] for profile in profiles]
+    shape = [(e.m, e.n_classical, e.weight, e.origin, e.provenance) for e in head]
     lowers = [e.rank_lower for e in head]
     uppers = [e.rank_upper for e in head]
     for profile in rest:
-        if [(e.m, e.n_classical, e.n_perverse, e.weight, e.origin, e.provenance) for e in profile] != keys:
+        if [(e.m, e.n_classical, e.weight, e.origin, e.provenance) for e in profile] != shape:
             raise PreconditionViolation("internal: stratum profiles disagree off the rank fields")
         for i, e in enumerate(profile):
             lowers[i] += e.rank_lower
             uppers[i] += e.rank_upper
-    out = []
-    for (m, n, np_, w, origin, prov), lo, up in zip(keys, lowers, uppers):
-        out.append(
-            CohomologyEntry(
-                m=m,
-                n_classical=n,
-                weight=w,
-                rank_lower=lo,
-                rank_upper=up,
-                nonzero=up > 0 and lo > 0,
-                origin=origin,
-                provenance=prov,
-                n_perverse=np_,
-            )
+    entries = tuple(
+        CohomologyEntry(
+            m=m,
+            n_classical=e.n_classical,
+            weight=e.weight + dim,
+            rank_lower=lo,
+            rank_upper=up,
+            origin=e.origin,
+            provenance=e.provenance,
+            n_perverse=e.n_classical + lam.r + dim,
         )
-    return tuple(out)
-
-
-def _intermediate(lam: WeightTriple, m: int, classical, strata) -> IntermediateProfile:
-    """Intermediate profile of parabolic m from built classical profiles:
-    the Klingen profile for m = 1, one Siegel profile per stratum for m = 0."""
-    r = lam.r
-    if m == KLINGEN:
-        kept = tuple(e for e in perverse_reindex(classical, lam) if e.n_perverse <= r + 2)
-        return IntermediateProfile(m=m, entries=kept, kernel_entry=None)
-    truncated = [
-        tuple(e for e in perverse_reindex(profile, lam) if e.n_perverse <= r + 1)
-        for profile in classical
-    ]
-    return IntermediateProfile(
-        m=m,
-        entries=_aggregate(truncated),
-        kernel_entry=_kernel_entry(lam, strata),
+        for e, lo, up in zip(head, lowers, uppers)
     )
+    kernel = _kernel_entry(lam, strata) if m == SIEGEL else None
+    return IntermediateProfile(m=m, entries=entries, kernel_entry=kernel)
 
 
 def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfile:
@@ -181,10 +166,10 @@ def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfi
     check_parabolic(m)
     strata = _require_strata(strata)
     if m == KLINGEN:
-        classical = klingen_profile(lam)
+        profiles = (klingen_profile(lam),)
     else:
-        classical = tuple(siegel_profile(lam, s) for s in strata)
-    return _intermediate(lam, m, classical, strata)
+        profiles = tuple(siegel_profile(lam, s) for s in strata)
+    return _intermediate(lam, m, profiles, strata)
 
 
 def _minimal_gap(profiles) -> tuple[int, tuple[CohomologyEntry, ...]]:
@@ -245,7 +230,7 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
     curve = klingen_profile(lam)
     intermediate = {
         SIEGEL: _intermediate(lam, SIEGEL, point, strata),
-        KLINGEN: _intermediate(lam, KLINGEN, curve, strata),
+        KLINGEN: _intermediate(lam, KLINGEN, (curve,), strata),
     }
     k, witnesses = _minimal_gap(intermediate.values())
     regular = is_regular(lam)

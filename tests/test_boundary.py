@@ -3,13 +3,12 @@ import pytest
 from siegel_weights import (
     CohomologyEntry,
     InvalidStratum,
-    MixedStrata,
     NotDominant,
     StratumDatum,
     group_cohomology_dim,
+    intermediate_profile,
     klingen_profile,
     make_weight,
-    perverse_reindex,
     siegel_profile,
 )
 from siegel_weights.errors import DegreeOutOfRange, PreconditionViolation
@@ -141,40 +140,35 @@ def test_profiles_reject_non_dominant_weights():
 # --- perverse reindexing -----------------------------------------------------
 
 def test_perverse_reindex_point_strata_shift():
-    entries = perverse_reindex(siegel_profile(REFERENCE, P03), REFERENCE)
+    entries = intermediate_profile(REFERENCE, 0, [P03]).entries
     by_key = {(e.n_classical, e.origin): e for e in entries}
-    assert by_key[(2, ((1, 1),))].n_perverse == 6
-    assert by_key[(2, ((1, 1),))].weight == 4  # unchanged for point strata
+    assert by_key[(1, ((1, 0),))].n_perverse == 5
+    assert by_key[(1, ((1, 0),))].weight == 0  # unchanged for point strata
     assert by_key[(0, ((0, 0),))].n_perverse == 4
 
 
 def test_perverse_reindex_curve_strata_shift_bumps_weight():
-    entries = perverse_reindex(klingen_profile(REFERENCE), REFERENCE)
-    assert [e.n_perverse for e in entries] == [5, 6, 7, 8]
-    assert [e.weight for e in entries] == [2, 5, 9, 12]
+    entries = intermediate_profile(REFERENCE, 1, [P03]).entries
+    assert [e.n_perverse for e in entries] == [5, 6]
+    assert [e.weight for e in entries] == [2, 5]
     lam0 = make_weight(0, 0, 0)
-    entries0 = perverse_reindex(klingen_profile(lam0), lam0)
+    entries0 = intermediate_profile(lam0, 1, [P03]).entries
     assert entries0[0].n_perverse == 1
 
 
-def test_perverse_reindex_rejects_mixed_parabolics():
-    mixed = list(siegel_profile(REFERENCE, P03)) + list(klingen_profile(REFERENCE))
-    with pytest.raises(MixedStrata):
-        perverse_reindex(mixed, REFERENCE)
-
-
 def test_perverse_reindex_keeps_everything_else():
-    before = klingen_profile(REFERENCE)
-    after = perverse_reindex(before, REFERENCE)
-    for b, a in zip(before, after):
-        assert (a.m, a.n_classical, a.rank_lower, a.rank_upper, a.nonzero, a.origin) == (
-            b.m,
-            b.n_classical,
-            b.rank_lower,
-            b.rank_upper,
-            b.nonzero,
-            b.origin,
-        )
+    for m, before in ((0, siegel_profile(REFERENCE, P03)), (1, klingen_profile(REFERENCE))):
+        after = intermediate_profile(REFERENCE, m, [P03]).entries
+        assert len(after) < len(before)
+        for b, a in zip(before, after):
+            assert (a.m, a.n_classical, a.rank_lower, a.rank_upper, a.nonzero, a.origin) == (
+                b.m,
+                b.n_classical,
+                b.rank_lower,
+                b.rank_upper,
+                b.nonzero,
+                b.origin,
+            )
 
 
 # --- weight bound of the full direct image profile ---------------------------
@@ -188,12 +182,14 @@ def test_purity_bound_in_low_perverse_degrees():
             continue
         r = lam.r
         for s in strata:
-            for e in perverse_reindex(siegel_profile(lam, s), lam):
-                if e.nonzero is True and e.n_perverse <= r + 2:
-                    assert e.weight <= e.n_perverse - (lam.k1 - lam.k2)
-        for e in perverse_reindex(klingen_profile(lam), lam):
-            if e.nonzero is True and e.n_perverse <= r + 2:
-                assert e.weight <= e.n_perverse - lam.k2
+            for e in siegel_profile(lam, s):
+                n_perverse = e.n_classical + r  # point strata: weight unchanged
+                if e.nonzero is True and n_perverse <= r + 2:
+                    assert e.weight <= n_perverse - (lam.k1 - lam.k2)
+        for e in klingen_profile(lam):
+            n_perverse = e.n_classical + r + 1  # curve strata: weight + 1
+            if e.nonzero is True and n_perverse <= r + 2:
+                assert e.weight + 1 <= n_perverse - lam.k2
 
 
 def test_entry_rank_bounds_are_validated():
@@ -204,7 +200,6 @@ def test_entry_rank_bounds_are_validated():
             weight=0,
             rank_lower=2,
             rank_upper=1,
-            nonzero=True,
             origin=((0, 0),),
             provenance="paper",
         )

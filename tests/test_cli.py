@@ -245,6 +245,30 @@ def test_negative_control_k_mismatch_fails_under_python_O():
     assert payload["message"].startswith("internal:")
 
 
+def test_negative_control_stratum_profiles_disagree_fails_under_python_O():
+    # summing ranks over strata needs their profiles to agree off the ranks
+    code = (
+        "import dataclasses, sys\n"
+        "if __debug__: sys.exit(3)\n"
+        "import siegel_weights.intersection as intersection\n"
+        "original = intersection.siegel_profile\n"
+        "def bumped(lam, s):\n"
+        "    entries = original(lam, s)\n"
+        "    if s.g != 1:\n"
+        "        return entries\n"
+        "    return (dataclasses.replace(entries[0], weight=entries[0].weight + 1),) + entries[1:]\n"
+        "intersection.siegel_profile = bumped\n"
+        "from siegel_weights import cli\n"
+        "sys.exit(cli.main(['analyze', '--k1', '3', '--k2', '1', '--r', '4',"
+        " '--stratum', '0,3', '--stratum', '1,1']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 2
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "PreconditionViolation"
+    assert payload["message"] == "internal: stratum profiles disagree off the rank fields"
+
+
 # --- entry point ------------------------------------------------------------------
 
 def test_in_process_entry_point_matches_subprocess():

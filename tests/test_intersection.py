@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -267,6 +269,16 @@ def test_one_pass_k_matches_strata_and_closed_form(lam, strata):
     k, witnesses = avoided_interval(lam, strata)
     assert k == min(avoided_interval(lam, (s,))[0] for s in strata)
     assert k == min(lam.k1 - lam.k2, lam.k2)
+
+    summed = intermediate_profile(lam, 0, strata).all_entries()
+    singles = [intermediate_profile(lam, 0, (s,)).all_entries() for s in strata]
+    assert all(len(single) == len(summed) for single in singles)
+    for i, e in enumerate(summed):
+        column = [single[i] for single in singles]
+        for f in column:
+            assert replace(f, rank_lower=e.rank_lower, rank_upper=e.rank_upper) == e
+        assert e.rank_lower == sum(f.rank_lower for f in column)
+        assert e.rank_upper == sum(f.rank_upper for f in column)
 
     report = analysis_report(lam, strata)
     assert (report.k, report.witnesses) == (k, witnesses)

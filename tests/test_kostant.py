@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from siegel_weights import (
     nilpotent_cohomology,
     weyl_dimension,
 )
+from siegel_weights import kostant
 from siegel_weights.errors import BadParabolicIndex
 from siegel_weights.weyl import all_elements
 
@@ -253,6 +255,22 @@ def test_weyl_and_freudenthal_characters_agree(lam):
 def test_euler_identity_on_wide_weights(lam):
     assert euler_check(lam, 0)
     assert euler_check(lam, 1)
+
+
+def test_negative_control_shifted_module_fails_the_euler_identity(monkeypatch):
+    original = kostant.nilpotent_cohomology
+
+    def shifted(lam, m):
+        mods = list(original(lam, m))
+        mods[2] = dataclasses.replace(
+            mods[2], highest_weight=mods[2].highest_weight + WeightTriple(0, 0, 2)
+        )
+        return tuple(mods)
+
+    monkeypatch.setattr(kostant, "nilpotent_cohomology", shifted)
+    for lam in (make_weight(3, 1, 4), make_weight(0, 0, 0), make_weight(5, 5, 10)):
+        assert not euler_check(lam, 0)
+        assert not euler_check(lam, 1)
 
 
 def test_negative_control_corrupted_rho_fails_freudenthal_under_python_O():
