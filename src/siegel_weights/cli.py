@@ -365,9 +365,10 @@ def _suite_stratum_profiles(max_k1: int):
         if not (lam.k1 > lam.k2 > 0):
             continue
         k1, k2, r = lam.k1, lam.k2, lam.r
+        curve = intermediate_profile(lam, KLINGEN, strata)  # the same for every stratum
         for s in strata:
             for m, bound_gap in ((SIEGEL, k1 - k2), (KLINGEN, k2)):
-                profile = intermediate_profile(lam, m, (s,))
+                profile = intermediate_profile(lam, SIEGEL, (s,)) if m == SIEGEL else curve
                 top = [e for e in profile.all_entries() if e.n_perverse == r + 2]
                 checks += 1
                 if not any(e.nonzero is True for e in top):

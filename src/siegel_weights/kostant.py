@@ -12,8 +12,8 @@ with their Levi dimension, SL(2)-restriction weight and motivic weight.
 Two independent character oracles guard the tables:
 
 * character(lam) computes ch V by the Weyl character formula, dividing the
-  alternating rho-shifted orbit sum exactly by prod (1 - x^{-beta}) over the
-  positive roots;
+  Weyl numerator N(lam) = sum_w sign(w) x^{w . lam} exactly by
+  prod (1 - x^{-beta}) over the positive roots;
 * freudenthal_multiplicities(lam) runs Freudenthal's recursion on dominant
   weights and expands Weyl orbits.
 
@@ -22,17 +22,31 @@ euler_check(lam, m) verifies the Euler characteristic identity
     sum_q (-1)^q ch H^q(Lie W_m, V) = ch V * prod_{beta in W_m} (1 - x^{-beta}),
 
 with each Levi character written as the finite SL(2) string through its
-highest weight.  The identity fails loudly on any wrong table entry, wrong
-dimension or wrong sign convention.
+highest weight.  It checks the identity in the equivalent form
+
+    (sum_q (-1)^q ch H^q(Lie W_m, V)) * (1 - x^{-gamma_m}) = N(lam),
+
+gamma_m = levi_root(m), which needs one product with a binomial instead of
+three products with the O(k1^2)-term character.  The two forms agree on every
+input: character(lam) returns only when ch V * prod_{beta > 0} (1 - x^{-beta})
+= N(lam) holds exactly, the positive roots are W_m and gamma_m, and the
+Laurent ring is an integral domain, so multiplying both sides of the first
+form by the nonzero 1 - x^{-gamma_m} is injective.  The identity fails
+loudly on any wrong table entry, wrong dimension or wrong sign convention.
+
+The character oracles cost O(k1^2) terms (character) and O(k1^3) recursion
+steps (Freudenthal), so they refuse weights with k1 > ORACLE_MAX_K1 with
+InputBoundExceeded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
 
 from . import root_data, weyl
-from .errors import PreconditionViolation
+from .errors import InputBoundExceeded, PreconditionViolation
 from .laurent import LaurentPolynomial
 from .root_data import (
     WeightTriple,
@@ -42,6 +56,8 @@ from .root_data import (
     pairing,
     require_dominant,
 )
+
+ORACLE_MAX_K1 = 100
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,19 +93,39 @@ def nilpotent_cohomology(lam: WeightTriple, m: int) -> tuple[LeviModule, ...]:
     return tuple(modules)
 
 
+def _require_oracle_size(lam: WeightTriple) -> None:
+    if lam.k1 > ORACLE_MAX_K1:
+        raise InputBoundExceeded(
+            f"character oracles need k1 <= {ORACLE_MAX_K1}, got k1 = {lam.k1}"
+        )
+
+
+@lru_cache(maxsize=1)
+def _signed_elements() -> tuple[tuple[weyl.WeylElement, int], ...]:
+    # signs come from the positive roots; rho is read by weyl.dot per call
+    return tuple((w, weyl.sign(w)) for w in weyl.all_elements())
+
+
+def _weyl_numerator(lam: WeightTriple) -> LaurentPolynomial:
+    """N(lam) = sum_w sign(w) x^{w . lam}, the numerator of Weyl's formula."""
+    terms: dict[tuple[int, int, int], int] = {}
+    for w, sign in _signed_elements():
+        mu = weyl.dot(w, lam)
+        terms[(mu.k1, mu.k2, mu.r)] = sign
+    return LaurentPolynomial(terms)
+
+
 def character(lam: WeightTriple) -> LaurentPolynomial:
     """ch V_lam by the Weyl character formula, as an exact Laurent polynomial.
 
-    The numerator sum_w sign(w) x^{w . lam} is divided by (1 - x^{-beta}) for
-    each positive root beta in turn; Weyl's theorem promises exactness, so a
-    DivisionFailure here means corrupted root data, not bad input.
+    The numerator N(lam) is divided by (1 - x^{-beta}) for each positive root
+    beta in turn; Weyl's theorem promises exactness, so a DivisionFailure
+    here means corrupted root data, not bad input.  Raises InputBoundExceeded
+    for k1 > ORACLE_MAX_K1.
     """
     require_dominant(lam)
-    numerator: dict[tuple[int, int, int], int] = {}
-    for w in weyl.all_elements():
-        mu = weyl.dot(w, lam)
-        numerator[(mu.k1, mu.k2, mu.r)] = weyl.sign(w)
-    poly = LaurentPolynomial(numerator)
+    _require_oracle_size(lam)
+    poly = _weyl_numerator(lam)
     for beta in root_data.POSITIVE_ROOTS:
         poly = poly.divide_one_minus_inverse(beta)
     return poly
@@ -127,8 +163,10 @@ def freudenthal_multiplicities(lam: WeightTriple) -> dict[tuple[int, int], int]:
             = 2 sum_{beta > 0} sum_{j >= 1} m_{mu + j beta} <mu + j beta, beta>
 
     runs downward in j-height from lam; every division is exact in Z.
+    Raises InputBoundExceeded for k1 > ORACLE_MAX_K1.
     """
     require_dominant(lam)
+    _require_oracle_size(lam)
     rho = root_data.RHO
     k1, k2 = lam.k1, lam.k2
 
@@ -201,15 +239,23 @@ def levi_character(module: LeviModule) -> LaurentPolynomial:
     terms: dict[tuple[int, int, int], int] = {}
     nu = module.highest_weight
     for i in range(module.restriction_weight + 1):
-        v = nu - WeightTriple(i * gamma.k1, i * gamma.k2, 0)
-        terms[(v.k1, v.k2, v.r)] = terms.get((v.k1, v.k2, v.r), 0) + 1
+        v = (nu.k1 - i * gamma.k1, nu.k2 - i * gamma.k2, nu.r)
+        terms[v] = terms.get(v, 0) + 1
     return LaurentPolynomial(terms)
 
 
 def euler_check(lam: WeightTriple, m: int) -> bool:
-    """Exact Euler characteristic identity for the Kostant tables of (lam, m)."""
+    """Exact Euler characteristic identity for the Kostant tables of (lam, m).
+
+    Tests (sum_q (-1)^q ch H^q) * (1 - x^{-gamma_m}) == N(lam), which holds
+    exactly when sum_q (-1)^q ch H^q == ch V * prod_{beta in W_m}
+    (1 - x^{-beta}); see the module docstring.  character(lam) is still
+    computed, so corrupted root data raises DivisionFailure here as before.
+    Raises InputBoundExceeded for k1 > ORACLE_MAX_K1.
+    """
     require_dominant(lam)
     check_parabolic(m)
+    _require_oracle_size(lam)
     lhs = sum(
         (
             levi_character(mod).scale(-1 if mod.q % 2 else 1)
@@ -217,8 +263,7 @@ def euler_check(lam: WeightTriple, m: int) -> bool:
         ),
         LaurentPolynomial.zero(),
     )
-    rhs = character(lam)
-    one = LaurentPolynomial.one()
-    for beta in root_data.nilradical_roots(m):
-        rhs = rhs * (one - LaurentPolynomial.monomial((-beta.k1, -beta.k2, 0)))
-    return lhs == rhs
+    character(lam)
+    gamma = root_data.levi_root(m)
+    binomial = LaurentPolynomial.one() - LaurentPolynomial.monomial((-gamma.k1, -gamma.k2, 0))
+    return lhs * binomial == _weyl_numerator(lam)

@@ -37,6 +37,17 @@ class LaurentPolynomial:
                     self._terms[_as_exponent(e)] = int(c)
 
     @classmethod
+    def _trusted(cls, terms: dict[Exponent, int]) -> "LaurentPolynomial":
+        """Take over terms as they are: keys are int triples, values nonzero.
+
+        For results of the arithmetic below, which build such dicts already;
+        __init__ would only copy and re-check every term.
+        """
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        return poly
+
+    @classmethod
     def zero(cls) -> "LaurentPolynomial":
         return cls()
 
@@ -80,10 +91,10 @@ class LaurentPolynomial:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return LaurentPolynomial(out)
+        return LaurentPolynomial._trusted(out)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: -c for e, c in self._terms.items()})
+        return LaurentPolynomial._trusted({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
@@ -93,7 +104,7 @@ class LaurentPolynomial:
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 out[(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])] += c1 * c2
-        return LaurentPolynomial(out)
+        return LaurentPolynomial._trusted({e: c for e, c in out.items() if c})
 
     def scale(self, c: int) -> "LaurentPolynomial":
         return LaurentPolynomial({e: c * v for e, v in self._terms.items()})
@@ -117,14 +128,15 @@ class LaurentPolynomial:
         if b == (0, 0, 0):
             raise DivisionFailure("division direction must be nonzero")
         pivot = next(i for i in range(3) if b[i] != 0)
+        b0, b1, b2 = b
+        step = b[pivot]
 
         # base = e - t*beta with t = floor(e[pivot] / beta[pivot]) is constant
         # along each line e + Z*beta, so it is a canonical line key.
         lines: dict[Exponent, dict[int, int]] = defaultdict(dict)
         for e, c in self._terms.items():
-            t = e[pivot] // b[pivot]
-            base = (e[0] - t * b[0], e[1] - t * b[1], e[2] - t * b[2])
-            lines[base][t] = c
+            t = e[pivot] // step
+            lines[(e[0] - t * b0, e[1] - t * b1, e[2] - t * b2)][t] = c
 
         quotient: dict[Exponent, int] = {}
         for base, coeffs in lines.items():
@@ -133,11 +145,11 @@ class LaurentPolynomial:
                 raise DivisionFailure(
                     f"line through {base} along {b} has nonzero sum {total}"
                 )
+            x, y, z = base
+            get = coeffs.get
             running = 0
             for t in range(max(coeffs), min(coeffs) - 1, -1):
-                running += coeffs.get(t, 0)
+                running += get(t, 0)
                 if running:
-                    quotient[
-                        (base[0] + t * b[0], base[1] + t * b[1], base[2] + t * b[2])
-                    ] = running
-        return LaurentPolynomial(quotient)
+                    quotient[(x + t * b0, y + t * b1, z + t * b2)] = running
+        return LaurentPolynomial._trusted(quotient)

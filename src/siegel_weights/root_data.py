@@ -108,7 +108,8 @@ KLINGEN = 1
 
 
 def check_parabolic(m: int) -> int:
-    if m not in (SIEGEL, KLINGEN):
+    """Return m if it is the int 0 or 1; bools and other types are refused."""
+    if type(m) is not int or m not in (SIEGEL, KLINGEN):
         raise BadParabolicIndex(f"parabolic index must be 0 or 1, got {m!r}")
     return m
 

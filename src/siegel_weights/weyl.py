@@ -16,7 +16,9 @@ though rho itself is outside it.
 minimal_representatives(m) lists the four minimal-length representatives of
 the quotient by the Levi Weyl group of parabolic m, in length order 0, 1, 2,
 3.  The criterion is the usual one: w represents its coset minimally iff
-w^{-1} keeps the Levi's positive root positive.
+w^{-1} keeps the Levi's positive root positive.  all_elements and
+minimal_representatives are built once and cached; neither depends on rho,
+which only the dot action reads, at call time.
 """
 
 from __future__ import annotations
@@ -122,9 +124,14 @@ def all_elements() -> tuple[WeylElement, ...]:
 def minimal_representatives(m: int) -> tuple[WeylElement, ...]:
     """Minimal-length coset representatives for parabolic m, lengths 0..3.
 
-    Raises BadParabolicIndex for m outside {0, 1}.
+    Raises BadParabolicIndex for m outside {0, 1}.  m is checked before the
+    cache is consulted, so an unhashable m raises BadParabolicIndex too.
     """
-    check_parabolic(m)
+    return _minimal_representatives(check_parabolic(m))
+
+
+@lru_cache(maxsize=2)
+def _minimal_representatives(m: int) -> tuple[WeylElement, ...]:
     gamma = root_data.levi_root(m)
     reps = tuple(
         w for w in all_elements() if not _is_negative(w.inverse()(gamma))

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siegel_weights import (
+    InputBoundExceeded,
     LaurentPolynomial,
     NotDominant,
     WeightTriple,
@@ -22,6 +23,7 @@ from siegel_weights import (
 )
 from siegel_weights import kostant
 from siegel_weights.errors import BadParabolicIndex
+from siegel_weights.root_data import levi_root, nilradical_roots
 from siegel_weights.weyl import all_elements
 
 
@@ -255,6 +257,54 @@ def test_weyl_and_freudenthal_characters_agree(lam):
 def test_euler_identity_on_wide_weights(lam):
     assert euler_check(lam, 0)
     assert euler_check(lam, 1)
+
+
+@settings(derandomize=True, deadline=None)
+@given(lam=dominant_weights(24))
+@example(lam=make_weight(0, 0, 0))
+@example(lam=make_weight(24, 0, 24))
+@example(lam=make_weight(24, 24, 8))
+def test_euler_right_sides_agree_with_the_product_form(lam):
+    # the product form ch V * prod_{beta in W_m} (1 - x^{-beta}) of the Euler
+    # identity's right side equals N(lam) / (1 - x^{-gamma_m}), the form
+    # euler_check compares against
+    numerator = kostant._weyl_numerator(lam)
+    for m in (0, 1):
+        product = character(lam)
+        for beta in nilradical_roots(m):
+            product = product * (
+                LaurentPolynomial.one() - LaurentPolynomial.monomial((-beta.k1, -beta.k2, 0))
+            )
+        assert product == numerator.divide_one_minus_inverse(levi_root(m))
+
+
+def test_negative_control_shortened_string_fails_the_euler_identity(monkeypatch):
+    original = kostant.nilpotent_cohomology
+
+    def shortened(lam, m):
+        mods = list(original(lam, m))
+        mods[0] = dataclasses.replace(mods[0], restriction_weight=mods[0].restriction_weight - 1)
+        return tuple(mods)
+
+    monkeypatch.setattr(kostant, "nilpotent_cohomology", shortened)
+    for lam in (make_weight(3, 1, 4), make_weight(5, 2, 7)):
+        assert not euler_check(lam, 0)
+        assert not euler_check(lam, 1)
+
+
+def test_oracles_refuse_k1_above_the_bound():
+    assert kostant.ORACLE_MAX_K1 == 100
+    big = make_weight(101, 0, 101)
+    for oracle in (character, freudenthal_multiplicities, freudenthal_character):
+        with pytest.raises(InputBoundExceeded):
+            oracle(big)
+    for m in (0, 1):
+        with pytest.raises(InputBoundExceeded):
+            euler_check(big, m)
+
+
+def test_character_accepts_k1_at_the_bound():
+    assert character(make_weight(100, 0, 100)).mass() == weyl_dimension(make_weight(100, 0, 100))
 
 
 def test_negative_control_shifted_module_fails_the_euler_identity(monkeypatch):

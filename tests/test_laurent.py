@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegel_weights import DivisionFailure, LaurentPolynomial
-from siegel_weights.root_data import POSITIVE_ROOTS
+from siegel_weights.root_data import POSITIVE_ROOTS, WeightTriple
 
 
 def one_minus_inverse(beta):
@@ -88,3 +90,28 @@ def test_weyl_denominator_collapses_to_one():
     for beta in reversed(POSITIVE_ROOTS):
         product = product.divide_one_minus_inverse(beta)
     assert product == LaurentPolynomial.one()
+
+
+small_ints = st.integers(-3, 3)
+exponents = st.tuples(small_ints, small_ints, small_ints)
+polys = st.dictionaries(exponents, st.integers(-4, 4), max_size=10).map(LaurentPolynomial)
+directions = st.tuples(small_ints, small_ints, small_ints).filter(lambda b: b != (0, 0, 0))
+
+
+@settings(derandomize=True, deadline=None)
+@given(p=polys, q=polys, beta=directions)
+def test_arithmetic_results_are_normalised(p, q, beta):
+    # sums, products and quotients skip the normalising constructor; their
+    # results must still be what that constructor would build
+    results = [
+        p + q,
+        p - q,
+        -p,
+        p * q,
+        (p * one_minus_inverse(WeightTriple(*beta))).divide_one_minus_inverse(beta),
+    ]
+    for result in results:
+        terms = dict(result.items())
+        assert all(c != 0 for c in terms.values())
+        assert all(type(x) is int for e in terms for x in e)
+        assert result == LaurentPolynomial(terms)

@@ -19,7 +19,7 @@ from siegel_weights import (
     nilradical_roots,
 )
 from siegel_weights.errors import BadParabolicIndex
-from siegel_weights.root_data import COORDINATE_BOUND, pairing
+from siegel_weights.root_data import COORDINATE_BOUND, check_parabolic, pairing
 
 
 def test_make_weight_accepts_even_parity():
@@ -98,6 +98,17 @@ def test_parabolic_root_partition():
         levi_root(2)
     with pytest.raises(BadParabolicIndex):
         nilradical_roots(-1)
+
+
+@pytest.mark.parametrize("m", [True, False, 1.0, 0.0, "0", [0], None, 2, -1])
+def test_check_parabolic_rejects_everything_but_int_0_and_1(m):
+    with pytest.raises(BadParabolicIndex):
+        check_parabolic(m)
+
+
+def test_check_parabolic_accepts_0_and_1():
+    assert check_parabolic(0) == 0
+    assert check_parabolic(1) == 1
 
 
 def test_dominance_and_regularity():

@@ -131,6 +131,18 @@ def test_minimal_representatives_lengths_and_criterion():
         minimal_representatives(3)
 
 
+@pytest.mark.parametrize("m", [True, False, 1.0, "0", [0], None])
+def test_minimal_representatives_rejects_non_int_indices(m):
+    # validated before the cache, so an unhashable index is no TypeError
+    with pytest.raises(BadParabolicIndex):
+        minimal_representatives(m)
+
+
+def test_minimal_representatives_are_cached():
+    assert minimal_representatives(0) is minimal_representatives(0)
+    assert minimal_representatives(1) is minimal_representatives(1)
+
+
 def test_representatives_send_dominant_weights_to_levi_dominant_ones():
     # dot outputs must be dominant for the Levi: nonnegative on its root
     rng = random.Random(13)
