@@ -34,6 +34,12 @@ pairs, and a provenance tag: "paper" rows restate the printed profile of the
 weight computation this package reproduces, "derived" rows extend it by the
 same weight map.
 
+siegel_profile and klingen_profile validate lam, build the Kostant modules
+and hand them to the private entry builders _siegel_entries and
+_klingen_entries, which check nothing.  intersection calls the builders on
+modules it has built once per parabolic for all strata, and the Siegel
+builder only up to the top classical degree a truncation keeps.
+
 An entry's nonzero is read off its rank bounds: True when rank_lower >= 1,
 False when rank_upper == 0, and "unknown" when the bounds straddle zero
 (only a kernel entry can, as its lower bound may be 0).
@@ -44,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegreeOutOfRange, InvalidStratum, PreconditionViolation
-from .kostant import nilpotent_cohomology
+from .kostant import LeviModule, nilpotent_cohomology
 from .root_data import KLINGEN, SIEGEL, WeightTriple, require_dominant
 
 ProvenanceTag = str  # "paper" or "derived"
@@ -121,14 +127,20 @@ def siegel_profile(lam: WeightTriple, stratum: StratumDatum) -> tuple[Cohomology
     not an omission.
     """
     require_dominant(lam)
-    modules = nilpotent_cohomology(lam, SIEGEL)
+    return _siegel_entries(nilpotent_cohomology(lam, SIEGEL), stratum, 4)
+
+
+def _siegel_entries(
+    modules: tuple[LeviModule, ...], stratum: StratumDatum, top: int
+) -> tuple[CohomologyEntry, ...]:
+    """Point-stratum entries of classical degree n <= top from the Siegel
+    Kostant modules, which must include every q <= top; nothing is checked."""
     pieces: dict[tuple[int, int], list] = {}
     for q, mod in enumerate(modules):
         for p in (0, 1):
-            n = p + q
-            dim = group_cohomology_dim(mod.restriction_weight, stratum, p)
-            key = (n, mod.motivic_weight)
-            pieces.setdefault(key, []).append(((p, q), dim))
+            if p + q <= top:
+                dim = group_cohomology_dim(mod.restriction_weight, stratum, p)
+                pieces.setdefault((p + q, mod.motivic_weight), []).append(((p, q), dim))
     entries = []
     for (n, w), contribs in sorted(pieces.items()):
         rank = sum(d for _, d in contribs)
@@ -153,18 +165,20 @@ def klingen_profile(lam: WeightTriple) -> tuple[CohomologyEntry, ...]:
     the Levi dimension and is never zero.
     """
     require_dominant(lam)
-    entries = []
-    for q, mod in enumerate(nilpotent_cohomology(lam, KLINGEN)):
-        entries.append(
-            CohomologyEntry(
-                m=KLINGEN,
-                n_classical=q,
-                weight=mod.motivic_weight,
-                rank_lower=mod.levi_dim,
-                rank_upper=mod.levi_dim,
-                origin=((0, q),),
-                provenance="paper" if q <= 1 else "derived",
-            )
-        )
-    return tuple(entries)
+    return _klingen_entries(nilpotent_cohomology(lam, KLINGEN))
 
+
+def _klingen_entries(modules: tuple[LeviModule, ...]) -> tuple[CohomologyEntry, ...]:
+    """Curve-stratum entries, one per given Klingen Kostant module, in order."""
+    return tuple(
+        CohomologyEntry(
+            m=KLINGEN,
+            n_classical=mod.q,
+            weight=mod.motivic_weight,
+            rank_lower=mod.levi_dim,
+            rank_upper=mod.levi_dim,
+            origin=((0, mod.q),),
+            provenance="paper" if mod.q <= 1 else "derived",
+        )
+        for mod in modules
+    )

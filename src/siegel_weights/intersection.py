@@ -25,15 +25,23 @@ k = 0) avoid the boundary entirely.  For dominant lam this minimum always
 equals min(k1 - k2, k2); it is >= 1 exactly when lam is regular.  The weights
 -k and k + 1 do occur, the upper one by self-duality of the intersection
 complex with twist s = r + 3.
+
+Validate once, build only what is kept.  The public functions check lam and
+the strata once.  intermediate_profile and avoided_interval then build, per
+parabolic, only the Kostant modules q <= 1, shared by every stratum, and
+only the classical entries n <= 1: both truncations keep nothing else.
+analysis_report builds all four modules of each parabolic once and the full
+classical profiles from them, because its kostant and boundary fields show
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boundary import CohomologyEntry, StratumDatum, klingen_profile, siegel_profile
+from .boundary import CohomologyEntry, StratumDatum, _klingen_entries, _siegel_entries
 from .errors import EmptyStrata, PreconditionViolation
-from .kostant import LeviModule, nilpotent_cohomology
+from .kostant import LeviModule, _modules
 from .root_data import (
     KLINGEN,
     SIEGEL,
@@ -76,7 +84,14 @@ def rank_inequality_check(lam: WeightTriple, stratum: StratumDatum) -> bool:
     require_dominant(lam)
     if lam.k1 < 1:
         raise PreconditionViolation("kernel nonvanishing argument needs k1 >= 1")
-    return (lam.k1 + lam.k2 + 3) * stratum.euler_term > stratum.c
+    ((source, target),) = _map_ranks(lam, (stratum,))
+    return source > target
+
+
+def _map_ranks(lam: WeightTriple, strata) -> list[tuple[int, int]]:
+    """Per stratum, the (source, target) ranks (k1+k2+3) * (2g-2+c) and c of
+    the boundary map; nothing is checked."""
+    return [((lam.k1 + lam.k2 + 3) * s.euler_term, s.c) for s in strata]
 
 
 def kernel_map_ranks(lam: WeightTriple, strata) -> tuple[int, int]:
@@ -84,32 +99,23 @@ def kernel_map_ranks(lam: WeightTriple, strata) -> tuple[int, int]:
     n_perverse = r + 2 over the point strata: source = (k1+k2+3) * sum of
     (2g-2+c), target = sum of c."""
     require_dominant(lam)
-    strata = _require_strata(strata)
-    source = sum((lam.k1 + lam.k2 + 3) * s.euler_term for s in strata)
-    target = sum(s.c for s in strata)
-    return source, target
+    ranks = _map_ranks(lam, _require_strata(strata))
+    return sum(src for src, _ in ranks), sum(tgt for _, tgt in ranks)
 
 
 def _kernel_entry(lam: WeightTriple, strata: tuple[StratumDatum, ...]) -> CohomologyEntry:
     """Weight-(r+2)-(k1-k2) kernel replacing degree r + 2 over point strata."""
-    k1, k2, r = lam.k1, lam.k2, lam.r
-    source, target = kernel_map_ranks(lam, strata)
-    lower = 0
-    for s in strata:
-        src = (k1 + k2 + 3) * s.euler_term
-        if k1 >= 1:
-            lower += max(src - s.c, 1)
-        else:
-            lower += max(src - s.c, 0)
+    ranks = _map_ranks(lam, strata)
+    floor = 1 if lam.k1 >= 1 else 0
     return CohomologyEntry(
         m=SIEGEL,
         n_classical=2,
-        weight=(r + 2) - (k1 - k2),
-        rank_lower=lower,
-        rank_upper=source,
+        weight=(lam.r + 2) - (lam.k1 - lam.k2),
+        rank_lower=sum(max(src - tgt, floor) for src, tgt in ranks),
+        rank_upper=sum(src for src, _ in ranks),
         origin=((1, 1),),
         provenance="paper",
-        n_perverse=r + 2,
+        n_perverse=lam.r + 2,
     )
 
 
@@ -164,11 +170,18 @@ def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfi
     """
     require_dominant(lam)
     check_parabolic(m)
-    strata = _require_strata(strata)
+    return _truncated(lam, m, _require_strata(strata))
+
+
+def _truncated(lam: WeightTriple, m: int, strata: tuple[StratumDatum, ...]) -> IntermediateProfile:
+    """intermediate_profile on checked inputs, built from what the truncations
+    keep: the Kostant modules q <= 1, built once and shared by every stratum,
+    and the classical entries n <= 1."""
+    modules = _modules(lam, m, 2)
     if m == KLINGEN:
-        profiles = (klingen_profile(lam),)
+        profiles = (_klingen_entries(modules),)
     else:
-        profiles = tuple(siegel_profile(lam, s) for s in strata)
+        profiles = tuple(_siegel_entries(modules, s, 1) for s in strata)
     return _intermediate(lam, m, profiles, strata)
 
 
@@ -192,7 +205,7 @@ def avoided_interval(lam: WeightTriple, strata) -> tuple[int, tuple[CohomologyEn
     """
     require_dominant(lam)
     strata = _require_strata(strata)
-    return _minimal_gap(intermediate_profile(lam, m, strata) for m in (SIEGEL, KLINGEN))
+    return _minimal_gap(_truncated(lam, m, strata) for m in (SIEGEL, KLINGEN))
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,13 +234,16 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
     occurring_weights = (-k, k + 1) whenever k >= 1.  For k = 0 the boundary
     weight structure is not decided here and occurring_weights is None.
 
-    Each classical profile is built once and serves both the boundary field
-    and the intermediate profiles, from which k and the witnesses come.
+    The four Kostant modules of each parabolic are built once and serve the
+    kostant field and every classical profile; each classical profile is
+    built once and serves both the boundary field and the intermediate
+    profiles, from which k and the witnesses come.
     """
     require_dominant(lam)
     strata = _require_strata(strata)
-    point = tuple(siegel_profile(lam, s) for s in strata)
-    curve = klingen_profile(lam)
+    kostant = {m: _modules(lam, m, 4) for m in (SIEGEL, KLINGEN)}
+    point = tuple(_siegel_entries(kostant[SIEGEL], s, 4) for s in strata)
+    curve = _klingen_entries(kostant[KLINGEN])
     intermediate = {
         SIEGEL: _intermediate(lam, SIEGEL, point, strata),
         KLINGEN: _intermediate(lam, KLINGEN, (curve,), strata),
@@ -248,7 +264,7 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
         regular=regular,
         in_avoidance_category=k >= 1,
         duality_twist=lam.r + 3,
-        kostant={m: nilpotent_cohomology(lam, m) for m in (SIEGEL, KLINGEN)},
+        kostant=kostant,
         boundary={SIEGEL: tuple(zip(strata, point)), KLINGEN: curve},
         intermediate=intermediate,
         witnesses=witnesses,

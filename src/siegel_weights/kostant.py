@@ -7,7 +7,11 @@ parabolic P_m with unipotent radical W_m, Kostant's theorem gives
 
 where w_q runs over the four minimal coset representatives (length q = 0..3)
 and . is the dot action.  nilpotent_cohomology tabulates the four modules
-with their Levi dimension, SL(2)-restriction weight and motivic weight.
+with their Levi dimension, SL(2)-restriction weight and motivic weight.  It
+validates lam and m once and hands them to the private builder _modules,
+which checks nothing and builds only the modules q < count.  The profile
+pipeline calls _modules on inputs it has already checked: the boundary
+truncations need only q <= 1, the full report all four.
 
 Two independent character oracles guard the tables:
 
@@ -76,8 +80,13 @@ def nilpotent_cohomology(lam: WeightTriple, m: int) -> tuple[LeviModule, ...]:
     """The four Kostant modules of parabolic m, in degree order q = 0..3."""
     require_dominant(lam)
     check_parabolic(m)
+    return _modules(lam, m, 4)
+
+
+def _modules(lam: WeightTriple, m: int, count: int) -> tuple[LeviModule, ...]:
+    """The Kostant modules q < count of parabolic m; lam and m are not checked."""
     modules = []
-    for q, w in enumerate(weyl.minimal_representatives(m)):
+    for q, w in enumerate(weyl._minimal_representatives(m)[:count]):
         hw = weyl.dot(w, lam)
         u = levi_restriction_weight(hw, m)
         modules.append(

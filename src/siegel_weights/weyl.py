@@ -99,9 +99,14 @@ def sign(w: WeylElement) -> int:
 
 
 def dot(w: WeylElement, lam: WeightTriple) -> WeightTriple:
-    """Dot action w . lam = w(lam + rho) - rho."""
+    """Dot action w . lam = w(lam + rho) - rho, on plain ints.
+
+    w fixes the r-coordinate, so that coordinate of the result is lam.r.
+    """
     rho = root_data.RHO
-    return w(lam + rho) - rho
+    shifted = (lam.k1 + rho.k1, lam.k2 + rho.k2)
+    (i, j), (a, b) = w.source, w.signs
+    return WeightTriple(a * shifted[i] - rho.k1, b * shifted[j] - rho.k2, lam.r)
 
 
 @lru_cache(maxsize=1)

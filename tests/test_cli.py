@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,10 +88,33 @@ def test_analyze_is_byte_stable():
     assert a.returncode == b.returncode == 0
 
 
+def readme_json_keys():
+    """The top-level keys listed in the README's analyze section, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("JSON output has exactly these top-level keys, in order:")[1]
+    return [line.split()[0] for line in block.split("```")[1].strip().splitlines()]
+
+
 def test_analyze_json_round_trips_identically():
-    proc = run_cli("analyze", "--k1", "4", "--k2", "2", "--r", "6")
-    payload = json.loads(proc.stdout)
-    assert json.dumps(payload, indent=2, sort_keys=False) == proc.stdout.rstrip("\n")
+    # seeded weights in the interior, on both walls and at the origin
+    assert readme_json_keys() == TOP_LEVEL_KEYS
+    rng = random.Random(2017)
+    cases = [(4, 2), (0, 0)]
+    for _ in range(4):
+        k1 = rng.randint(2, 1000)
+        cases += [(k1, rng.randint(1, k1 - 1)), (k1, 0), (k1, k1)]  # interior, walls
+    for k1, k2 in cases:
+        argv = ["analyze", "--k1", str(k1), "--k2", str(k2)]
+        argv += ["--r", str(k1 + k2 + 2 * rng.randint(-50, 50))]
+        for _ in range(rng.randint(1, 3)):
+            g = rng.randint(0, 4)
+            argv += ["--stratum", f"{g},{rng.randint(3 if g == 0 else 1, 12)}"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        payload = json.loads(out.getvalue())
+        assert list(payload) == TOP_LEVEL_KEYS
+        assert json.dumps(payload, indent=2) + "\n" == out.getvalue()
 
 
 def test_analyze_parity_error_is_machine_readable_exit_2():
@@ -251,13 +278,13 @@ def test_negative_control_stratum_profiles_disagree_fails_under_python_O():
         "import dataclasses, sys\n"
         "if __debug__: sys.exit(3)\n"
         "import siegel_weights.intersection as intersection\n"
-        "original = intersection.siegel_profile\n"
-        "def bumped(lam, s):\n"
-        "    entries = original(lam, s)\n"
+        "original = intersection._siegel_entries\n"
+        "def bumped(modules, s, top):\n"
+        "    entries = original(modules, s, top)\n"
         "    if s.g != 1:\n"
         "        return entries\n"
         "    return (dataclasses.replace(entries[0], weight=entries[0].weight + 1),) + entries[1:]\n"
-        "intersection.siegel_profile = bumped\n"
+        "intersection._siegel_entries = bumped\n"
         "from siegel_weights import cli\n"
         "sys.exit(cli.main(['analyze', '--k1', '3', '--k2', '1', '--r', '4',"
         " '--stratum', '0,3', '--stratum', '1,1']))\n"

@@ -20,6 +20,8 @@ from siegel_weights import (
     siegel_profile,
 )
 from siegel_weights.errors import PreconditionViolation
+from siegel_weights.intersection import _intermediate, _minimal_gap
+from siegel_weights.root_data import COORDINATE_BOUND
 
 P03 = StratumDatum(0, 3)
 REFERENCE = make_weight(3, 1, 4)
@@ -287,3 +289,37 @@ def test_one_pass_k_matches_strata_and_closed_form(lam, strata):
         assert report.intermediate[m] == intermediate_profile(lam, m, strata)
     assert report.boundary[0] == tuple((s, siegel_profile(lam, s)) for s in strata)
     assert report.boundary[1] == klingen_profile(lam)
+
+
+# --- truncated build against the full profiles ------------------------------------
+
+
+@st.composite
+def wide_weights(draw):
+    """Characters with every coordinate in [-COORDINATE_BOUND, COORDINATE_BOUND]."""
+    bound = COORDINATE_BOUND
+    k1 = draw(st.integers(0, bound))
+    k2 = draw(st.one_of(st.just(0), st.just(k1), st.integers(0, k1)))  # walls often
+    j = draw(st.integers(-((bound + k1 + k2) // 2), (bound - k1 - k2) // 2))
+    return make_weight(k1, k2, k1 + k2 + 2 * j)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(lam=wide_weights(), strata=st.lists(strata_data(), min_size=1, max_size=6))
+@example(lam=make_weight(0, 0, 0), strata=[P03])
+@example(lam=make_weight(2, 2, 4), strata=[P03, StratumDatum(1, 1)])
+@example(
+    lam=make_weight(COORDINATE_BOUND, COORDINATE_BOUND, -COORDINATE_BOUND),
+    strata=[StratumDatum(5, 20)],
+)
+def test_truncated_profiles_match_the_full_profiles(lam, strata):
+    # intermediate_profile builds only the Kostant modules q <= 1 and the
+    # classical entries n <= 1; the truncation of the full public profiles
+    # is the oracle
+    full = {
+        0: _intermediate(lam, 0, [siegel_profile(lam, s) for s in strata], strata),
+        1: _intermediate(lam, 1, [klingen_profile(lam)], strata),
+    }
+    for m, expected in full.items():
+        assert intermediate_profile(lam, m, strata) == expected
+    assert avoided_interval(lam, strata) == _minimal_gap(full.values())

@@ -22,8 +22,9 @@ from siegel_weights import (
     weyl_dimension,
 )
 from siegel_weights import kostant
+from siegel_weights.cli import _KLINGEN_TABLE, _SIEGEL_TABLE
 from siegel_weights.errors import BadParabolicIndex
-from siegel_weights.root_data import levi_root, nilradical_roots
+from siegel_weights.root_data import COORDINATE_BOUND, levi_root, nilradical_roots
 from siegel_weights.weyl import all_elements
 
 
@@ -236,6 +237,25 @@ def dominant_weights(draw, max_k1):
     k1 = draw(st.integers(0, max_k1))
     k2 = draw(st.one_of(st.just(0), st.just(k1), st.integers(0, k1)))  # walls often
     return make_weight(k1, k2, k1 + k2 + 2 * draw(st.integers(-20, 20)))
+
+
+@st.composite
+def bounded_dominant_triples(draw):
+    """Dominant triples with every coordinate in [-COORDINATE_BOUND, COORDINATE_BOUND]."""
+    k1 = draw(st.integers(0, COORDINATE_BOUND))
+    k2 = draw(st.one_of(st.just(0), st.just(k1), st.integers(0, k1)))  # walls often
+    return WeightTriple(k1, k2, draw(st.integers(-COORDINATE_BOUND, COORDINATE_BOUND)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lam=bounded_dominant_triples())
+@example(lam=WeightTriple(0, 0, 0))
+@example(lam=WeightTriple(COORDINATE_BOUND, 0, -COORDINATE_BOUND))
+@example(lam=WeightTriple(COORDINATE_BOUND, COORDINATE_BOUND, COORDINATE_BOUND))
+def test_kostant_tables_match_the_closed_forms_over_the_whole_range(lam):
+    for m, table in ((0, _SIEGEL_TABLE), (1, _KLINGEN_TABLE)):
+        got = [dataclasses.astuple(mod.highest_weight) for mod in nilpotent_cohomology(lam, m)]
+        assert got == [closed_form(lam.k1, lam.k2, lam.r) for closed_form in table]
 
 
 @settings(derandomize=True, deadline=None)

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from siegel_weights import (
     IDENTITY,
@@ -18,8 +20,9 @@ from siegel_weights import (
     minimal_representatives,
     sign,
 )
+from siegel_weights import root_data
 from siegel_weights.errors import BadParabolicIndex
-from siegel_weights.root_data import POSITIVE_ROOTS
+from siegel_weights.root_data import COORDINATE_BOUND, POSITIVE_ROOTS
 from siegel_weights.weyl import _is_negative
 
 
@@ -103,6 +106,19 @@ def test_dot_action_is_a_group_action():
                 assert dot(w, dot(u, v)) == dot(wu, v)
     for v in vs:
         assert dot(IDENTITY, v) == v
+
+
+coordinate = st.integers(-COORDINATE_BOUND, COORDINATE_BOUND)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(v=st.builds(WeightTriple, coordinate, coordinate, coordinate))
+@example(v=WeightTriple(0, 0, 0))
+@example(v=WeightTriple(-COORDINATE_BOUND, COORDINATE_BOUND, -COORDINATE_BOUND))
+def test_dot_is_the_shifted_action_over_the_whole_range(v):
+    rho = root_data.RHO
+    for w in all_elements():
+        assert dot(w, v) == w(v + rho) - rho
 
 
 def test_dot_action_preserves_the_character_lattice():
