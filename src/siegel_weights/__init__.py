@@ -8,13 +8,7 @@ the direct image and of the intermediate extension, and the avoided weight
 interval [-k + 1, k] with k = min(k1 - k2, k2).
 """
 
-from .boundary import (
-    CohomologyEntry,
-    StratumDatum,
-    group_cohomology_dim,
-    klingen_profile,
-    siegel_profile,
-)
+from .boundary import StratumDatum
 from .errors import (
     BadParabolicIndex,
     DegreeOutOfRange,
@@ -28,8 +22,6 @@ from .errors import (
     SiegelWeightsError,
 )
 from .intersection import (
-    AnalysisReport,
-    IntermediateProfile,
     analysis_report,
     avoided_interval,
     intermediate_profile,
@@ -37,99 +29,41 @@ from .intersection import (
     rank_inequality_check,
 )
 from .kostant import (
-    LeviModule,
     character,
     euler_check,
     freudenthal_character,
-    freudenthal_multiplicities,
-    levi_character,
     nilpotent_cohomology,
     weyl_dimension,
 )
 from .laurent import LaurentPolynomial
-from .root_data import (
-    KLINGEN,
-    POSITIVE_ROOTS,
-    RHO,
-    SIEGEL,
-    WeightTriple,
-    is_dominant,
-    is_regular,
-    k_invariant,
-    levi_restriction_weight,
-    levi_root,
-    make_weight,
-    motivic_weight,
-    nilradical_roots,
-)
-from .weyl import (
-    IDENTITY,
-    LONGEST,
-    S1,
-    S2,
-    WeylElement,
-    all_elements,
-    compose,
-    dot,
-    length,
-    minimal_representatives,
-    sign,
-)
+from .root_data import KLINGEN, SIEGEL, WeightTriple, k_invariant, make_weight
 
 __all__ = [
-    "AnalysisReport",
     "BadParabolicIndex",
-    "CohomologyEntry",
     "DegreeOutOfRange",
     "DivisionFailure",
     "EmptyStrata",
-    "IDENTITY",
     "InputBoundExceeded",
-    "IntermediateProfile",
     "InvalidStratum",
     "KLINGEN",
     "LaurentPolynomial",
-    "LeviModule",
-    "LONGEST",
     "NotDominant",
-    "POSITIVE_ROOTS",
     "ParityViolation",
     "PreconditionViolation",
-    "RHO",
-    "S1",
-    "S2",
     "SIEGEL",
     "SiegelWeightsError",
     "StratumDatum",
     "WeightTriple",
-    "WeylElement",
-    "all_elements",
     "analysis_report",
     "avoided_interval",
     "character",
-    "compose",
-    "dot",
     "euler_check",
     "freudenthal_character",
-    "freudenthal_multiplicities",
-    "group_cohomology_dim",
     "intermediate_profile",
-    "is_dominant",
-    "is_regular",
     "k_invariant",
     "kernel_map_ranks",
-    "klingen_profile",
-    "length",
-    "levi_character",
-    "levi_restriction_weight",
-    "levi_root",
     "make_weight",
-    "minimal_representatives",
-    "motivic_weight",
     "nilpotent_cohomology",
-    "nilradical_roots",
     "rank_inequality_check",
-    "siegel_profile",
-    "sign",
     "weyl_dimension",
 ]

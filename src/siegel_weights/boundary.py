@@ -34,11 +34,11 @@ pairs, and a provenance tag: "paper" rows restate the printed profile of the
 weight computation this package reproduces, "derived" rows extend it by the
 same weight map.
 
-siegel_profile and klingen_profile validate lam, build the Kostant modules
-and hand them to the private entry builders _siegel_entries and
-_klingen_entries, which check nothing.  intersection calls the builders on
-modules it has built once per parabolic for all strata, and the Siegel
-builder only up to the top classical degree a truncation keeps.
+The entry builders _siegel_entries and _klingen_entries take Kostant modules
+that intersection has built, once per parabolic for all strata, and check
+nothing: intersection validates its inputs first.  The full classical
+profiles are the boundary field of intersection.analysis_report; the
+truncations ask the Siegel builder only for the classical degrees they keep.
 
 An entry's nonzero is read off its rank bounds: True when rank_lower >= 1,
 False when rank_upper == 0, and "unknown" when the bounds straddle zero
@@ -50,10 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegreeOutOfRange, InvalidStratum, PreconditionViolation
-from .kostant import LeviModule, nilpotent_cohomology
-from .root_data import KLINGEN, SIEGEL, WeightTriple, require_dominant
-
-ProvenanceTag = str  # "paper" or "derived"
+from .kostant import LeviModule
+from .root_data import KLINGEN, SIEGEL
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +85,7 @@ class CohomologyEntry:
     rank_lower: int
     rank_upper: int
     origin: tuple[tuple[int, int], ...]
-    provenance: ProvenanceTag
+    provenance: str  # "paper" or "derived"
     n_perverse: int | None = None
 
     def __post_init__(self):
@@ -118,23 +116,12 @@ def group_cohomology_dim(u: int, stratum: StratumDatum, p: int) -> int:
     return (u + 1) * stratum.euler_term
 
 
-def siegel_profile(lam: WeightTriple, stratum: StratumDatum) -> tuple[CohomologyEntry, ...]:
-    """Classical weight profile over a point stratum, degrees n = 0..4.
-
-    Entries are keyed by (n_classical, weight); distinct Kostant inputs of one
-    degree always carry distinct weights here, but the schema allows merging.
-    Rank-0 pieces are kept (nonzero is False) so vanishing is an assertion,
-    not an omission.
-    """
-    require_dominant(lam)
-    return _siegel_entries(nilpotent_cohomology(lam, SIEGEL), stratum, 4)
-
-
 def _siegel_entries(
     modules: tuple[LeviModule, ...], stratum: StratumDatum, top: int
 ) -> tuple[CohomologyEntry, ...]:
     """Point-stratum entries of classical degree n <= top from the Siegel
-    Kostant modules, which must include every q <= top; nothing is checked."""
+    Kostant modules, which must include every q <= top; nothing is checked.
+    Rank-0 pieces are kept (nonzero is False): vanishing is asserted, not omitted."""
     pieces: dict[tuple[int, int], list] = {}
     for q, mod in enumerate(modules):
         for p in (0, 1):
@@ -156,16 +143,6 @@ def _siegel_entries(
             )
         )
     return tuple(entries)
-
-
-def klingen_profile(lam: WeightTriple) -> tuple[CohomologyEntry, ...]:
-    """Classical weight profile over a curve stratum, degrees n = 0..3.
-
-    The fiber of entry n is the degree-n Kostant module itself; its rank is
-    the Levi dimension and is never zero.
-    """
-    require_dominant(lam)
-    return _klingen_entries(nilpotent_cohomology(lam, KLINGEN))
 
 
 def _klingen_entries(modules: tuple[LeviModule, ...]) -> tuple[CohomologyEntry, ...]:

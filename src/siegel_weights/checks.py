@@ -1,0 +1,290 @@
+"""The verify suites, and the weight grid and Kostant closed forms the tests share.
+
+Each suite_* function returns (checks run, counterexample): None, or a
+JSON-ready dict naming the failed check.  The verify command runs the suites
+in order and stops at the first failure.  weight_json and stratum_json, the
+JSON forms of weights and strata, serve these payloads and the CLI's output.
+"""
+
+from __future__ import annotations
+
+import random
+
+from . import weyl
+from .boundary import StratumDatum
+from .intersection import avoided_interval, intermediate_profile, rank_inequality_check
+from .kostant import (
+    character,
+    euler_check,
+    freudenthal_character,
+    nilpotent_cohomology,
+    weyl_dimension,
+)
+from .root_data import KLINGEN, SIEGEL, WeightTriple, k_invariant, make_weight
+
+
+def weight_json(lam: WeightTriple) -> list[int]:
+    return [lam.k1, lam.k2, lam.r]
+
+
+def stratum_json(s: StratumDatum) -> dict:
+    return {"g": s.g, "c": s.c}
+
+
+def dominant_grid(bound: int) -> list[WeightTriple]:
+    """Every dominant pair with k1 <= bound, at the parity-valid lift r = k1 + k2."""
+    return [make_weight(k1, k2, k1 + k2) for k1 in range(bound + 1) for k2 in range(k1 + 1)]
+
+
+def sample_dominant(rng: random.Random, max_k1: int) -> WeightTriple:
+    k1 = rng.randint(0, max_k1)
+    k2 = rng.randint(0, k1)
+    r = k1 + k2 + 2 * rng.randint(-5, 5)
+    return make_weight(k1, k2, r)
+
+
+def suite_dot_action(rng: random.Random, max_k1: int):
+    elems = weyl.all_elements()
+    lengths = sorted(weyl.length(w) for w in elems)
+    if lengths != [0, 1, 1, 2, 2, 3, 3, 4]:
+        return 1, {"check": "length multiset", "got": lengths}
+    checks = 1
+    sample = [sample_dominant(rng, max_k1 + 5) for _ in range(8)]
+    for lam in sample:
+        for w in elems:
+            for u in elems:
+                lhs = weyl.dot(w, weyl.dot(u, lam))
+                rhs = weyl.dot(weyl.compose(w, u), lam)
+                checks += 1
+                if lhs != rhs:
+                    return checks, {
+                        "check": "dot action group law",
+                        "lambda": weight_json(lam),
+                        "w": w.word(),
+                        "u": u.word(),
+                    }
+        if weyl.dot(weyl.IDENTITY, lam) != lam:
+            return checks, {"check": "dot identity", "lambda": weight_json(lam)}
+        checks += 1
+    return checks, None
+
+
+# Highest weights of the Kostant modules q = 0..3.
+SIEGEL_TABLE = (
+    lambda k1, k2, r: (k1, k2, r),
+    lambda k1, k2, r: (k1, -k2 - 2, r),
+    lambda k1, k2, r: (k2 - 1, -k1 - 3, r),
+    lambda k1, k2, r: (-k2 - 3, -k1 - 3, r),
+)
+KLINGEN_TABLE = (
+    lambda k1, k2, r: (k1, k2, r),
+    lambda k1, k2, r: (k2 - 1, k1 + 1, r),
+    lambda k1, k2, r: (-k2 - 3, k1 + 1, r),
+    lambda k1, k2, r: (-k1 - 4, k2, r),
+)
+
+
+def suite_kostant_tables(rng: random.Random, max_k1: int):
+    checks = 0
+    for _ in range(50):
+        lam = sample_dominant(rng, max_k1 + 20)
+        for m, table in ((SIEGEL, SIEGEL_TABLE), (KLINGEN, KLINGEN_TABLE)):
+            mods = nilpotent_cohomology(lam, m)
+            for q, mod in enumerate(mods):
+                expected = table[q](lam.k1, lam.k2, lam.r)
+                hw = mod.highest_weight
+                checks += 1
+                if (hw.k1, hw.k2, hw.r) != expected:
+                    return checks, {
+                        "check": "kostant closed form",
+                        "lambda": weight_json(lam),
+                        "m": m,
+                        "q": q,
+                        "expected": list(expected),
+                        "actual": weight_json(hw),
+                    }
+    return checks, None
+
+
+def suite_euler(max_k1: int):
+    grid = [(lam, m) for lam in dominant_grid(max_k1) for m in (SIEGEL, KLINGEN)]
+    for lam, m in grid:
+        if not euler_check(lam, m):
+            return len(grid), {
+                "check": "euler characteristic",
+                "lambda": weight_json(lam),
+                "m": m,
+            }
+    return len(grid), None
+
+
+def suite_weight_formulas(rng: random.Random, max_k1: int):
+    checks = 0
+    strata = (StratumDatum(0, 3),)
+    for _ in range(25):
+        lam = sample_dominant(rng, max_k1 + 10)
+        k1, k2, r = lam.k1, lam.k2, lam.r
+        sieg = nilpotent_cohomology(lam, SIEGEL)
+        klin = nilpotent_cohomology(lam, KLINGEN)
+        expected = [
+            (sieg[0].motivic_weight, r - k1 - k2),
+            (sieg[1].motivic_weight, (r + 2) - (k1 - k2)),
+            (klin[0].motivic_weight, r - k1),
+            (klin[1].motivic_weight, (r + 1) - k2),
+        ]
+        profile = intermediate_profile(lam, KLINGEN, strata)
+        for e in profile.entries:
+            if e.n_perverse == r + 1:
+                expected.append((e.weight, (r + 1) - k1))
+            if e.n_perverse == r + 2:
+                expected.append((e.weight, (r + 2) - k2))
+        for got, want in expected:
+            checks += 1
+            if got != want:
+                return checks, {
+                    "check": "weight closed form",
+                    "lambda": weight_json(lam),
+                    "got": got,
+                    "want": want,
+                }
+    return checks, None
+
+
+def suite_stratum_profiles(max_k1: int):
+    strata = [StratumDatum(0, 3), StratumDatum(1, 1), StratumDatum(2, 5)]
+    checks = 0
+    for lam in dominant_grid(max_k1):
+        if not (lam.k1 > lam.k2 > 0):
+            continue
+        k1, k2, r = lam.k1, lam.k2, lam.r
+        curve = intermediate_profile(lam, KLINGEN, strata)  # the same for every stratum
+        for s in strata:
+            for m, bound_gap in ((SIEGEL, k1 - k2), (KLINGEN, k2)):
+                profile = intermediate_profile(lam, SIEGEL, (s,)) if m == SIEGEL else curve
+                top = [e for e in profile.all_entries() if e.n_perverse == r + 2]
+                checks += 1
+                if not any(e.nonzero is True for e in top):
+                    return checks, {
+                        "check": "top perverse degree nonzero",
+                        "lambda": weight_json(lam),
+                        "m": m,
+                        "stratum": stratum_json(s),
+                    }
+                want_top = (r + 2) - bound_gap
+                if {e.weight for e in top} != {want_top}:
+                    return checks, {
+                        "check": "top perverse weight",
+                        "lambda": weight_json(lam),
+                        "m": m,
+                        "got": sorted(e.weight for e in top),
+                        "want": want_top,
+                    }
+                for e in profile.all_entries():
+                    checks += 1
+                    if e.nonzero is True and e.weight > e.n_perverse - bound_gap:
+                        return checks, {
+                            "check": "weight bound below top degree",
+                            "lambda": weight_json(lam),
+                            "m": m,
+                            "entry_degree": e.n_perverse,
+                            "weight": e.weight,
+                        }
+    return checks, None
+
+
+def suite_rank_inequality(max_k1: int):
+    checks = 0
+    strata = [
+        StratumDatum(g, c)
+        for g in range(0, 6)
+        for c in range(1, 21)
+        if not (g == 0 and c < 3)
+    ]
+    for lam in dominant_grid(max_k1):
+        if lam.k1 < 1:
+            continue
+        for s in strata:
+            checks += 1
+            if not rank_inequality_check(lam, s):
+                return checks, {
+                    "check": "rank inequality",
+                    "lambda": weight_json(lam),
+                    "stratum": stratum_json(s),
+                }
+    return checks, None
+
+
+def suite_avoided_interval(max_k1: int):
+    strata_a = (StratumDatum(0, 3),)
+    strata_b = (StratumDatum(1, 1), StratumDatum(2, 5))
+    checks = 0
+    for lam in dominant_grid(max_k1):
+        ka, _ = avoided_interval(lam, strata_a)
+        kb, _ = avoided_interval(lam, strata_b)
+        closed = k_invariant(lam)
+        checks += 2
+        if ka != closed or kb != closed:
+            return checks, {
+                "check": "avoided interval closed form / level independence",
+                "lambda": weight_json(lam),
+                "got": [ka, kb],
+                "want": closed,
+            }
+    return checks, None
+
+
+def suite_reference_rows():
+    """Frozen reference profile at lambda = (3, 1, 4) over (g, c) = (0, 3)."""
+    lam = make_weight(3, 1, 4)
+    s = StratumDatum(0, 3)
+    checks = 0
+
+    point = intermediate_profile(lam, SIEGEL, (s,))
+    got_rows = [
+        (e.n_perverse, e.weight, e.rank_lower, e.rank_upper, e.nonzero)
+        for e in point.entries
+    ]
+    want_rows = [(4, 0, 0, 0, False), (5, 0, 3, 3, True), (5, 4, 0, 0, False)]
+    checks += 1
+    if got_rows != want_rows:
+        return checks, {"check": "point stratum rows", "got": got_rows, "want": want_rows}
+    kernel = point.kernel_entry
+    checks += 1
+    if (kernel.n_perverse, kernel.weight, kernel.rank_lower, kernel.rank_upper) != (6, 4, 4, 7):
+        return checks, {
+            "check": "kernel entry",
+            "got": [kernel.n_perverse, kernel.weight, kernel.rank_lower, kernel.rank_upper],
+            "want": [6, 4, 4, 7],
+        }
+
+    curve = intermediate_profile(lam, KLINGEN, (s,))
+    got_rows = [(e.n_perverse, e.weight, e.rank_lower) for e in curve.entries]
+    checks += 1
+    if got_rows != [(5, 2, 2), (6, 5, 5)]:
+        return checks, {"check": "curve stratum rows", "got": got_rows}
+
+    wall = intermediate_profile(make_weight(2, 2, 4), SIEGEL, (s,)).kernel_entry
+    checks += 1
+    if (wall.n_perverse, wall.weight, wall.rank_lower) != (6, 6, 4):
+        return checks, {
+            "check": "wall-weight kernel",
+            "got": [wall.n_perverse, wall.weight, wall.rank_lower],
+        }
+    return checks, None
+
+
+def suite_dimension_oracle(max_k1: int):
+    checks = 0
+    for lam in dominant_grid(min(max_k1, 4)):
+        ch = character(lam)
+        fr = freudenthal_character(lam)
+        checks += 1
+        if ch != fr or ch.mass() != weyl_dimension(lam):
+            return checks, {
+                "check": "character oracle agreement",
+                "lambda": weight_json(lam),
+                "division_mass": ch.mass(),
+                "freudenthal_mass": fr.mass(),
+                "weyl_dimension": weyl_dimension(lam),
+            }
+    return checks, None

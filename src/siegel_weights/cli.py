@@ -13,25 +13,13 @@ import json
 import random
 import sys
 
-from . import weyl
+from . import checks as verification
 from .boundary import CohomologyEntry, StratumDatum
+from .checks import dominant_grid, stratum_json, weight_json
 from .errors import SiegelWeightsError, PreconditionViolation
-from .intersection import (
-    AnalysisReport,
-    analysis_report,
-    avoided_interval,
-    intermediate_profile,
-    rank_inequality_check,
-)
-from .kostant import (
-    LeviModule,
-    character,
-    euler_check,
-    freudenthal_character,
-    nilpotent_cohomology,
-    weyl_dimension,
-)
-from .root_data import KLINGEN, SIEGEL, WeightTriple, k_invariant, make_weight
+from .intersection import AnalysisReport, analysis_report, avoided_interval
+from .kostant import LeviModule
+from .root_data import KLINGEN, SIEGEL, k_invariant, make_weight
 
 DEFAULT_STRATUM = (0, 3)
 MAX_SWEEP_BOUND = 200
@@ -58,19 +46,11 @@ def _strata_from_args(args) -> tuple[StratumDatum, ...]:
 # ---------------------------------------------------------------------------
 # JSON serialization (lists/dicts/ints/bools/strings/None only)
 
-def _weight_json(lam: WeightTriple) -> list[int]:
-    return [lam.k1, lam.k2, lam.r]
-
-
-def _stratum_json(s: StratumDatum) -> dict:
-    return {"g": s.g, "c": s.c}
-
-
 def _module_json(mod: LeviModule) -> dict:
     return {
         "m": mod.m,
         "q": mod.q,
-        "highest_weight": _weight_json(mod.highest_weight),
+        "highest_weight": weight_json(mod.highest_weight),
         "levi_dim": mod.levi_dim,
         "restriction_weight": mod.restriction_weight,
         "motivic_weight": mod.motivic_weight,
@@ -107,7 +87,7 @@ def report_json(report: AnalysisReport) -> dict:
             else None,
         }
     return {
-        "lambda": _weight_json(report.lam),
+        "lambda": weight_json(report.lam),
         "k": report.k,
         "avoided_interval": list(report.avoided_interval) if report.avoided_interval else [],
         "occurring_weights": list(report.occurring_weights)
@@ -122,13 +102,13 @@ def report_json(report: AnalysisReport) -> dict:
         },
         "boundary": {
             "siegel": [
-                {"stratum": _stratum_json(s), "entries": [_entry_json(e) for e in entries]}
+                {"stratum": stratum_json(s), "entries": [_entry_json(e) for e in entries]}
                 for s, entries in report.boundary[SIEGEL]
             ],
             "klingen": {"entries": [_entry_json(e) for e in report.boundary[KLINGEN]]},
         },
         "intermediate": inter,
-        "strata": [_stratum_json(s) for s in report.strata],
+        "strata": [stratum_json(s) for s in report.strata],
     }
 
 
@@ -205,11 +185,6 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _dominant_grid(bound: int) -> list[WeightTriple]:
-    """Every dominant pair with k1 <= bound, at the parity-valid lift r = k1 + k2."""
-    return [make_weight(k1, k2, k1 + k2) for k1 in range(bound + 1) for k2 in range(k1 + 1)]
-
-
 def _cmd_sweep(args) -> int:
     bound = args.max_k1
     if bound < 0 or bound > MAX_SWEEP_BOUND:
@@ -217,12 +192,12 @@ def _cmd_sweep(args) -> int:
     strata = _strata_from_args(args)
     rows = [
         (lam.k1, lam.k2, lam.r, avoided_interval(lam, strata)[0], k_invariant(lam))
-        for lam in _dominant_grid(bound)
+        for lam in dominant_grid(bound)
     ]
     if args.format == "json":
         payload = {
             "bound": bound,
-            "strata": [_stratum_json(s) for s in strata],
+            "strata": [stratum_json(s) for s in strata],
             "rows": [
                 {
                     "lambda": [k1, k2, r],
@@ -245,274 +220,21 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _sample_dominant(rng: random.Random, max_k1: int) -> WeightTriple:
-    k1 = rng.randint(0, max_k1)
-    k2 = rng.randint(0, k1)
-    r = k1 + k2 + 2 * rng.randint(-5, 5)
-    return make_weight(k1, k2, r)
-
-
-def _suite_dot_action(rng: random.Random, max_k1: int):
-    elems = weyl.all_elements()
-    lengths = sorted(weyl.length(w) for w in elems)
-    if lengths != [0, 1, 1, 2, 2, 3, 3, 4]:
-        return 1, {"check": "length multiset", "got": lengths}
-    checks = 1
-    sample = [_sample_dominant(rng, max_k1 + 5) for _ in range(8)]
-    for lam in sample:
-        for w in elems:
-            for u in elems:
-                lhs = weyl.dot(w, weyl.dot(u, lam))
-                rhs = weyl.dot(weyl.compose(w, u), lam)
-                checks += 1
-                if lhs != rhs:
-                    return checks, {
-                        "check": "dot action group law",
-                        "lambda": _weight_json(lam),
-                        "w": w.word(),
-                        "u": u.word(),
-                    }
-        if weyl.dot(weyl.IDENTITY, lam) != lam:
-            return checks, {"check": "dot identity", "lambda": _weight_json(lam)}
-        checks += 1
-    return checks, None
-
-
-_SIEGEL_TABLE = (
-    lambda k1, k2, r: (k1, k2, r),
-    lambda k1, k2, r: (k1, -k2 - 2, r),
-    lambda k1, k2, r: (k2 - 1, -k1 - 3, r),
-    lambda k1, k2, r: (-k2 - 3, -k1 - 3, r),
-)
-_KLINGEN_TABLE = (
-    lambda k1, k2, r: (k1, k2, r),
-    lambda k1, k2, r: (k2 - 1, k1 + 1, r),
-    lambda k1, k2, r: (-k2 - 3, k1 + 1, r),
-    lambda k1, k2, r: (-k1 - 4, k2, r),
-)
-
-
-def _suite_kostant_tables(rng: random.Random, max_k1: int):
-    checks = 0
-    for _ in range(50):
-        lam = _sample_dominant(rng, max_k1 + 20)
-        for m, table in ((SIEGEL, _SIEGEL_TABLE), (KLINGEN, _KLINGEN_TABLE)):
-            mods = nilpotent_cohomology(lam, m)
-            for q, mod in enumerate(mods):
-                expected = table[q](lam.k1, lam.k2, lam.r)
-                hw = mod.highest_weight
-                checks += 1
-                if (hw.k1, hw.k2, hw.r) != expected:
-                    return checks, {
-                        "check": "kostant closed form",
-                        "lambda": _weight_json(lam),
-                        "m": m,
-                        "q": q,
-                        "expected": list(expected),
-                        "actual": _weight_json(hw),
-                    }
-    return checks, None
-
-
-def _suite_euler(max_k1: int):
-    grid = [(lam, m) for lam in _dominant_grid(max_k1) for m in (SIEGEL, KLINGEN)]
-    for lam, m in grid:
-        if not euler_check(lam, m):
-            return len(grid), {
-                "check": "euler characteristic",
-                "lambda": _weight_json(lam),
-                "m": m,
-            }
-    return len(grid), None
-
-
-def _suite_weight_formulas(rng: random.Random, max_k1: int):
-    checks = 0
-    strata = (StratumDatum(0, 3),)
-    for _ in range(25):
-        lam = _sample_dominant(rng, max_k1 + 10)
-        k1, k2, r = lam.k1, lam.k2, lam.r
-        sieg = nilpotent_cohomology(lam, SIEGEL)
-        klin = nilpotent_cohomology(lam, KLINGEN)
-        expected = [
-            (sieg[0].motivic_weight, r - k1 - k2),
-            (sieg[1].motivic_weight, (r + 2) - (k1 - k2)),
-            (klin[0].motivic_weight, r - k1),
-            (klin[1].motivic_weight, (r + 1) - k2),
-        ]
-        profile = intermediate_profile(lam, KLINGEN, strata)
-        for e in profile.entries:
-            if e.n_perverse == r + 1:
-                expected.append((e.weight, (r + 1) - k1))
-            if e.n_perverse == r + 2:
-                expected.append((e.weight, (r + 2) - k2))
-        for got, want in expected:
-            checks += 1
-            if got != want:
-                return checks, {
-                    "check": "weight closed form",
-                    "lambda": _weight_json(lam),
-                    "got": got,
-                    "want": want,
-                }
-    return checks, None
-
-
-def _suite_stratum_profiles(max_k1: int):
-    strata = [StratumDatum(0, 3), StratumDatum(1, 1), StratumDatum(2, 5)]
-    checks = 0
-    for lam in _dominant_grid(max_k1):
-        if not (lam.k1 > lam.k2 > 0):
-            continue
-        k1, k2, r = lam.k1, lam.k2, lam.r
-        curve = intermediate_profile(lam, KLINGEN, strata)  # the same for every stratum
-        for s in strata:
-            for m, bound_gap in ((SIEGEL, k1 - k2), (KLINGEN, k2)):
-                profile = intermediate_profile(lam, SIEGEL, (s,)) if m == SIEGEL else curve
-                top = [e for e in profile.all_entries() if e.n_perverse == r + 2]
-                checks += 1
-                if not any(e.nonzero is True for e in top):
-                    return checks, {
-                        "check": "top perverse degree nonzero",
-                        "lambda": _weight_json(lam),
-                        "m": m,
-                        "stratum": _stratum_json(s),
-                    }
-                want_top = (r + 2) - bound_gap
-                if {e.weight for e in top} != {want_top}:
-                    return checks, {
-                        "check": "top perverse weight",
-                        "lambda": _weight_json(lam),
-                        "m": m,
-                        "got": sorted(e.weight for e in top),
-                        "want": want_top,
-                    }
-                for e in profile.all_entries():
-                    checks += 1
-                    if e.nonzero is True and e.weight > e.n_perverse - bound_gap:
-                        return checks, {
-                            "check": "weight bound below top degree",
-                            "lambda": _weight_json(lam),
-                            "m": m,
-                            "entry_degree": e.n_perverse,
-                            "weight": e.weight,
-                        }
-    return checks, None
-
-
-def _suite_rank_inequality(max_k1: int):
-    checks = 0
-    strata = [
-        StratumDatum(g, c)
-        for g in range(0, 6)
-        for c in range(1, 21)
-        if not (g == 0 and c < 3)
-    ]
-    for lam in _dominant_grid(max_k1):
-        if lam.k1 < 1:
-            continue
-        for s in strata:
-            checks += 1
-            if not rank_inequality_check(lam, s):
-                return checks, {
-                    "check": "rank inequality",
-                    "lambda": _weight_json(lam),
-                    "stratum": _stratum_json(s),
-                }
-    return checks, None
-
-
-def _suite_avoided_interval(max_k1: int):
-    strata_a = (StratumDatum(0, 3),)
-    strata_b = (StratumDatum(1, 1), StratumDatum(2, 5))
-    checks = 0
-    for lam in _dominant_grid(max_k1):
-        ka, _ = avoided_interval(lam, strata_a)
-        kb, _ = avoided_interval(lam, strata_b)
-        closed = k_invariant(lam)
-        checks += 2
-        if ka != closed or kb != closed:
-            return checks, {
-                "check": "avoided interval closed form / level independence",
-                "lambda": _weight_json(lam),
-                "got": [ka, kb],
-                "want": closed,
-            }
-    return checks, None
-
-
-def _suite_reference_rows():
-    """Frozen reference profile at lambda = (3, 1, 4) over (g, c) = (0, 3)."""
-    lam = make_weight(3, 1, 4)
-    s = StratumDatum(0, 3)
-    checks = 0
-
-    point = intermediate_profile(lam, SIEGEL, (s,))
-    got_rows = [
-        (e.n_perverse, e.weight, e.rank_lower, e.rank_upper, e.nonzero)
-        for e in point.entries
-    ]
-    want_rows = [(4, 0, 0, 0, False), (5, 0, 3, 3, True), (5, 4, 0, 0, False)]
-    checks += 1
-    if got_rows != want_rows:
-        return checks, {"check": "point stratum rows", "got": got_rows, "want": want_rows}
-    kernel = point.kernel_entry
-    checks += 1
-    if (kernel.n_perverse, kernel.weight, kernel.rank_lower, kernel.rank_upper) != (6, 4, 4, 7):
-        return checks, {
-            "check": "kernel entry",
-            "got": [kernel.n_perverse, kernel.weight, kernel.rank_lower, kernel.rank_upper],
-            "want": [6, 4, 4, 7],
-        }
-
-    curve = intermediate_profile(lam, KLINGEN, (s,))
-    got_rows = [(e.n_perverse, e.weight, e.rank_lower) for e in curve.entries]
-    checks += 1
-    if got_rows != [(5, 2, 2), (6, 5, 5)]:
-        return checks, {"check": "curve stratum rows", "got": got_rows}
-
-    wall = intermediate_profile(make_weight(2, 2, 4), SIEGEL, (s,)).kernel_entry
-    checks += 1
-    if (wall.n_perverse, wall.weight, wall.rank_lower) != (6, 6, 4):
-        return checks, {
-            "check": "wall-weight kernel",
-            "got": [wall.n_perverse, wall.weight, wall.rank_lower],
-        }
-    return checks, None
-
-
-def _suite_dimension_oracle(max_k1: int):
-    checks = 0
-    for lam in _dominant_grid(min(max_k1, 4)):
-        ch = character(lam)
-        fr = freudenthal_character(lam)
-        checks += 1
-        if ch != fr or ch.mass() != weyl_dimension(lam):
-            return checks, {
-                "check": "character oracle agreement",
-                "lambda": _weight_json(lam),
-                "division_mass": ch.mass(),
-                "freudenthal_mass": fr.mass(),
-                "weyl_dimension": weyl_dimension(lam),
-            }
-    return checks, None
-
-
 def _cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     max_k1 = args.max_k1
     if max_k1 < 0 or max_k1 > MAX_VERIFY_BOUND:
         raise PreconditionViolation(f"--max-k1 must satisfy 0 <= bound <= {MAX_VERIFY_BOUND}")
     suites = [
-        ("dot_action_laws", lambda: _suite_dot_action(rng, max_k1)),
-        ("kostant_tables", lambda: _suite_kostant_tables(rng, max_k1)),
-        ("euler_characteristic", lambda: _suite_euler(max_k1)),
-        ("weight_formulas", lambda: _suite_weight_formulas(rng, max_k1)),
-        ("stratum_profiles", lambda: _suite_stratum_profiles(max_k1)),
-        ("reference_rows", _suite_reference_rows),
-        ("rank_inequality", lambda: _suite_rank_inequality(max_k1)),
-        ("avoided_interval", lambda: _suite_avoided_interval(max_k1)),
-        ("dimension_oracle", lambda: _suite_dimension_oracle(max_k1)),
+        ("dot_action_laws", lambda: verification.suite_dot_action(rng, max_k1)),
+        ("kostant_tables", lambda: verification.suite_kostant_tables(rng, max_k1)),
+        ("euler_characteristic", lambda: verification.suite_euler(max_k1)),
+        ("weight_formulas", lambda: verification.suite_weight_formulas(rng, max_k1)),
+        ("stratum_profiles", lambda: verification.suite_stratum_profiles(max_k1)),
+        ("reference_rows", verification.suite_reference_rows),
+        ("rank_inequality", lambda: verification.suite_rank_inequality(max_k1)),
+        ("avoided_interval", lambda: verification.suite_avoided_interval(max_k1)),
+        ("dimension_oracle", lambda: verification.suite_dimension_oracle(max_k1)),
     ]
     failed = False
     for name, run in suites:

@@ -258,9 +258,8 @@ def euler_check(lam: WeightTriple, m: int) -> bool:
 
     Tests (sum_q (-1)^q ch H^q) * (1 - x^{-gamma_m}) == N(lam), which holds
     exactly when sum_q (-1)^q ch H^q == ch V * prod_{beta in W_m}
-    (1 - x^{-beta}); see the module docstring.  character(lam) is still
-    computed, so corrupted root data raises DivisionFailure here as before.
-    Raises InputBoundExceeded for k1 > ORACLE_MAX_K1.
+    (1 - x^{-beta}); see the module docstring.  Raises InputBoundExceeded for
+    k1 > ORACLE_MAX_K1.
     """
     require_dominant(lam)
     check_parabolic(m)
@@ -272,7 +271,6 @@ def euler_check(lam: WeightTriple, m: int) -> bool:
         ),
         LaurentPolynomial.zero(),
     )
-    character(lam)
     gamma = root_data.levi_root(m)
     binomial = LaurentPolynomial.one() - LaurentPolynomial.monomial((-gamma.k1, -gamma.k2, 0))
     return lhs * binomial == _weyl_numerator(lam)

@@ -80,9 +80,6 @@ class LaurentPolynomial:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         out = dict(self._terms)
         for e, c in other._terms.items():

@@ -47,6 +47,7 @@ from .errors import (
     InputBoundExceeded,
     NotDominant,
     ParityViolation,
+    PreconditionViolation,
 )
 
 COORDINATE_BOUND = 10**6
@@ -66,9 +67,6 @@ class WeightTriple:
     def __sub__(self, other: "WeightTriple") -> "WeightTriple":
         return WeightTriple(self.k1 - other.k1, self.k2 - other.k2, self.r - other.r)
 
-    def __neg__(self) -> "WeightTriple":
-        return WeightTriple(-self.k1, -self.k2, -self.r)
-
     def is_character(self) -> bool:
         """True when the triple lies in the character sublattice."""
         return (self.r - self.k1 - self.k2) % 2 == 0
@@ -77,14 +75,15 @@ class WeightTriple:
 def make_weight(k1: int, k2: int, r: int) -> WeightTriple:
     """Checked constructor for torus characters.
 
-    Raises ParityViolation when r - k1 - k2 is odd and InputBoundExceeded when
-    any coordinate leaves [-10^6, 10^6].  All arithmetic downstream is exact
+    Raises PreconditionViolation when a coordinate is not an int (bools
+    included), ParityViolation when r - k1 - k2 is odd and InputBoundExceeded
+    when any coordinate leaves [-10^6, 10^6].  All arithmetic downstream is exact
     arbitrary-precision, so the bound is a documented contract, not a safety
     limit.
     """
     for v in (k1, k2, r):
         if not isinstance(v, int) or isinstance(v, bool):
-            raise ParityViolation(f"coordinates must be integers, got {v!r}")
+            raise PreconditionViolation(f"coordinates must be integers, got {v!r}")
         if abs(v) > COORDINATE_BOUND:
             raise InputBoundExceeded(f"|{v}| > {COORDINATE_BOUND}")
     if (r - k1 - k2) % 2 != 0:

@@ -13,12 +13,13 @@ equals the determinant of w on the plane.  The dot action
 shifts by rho = (2, 1, 0), so it preserves the character sublattice even
 though rho itself is outside it.
 
-minimal_representatives(m) lists the four minimal-length representatives of
-the quotient by the Levi Weyl group of parabolic m, in length order 0, 1, 2,
-3.  The criterion is the usual one: w represents its coset minimally iff
-w^{-1} keeps the Levi's positive root positive.  all_elements and
-minimal_representatives are built once and cached; neither depends on rho,
-which only the dot action reads, at call time.
+_minimal_representatives(m) lists the four minimal-length representatives
+of the quotient by the Levi Weyl group of parabolic m, in length order 0, 1,
+2, 3; callers pass a checked m (kostant.nilpotent_cohomology validates it).
+The criterion is the usual one: w represents its coset minimally iff w^{-1}
+keeps the Levi's positive root positive.  all_elements and the
+representatives are built once and cached; neither depends on rho, which
+only the dot action reads, at call time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 
 from . import root_data
 from .errors import BadParabolicIndex
-from .root_data import WeightTriple, check_parabolic
+from .root_data import WeightTriple
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,17 +127,9 @@ def all_elements() -> tuple[WeylElement, ...]:
     return tuple(sorted(elems, key=key))
 
 
-def minimal_representatives(m: int) -> tuple[WeylElement, ...]:
-    """Minimal-length coset representatives for parabolic m, lengths 0..3.
-
-    Raises BadParabolicIndex for m outside {0, 1}.  m is checked before the
-    cache is consulted, so an unhashable m raises BadParabolicIndex too.
-    """
-    return _minimal_representatives(check_parabolic(m))
-
-
 @lru_cache(maxsize=2)
 def _minimal_representatives(m: int) -> tuple[WeylElement, ...]:
+    """Minimal-length coset representatives for parabolic m, lengths 0..3."""
     gamma = root_data.levi_root(m)
     reps = tuple(
         w for w in all_elements() if not _is_negative(w.inverse()(gamma))

@@ -1,23 +1,30 @@
 import pytest
 
 from siegel_weights import (
-    CohomologyEntry,
+    KLINGEN,
+    SIEGEL,
     InvalidStratum,
     NotDominant,
     StratumDatum,
-    group_cohomology_dim,
+    WeightTriple,
+    analysis_report,
     intermediate_profile,
-    klingen_profile,
     make_weight,
-    siegel_profile,
 )
+from siegel_weights.boundary import CohomologyEntry, group_cohomology_dim
+from siegel_weights.checks import dominant_grid
 from siegel_weights.errors import DegreeOutOfRange, PreconditionViolation
 
 
-def dominant_grid(max_k1):
-    for k1 in range(max_k1 + 1):
-        for k2 in range(k1 + 1):
-            yield make_weight(k1, k2, k1 + k2)
+def siegel_profile(lam, stratum):
+    """The full classical profile over one point stratum, as analysis_report shows it."""
+    ((_, entries),) = analysis_report(lam, (stratum,)).boundary[SIEGEL]
+    return entries
+
+
+def klingen_profile(lam):
+    """The full classical profile over a curve stratum, as analysis_report shows it."""
+    return analysis_report(lam, (P03,)).boundary[KLINGEN]
 
 
 REFERENCE = make_weight(3, 1, 4)
@@ -129,12 +136,10 @@ def test_klingen_ranks_are_levi_dimensions():
 
 
 def test_profiles_reject_non_dominant_weights():
-    from siegel_weights import WeightTriple
-
     with pytest.raises(NotDominant):
-        siegel_profile(WeightTriple(1, 2, 3), P03)
+        analysis_report(WeightTriple(1, 2, 3), (P03,))
     with pytest.raises(NotDominant):
-        klingen_profile(WeightTriple(0, 1, 1))
+        analysis_report(WeightTriple(0, 1, 1), (StratumDatum(1, 1),))
 
 
 # --- perverse reindexing -----------------------------------------------------

@@ -4,11 +4,12 @@ import json
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from siegel_weights import cli, root_data
+from siegel_weights import checks, cli, intersection, kostant, root_data, weyl
 from siegel_weights.root_data import WeightTriple
 
 TOP_LEVEL_KEYS = [
@@ -253,6 +254,96 @@ def test_verify_negative_control_catches_corrupted_cohomology(monkeypatch, capsy
     captured = capsys.readouterr()
     assert code == 1
     assert "FAIL" in captured.out
+
+
+# One mutant per verify suite, each wrong only in what its own suite checks, so
+# that every earlier suite still passes.  A patch at the checks import site
+# reaches the suites alone; a patch in a layer module reaches its callers too.
+# Each entry: (module, attribute, function of the real attribute -> mutant).
+
+def _third_module_shifted(real):
+    def shifted(lam, m):
+        mods = list(real(lam, m))
+        mods[2] = replace(mods[2], highest_weight=mods[2].highest_weight + WeightTriple(0, 0, 2))
+        return tuple(mods)
+
+    return shifted
+
+
+def _siegel_kernel_weight_bumped(real):
+    def bumped(lam, m, strata):
+        profile = real(lam, m, strata)
+        kernel = profile.kernel_entry
+        if kernel is None:
+            return profile
+        return replace(profile, kernel_entry=replace(kernel, weight=kernel.weight + 1))
+
+    return bumped
+
+
+def _gap_without_kernel_entries(real):
+    def gap(profiles):
+        nonzero = [e for profile in profiles for e in profile.entries if e.nonzero is True]
+        k = min(e.n_perverse - e.weight for e in nonzero)
+        return k, tuple(e for e in nonzero if e.n_perverse - e.weight == k)
+
+    return gap
+
+
+def _s1_dot_shifted(real):
+    # s1 . (s1 . lam) is then lam + (2, 2, 0)
+    def dot(w, lam):
+        return real(w, lam) + WeightTriple(2, 0, 0) if w == weyl.S1 else real(w, lam)
+
+    return dot
+
+
+SUITE_MUTANTS = {
+    "dot_action_laws": (weyl, "dot", _s1_dot_shifted),
+    "kostant_tables": (checks, "nilpotent_cohomology", _third_module_shifted),
+    "euler_characteristic": (  # every SL(2) string one weight short
+        kostant,
+        "levi_character",
+        lambda real: lambda mod: real(replace(mod, restriction_weight=mod.restriction_weight - 1)),
+    ),
+    "weight_formulas": (kostant, "motivic_weight", lambda real: lambda n, m: real(n, m) + 1),
+    "stratum_profiles": (checks, "intermediate_profile", _siegel_kernel_weight_bumped),
+    "reference_rows": (  # k1 + k2 + 2 for k1 + k2 + 3 in the kernel's source rank
+        intersection,
+        "_map_ranks",
+        lambda real: lambda lam, strata: [
+            ((lam.k1 + lam.k2 + 2) * s.euler_term, s.c) for s in strata
+        ],
+    ),
+    "rank_inequality": (  # 2g - 2 for 2g - 2 + c
+        checks,
+        "rank_inequality_check",
+        lambda real: lambda lam, s: (lam.k1 + lam.k2 + 3) * (2 * s.g - 2) > s.c,
+    ),
+    "avoided_interval": (intersection, "_minimal_gap", _gap_without_kernel_entries),
+    "dimension_oracle": (  # the highest weight counted twice
+        kostant,
+        "freudenthal_multiplicities",
+        lambda real: lambda lam: {**real(lam), (lam.k1, lam.k2): 2},
+    ),
+}
+
+
+def test_every_verify_suite_has_a_mutant(capsys):
+    assert cli.main(["verify", "--max-k1", "0"]) == 0
+    assert [line.split()[1] for line in capsys.readouterr().out.splitlines()] == list(SUITE_MUTANTS)
+
+
+@pytest.mark.parametrize("suite", list(SUITE_MUTANTS))
+def test_verify_suite_fails_on_its_own_mutant(suite, monkeypatch, capsys):
+    module, name, mutant = SUITE_MUTANTS[suite]
+    monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    code = cli.main(["verify", "--max-k1", "3", "--seed", "7"])
+    *passed, last = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert all(line.startswith("ok   ") for line in passed)
+    assert last.startswith(f"FAIL {suite}: ")
+    assert "check" in json.loads(last.split(": ", 1)[1])
 
 
 def test_negative_control_k_mismatch_fails_under_python_O():

@@ -14,23 +14,16 @@ from siegel_weights import (
     intermediate_profile,
     k_invariant,
     kernel_map_ranks,
-    klingen_profile,
     make_weight,
     rank_inequality_check,
-    siegel_profile,
 )
+from siegel_weights.checks import dominant_grid
 from siegel_weights.errors import PreconditionViolation
 from siegel_weights.intersection import _intermediate, _minimal_gap
 from siegel_weights.root_data import COORDINATE_BOUND
 
 P03 = StratumDatum(0, 3)
 REFERENCE = make_weight(3, 1, 4)
-
-
-def dominant_grid(max_k1):
-    for k1 in range(max_k1 + 1):
-        for k2 in range(k1 + 1):
-            yield make_weight(k1, k2, k1 + k2)
 
 
 # --- intermediate profiles ---------------------------------------------------
@@ -287,8 +280,9 @@ def test_one_pass_k_matches_strata_and_closed_form(lam, strata):
     assert report.strata == tuple(strata)
     for m in (0, 1):
         assert report.intermediate[m] == intermediate_profile(lam, m, strata)
-    assert report.boundary[0] == tuple((s, siegel_profile(lam, s)) for s in strata)
-    assert report.boundary[1] == klingen_profile(lam)
+    for s, entries in report.boundary[0]:  # a stratum's profile ignores the others
+        assert analysis_report(lam, (s,)).boundary[0] == ((s, entries),)
+    assert report.boundary[1] == analysis_report(lam, (P03,)).boundary[1]
 
 
 # --- truncated build against the full profiles ------------------------------------
@@ -314,11 +308,12 @@ def wide_weights(draw):
 )
 def test_truncated_profiles_match_the_full_profiles(lam, strata):
     # intermediate_profile builds only the Kostant modules q <= 1 and the
-    # classical entries n <= 1; the truncation of the full public profiles
-    # is the oracle
+    # classical entries n <= 1; the truncation of the full profiles of
+    # analysis_report is the oracle
+    boundary = analysis_report(lam, strata).boundary
     full = {
-        0: _intermediate(lam, 0, [siegel_profile(lam, s) for s in strata], strata),
-        1: _intermediate(lam, 1, [klingen_profile(lam)], strata),
+        0: _intermediate(lam, 0, [entries for _, entries in boundary[0]], strata),
+        1: _intermediate(lam, 1, [boundary[1]], strata),
     }
     for m, expected in full.items():
         assert intermediate_profile(lam, m, strata) == expected

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siegel_weights import (
+    DivisionFailure,
     InputBoundExceeded,
     LaurentPolynomial,
     NotDominant,
@@ -15,23 +16,16 @@ from siegel_weights import (
     character,
     euler_check,
     freudenthal_character,
-    freudenthal_multiplicities,
-    levi_character,
     make_weight,
     nilpotent_cohomology,
     weyl_dimension,
 )
-from siegel_weights import kostant
-from siegel_weights.cli import _KLINGEN_TABLE, _SIEGEL_TABLE
+from siegel_weights import kostant, root_data
+from siegel_weights.checks import KLINGEN_TABLE, SIEGEL_TABLE, dominant_grid
 from siegel_weights.errors import BadParabolicIndex
+from siegel_weights.kostant import freudenthal_multiplicities, levi_character
 from siegel_weights.root_data import COORDINATE_BOUND, levi_root, nilradical_roots
 from siegel_weights.weyl import all_elements
-
-
-def dominant_grid(max_k1):
-    for k1 in range(max_k1 + 1):
-        for k2 in range(k1 + 1):
-            yield make_weight(k1, k2, k1 + k2)
 
 
 def random_dominant(rng, max_k1=25):
@@ -79,23 +73,9 @@ def test_closed_forms_on_random_dominant_weights():
     rng = random.Random(2024)
     for _ in range(50):
         lam = random_dominant(rng)
-        k1, k2, r = lam.k1, lam.k2, lam.r
-        sieg = [(m.highest_weight.k1, m.highest_weight.k2, m.highest_weight.r)
-                for m in nilpotent_cohomology(lam, 0)]
-        assert sieg == [
-            (k1, k2, r),
-            (k1, -k2 - 2, r),
-            (k2 - 1, -k1 - 3, r),
-            (-k2 - 3, -k1 - 3, r),
-        ]
-        klin = [(m.highest_weight.k1, m.highest_weight.k2, m.highest_weight.r)
-                for m in nilpotent_cohomology(lam, 1)]
-        assert klin == [
-            (k1, k2, r),
-            (k2 - 1, k1 + 1, r),
-            (-k2 - 3, k1 + 1, r),
-            (-k1 - 4, k2, r),
-        ]
+        for m, table in ((0, SIEGEL_TABLE), (1, KLINGEN_TABLE)):
+            got = [dataclasses.astuple(mod.highest_weight) for mod in nilpotent_cohomology(lam, m)]
+            assert got == [closed_form(lam.k1, lam.k2, lam.r) for closed_form in table]
 
 
 def test_motivic_weight_closed_forms_and_symmetry():
@@ -195,6 +175,14 @@ def test_freudenthal_multiplicity_table_of_the_reference_weight():
     assert sum(orbit_size[w] * m for w, m in mult.items()) == 35
 
 
+def test_corrupted_root_data_makes_the_character_division_fail(monkeypatch):
+    # the route from wrong root data to DivisionFailure that verify's
+    # dimension_oracle suite keeps
+    monkeypatch.setattr(root_data, "RHO", WeightTriple(2, 2, 0))
+    with pytest.raises(DivisionFailure):
+        character(make_weight(0, 0, 0))
+
+
 def test_character_rejects_non_dominant_input():
     with pytest.raises(NotDominant):
         character(WeightTriple(0, 1, 1))
@@ -253,7 +241,7 @@ def bounded_dominant_triples(draw):
 @example(lam=WeightTriple(COORDINATE_BOUND, 0, -COORDINATE_BOUND))
 @example(lam=WeightTriple(COORDINATE_BOUND, COORDINATE_BOUND, COORDINATE_BOUND))
 def test_kostant_tables_match_the_closed_forms_over_the_whole_range(lam):
-    for m, table in ((0, _SIEGEL_TABLE), (1, _KLINGEN_TABLE)):
+    for m, table in ((0, SIEGEL_TABLE), (1, KLINGEN_TABLE)):
         got = [dataclasses.astuple(mod.highest_weight) for mod in nilpotent_cohomology(lam, m)]
         assert got == [closed_form(lam.k1, lam.k2, lam.r) for closed_form in table]
 

@@ -5,25 +5,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siegel_weights import (
+from siegel_weights import WeightTriple, make_weight, nilpotent_cohomology
+from siegel_weights import root_data
+from siegel_weights.errors import BadParabolicIndex
+from siegel_weights.root_data import COORDINATE_BOUND, POSITIVE_ROOTS, levi_root
+from siegel_weights.weyl import (
     IDENTITY,
     LONGEST,
     S1,
     S2,
-    WeightTriple,
+    _is_negative,
+    _minimal_representatives,
     all_elements,
     compose,
     dot,
     length,
-    levi_root,
-    make_weight,
-    minimal_representatives,
     sign,
 )
-from siegel_weights import root_data
-from siegel_weights.errors import BadParabolicIndex
-from siegel_weights.root_data import COORDINATE_BOUND, POSITIVE_ROOTS
-from siegel_weights.weyl import _is_negative
 
 
 def random_character(rng):
@@ -131,7 +129,7 @@ def test_dot_action_preserves_the_character_lattice():
 
 def test_minimal_representatives_lengths_and_criterion():
     for m in (0, 1):
-        reps = minimal_representatives(m)
+        reps = _minimal_representatives(m)
         assert [length(w) for w in reps] == [0, 1, 2, 3]
         assert reps[0] == IDENTITY
         gamma = levi_root(m)
@@ -141,22 +139,24 @@ def test_minimal_representatives_lengths_and_criterion():
         rest = [w for w in all_elements() if w not in reps]
         for w in rest:
             assert _is_negative(w.inverse()(gamma))
-    assert minimal_representatives(0)[1] == S2
-    assert minimal_representatives(1)[1] == S1
+    assert _minimal_representatives(0)[1] == S2
+    assert _minimal_representatives(1)[1] == S1
     with pytest.raises(BadParabolicIndex):
-        minimal_representatives(3)
+        _minimal_representatives(3)
 
 
 @pytest.mark.parametrize("m", [True, False, 1.0, "0", [0], None])
 def test_minimal_representatives_rejects_non_int_indices(m):
-    # validated before the cache, so an unhashable index is no TypeError
+    # the representatives are reached through nilpotent_cohomology, which
+    # checks m before the cache is read: 1.0 is no cache hit for 1, and an
+    # unhashable index is no TypeError
     with pytest.raises(BadParabolicIndex):
-        minimal_representatives(m)
+        nilpotent_cohomology(make_weight(0, 0, 0), m)
 
 
 def test_minimal_representatives_are_cached():
-    assert minimal_representatives(0) is minimal_representatives(0)
-    assert minimal_representatives(1) is minimal_representatives(1)
+    assert _minimal_representatives(0) is _minimal_representatives(0)
+    assert _minimal_representatives(1) is _minimal_representatives(1)
 
 
 def test_representatives_send_dominant_weights_to_levi_dominant_ones():
@@ -167,7 +167,7 @@ def test_representatives_send_dominant_weights_to_levi_dominant_ones():
         k2 = rng.randint(0, k1)
         lam = make_weight(k1, k2, k1 + k2)
         for m in (0, 1):
-            for w in minimal_representatives(m):
+            for w in _minimal_representatives(m):
                 hw = dot(w, lam)
                 if m == 0:
                     assert hw.k1 - hw.k2 >= 0
@@ -183,6 +183,6 @@ def test_longest_element_is_minus_identity_and_central():
 
 
 def test_orbit_of_positive_roots_is_the_root_system():
-    roots = set(POSITIVE_ROOTS) | {-b for b in POSITIVE_ROOTS}
+    roots = set(POSITIVE_ROOTS) | {WeightTriple(-b.k1, -b.k2, -b.r) for b in POSITIVE_ROOTS}
     for w in all_elements():
         assert {w(b) for b in roots} == roots
