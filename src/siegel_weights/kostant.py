@@ -23,19 +23,23 @@ Two independent character oracles guard the tables:
 
 euler_check(lam, m) verifies the Euler characteristic identity
 
-    sum_q (-1)^q ch H^q(Lie W_m, V) = ch V * prod_{beta in W_m} (1 - x^{-beta}),
+    sum_q (-1)^q ch H^q(Lie W_m, V) = ch V * prod_{beta in W_m} (1 - x^{-beta})
 
-with each Levi character written as the finite SL(2) string through its
-highest weight.  It checks the identity in the equivalent form
+times 1 - x^{-gamma_m}, gamma_m = levi_root(m), which is injective on Laurent
+polynomials.  The right side becomes N(lam) by Weyl's formula, as the positive
+roots are W_m and gamma_m.  On the left the product telescopes: ch H^q is the
+SL(2) string x^{nu} + x^{nu - gamma} + ... + x^{nu - u gamma} through
+nu = w_q . lam, u its restriction weight, and
 
-    (sum_q (-1)^q ch H^q(Lie W_m, V)) * (1 - x^{-gamma_m}) = N(lam),
+    string(nu, u) * (1 - x^{-gamma}) = x^{nu} - x^{nu - (u+1) gamma}
 
-gamma_m = levi_root(m), which needs one product with a binomial instead of
-three products with the O(k1^2)-term character.  The two forms agree on every
-input: character(lam) returns only when ch V * prod_{beta > 0} (1 - x^{-beta})
-= N(lam) holds exactly, the positive roots are W_m and gamma_m, and the
-Laurent ring is an integral domain, so multiplying both sides of the first
-form by the nonzero 1 - x^{-gamma_m} is injective.  The identity fails
+is the rank-one Weyl character formula of the Levi: nu - (u+1) gamma is the
+dot image s_gamma . nu.  So euler_check compares two 8-term sums,
+
+    sum_q (-1)^q (x^{nu_q} - x^{nu_q - (u_q+1) gamma}) == N(lam),
+
+with no Laurent arithmetic.  Telescoping needs u_q >= -1; on dominant weights
+u_q is k1 - k2, k1 + k2 + 2, k2 or k1 + 1, never negative.  The identity fails
 loudly on any wrong table entry, wrong dimension or wrong sign convention.
 
 The character oracles cost O(k1^2) terms (character) and O(k1^3) recursion
@@ -156,10 +160,8 @@ def _dominant_conjugate(v: WeightTriple) -> WeightTriple:
 
 
 def _orbit(v: WeightTriple) -> set[tuple[int, int]]:
-    return {
-        ((w(v)).k1, (w(v)).k2)
-        for w in weyl.all_elements()
-    }
+    images = (w(v) for w in weyl.all_elements())
+    return {(u.k1, u.k2) for u in images}
 
 
 def freudenthal_multiplicities(lam: WeightTriple) -> dict[tuple[int, int], int]:
@@ -237,40 +239,24 @@ def freudenthal_character(lam: WeightTriple) -> LaurentPolynomial:
     return LaurentPolynomial(terms)
 
 
-def levi_character(module: LeviModule) -> LaurentPolynomial:
-    """Torus character of a Kostant module, as the SL(2) string
-
-        x^{nu} + x^{nu - gamma} + ... + x^{nu - u*gamma},
-
-    where nu is the highest weight, gamma = levi_root(m) and u the
-    restriction weight."""
-    gamma = root_data.levi_root(module.m)
-    terms: dict[tuple[int, int, int], int] = {}
-    nu = module.highest_weight
-    for i in range(module.restriction_weight + 1):
-        v = (nu.k1 - i * gamma.k1, nu.k2 - i * gamma.k2, nu.r)
-        terms[v] = terms.get(v, 0) + 1
-    return LaurentPolynomial(terms)
-
-
 def euler_check(lam: WeightTriple, m: int) -> bool:
     """Exact Euler characteristic identity for the Kostant tables of (lam, m).
 
-    Tests (sum_q (-1)^q ch H^q) * (1 - x^{-gamma_m}) == N(lam), which holds
-    exactly when sum_q (-1)^q ch H^q == ch V * prod_{beta in W_m}
-    (1 - x^{-beta}); see the module docstring.  Raises InputBoundExceeded for
-    k1 > ORACLE_MAX_K1.
+    Tests sum_q (-1)^q (x^{nu_q} - x^{nu_q - (u_q+1) gamma_m}) == N(lam), the
+    identity sum_q (-1)^q ch H^q == ch V * prod_{beta in W_m} (1 - x^{-beta})
+    times 1 - x^{-gamma_m}; see the module docstring.  Raises
+    InputBoundExceeded for k1 > ORACLE_MAX_K1.
     """
     require_dominant(lam)
     check_parabolic(m)
     _require_oracle_size(lam)
-    lhs = sum(
-        (
-            levi_character(mod).scale(-1 if mod.q % 2 else 1)
-            for mod in nilpotent_cohomology(lam, m)
-        ),
-        LaurentPolynomial.zero(),
-    )
     gamma = root_data.levi_root(m)
-    binomial = LaurentPolynomial.one() - LaurentPolynomial.monomial((-gamma.k1, -gamma.k2, 0))
-    return lhs * binomial == _weyl_numerator(lam)
+    terms: dict[tuple[int, int, int], int] = {}
+    for mod in nilpotent_cohomology(lam, m):
+        sign = -1 if mod.q % 2 else 1
+        nu, s = mod.highest_weight, mod.restriction_weight + 1
+        top = (nu.k1, nu.k2, nu.r)
+        bottom = (nu.k1 - s * gamma.k1, nu.k2 - s * gamma.k2, nu.r)
+        terms[top] = terms.get(top, 0) + sign
+        terms[bottom] = terms.get(bottom, 0) - sign
+    return LaurentPolynomial(terms) == _weyl_numerator(lam)

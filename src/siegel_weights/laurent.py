@@ -1,10 +1,11 @@
 """Sparse Laurent polynomials on the rank-three exponent lattice.
 
 A polynomial is a finitely supported Z-valued function on Z^3; terms are kept
-in a dict keyed by exponent triples, zero coefficients never stored.  The one
-nontrivial operation is exact division by (1 - x^{-beta}) for a lattice vector
-beta, done line by line along the direction beta with suffix sums; a nonzero
-remainder raises DivisionFailure.
+in a dict keyed by exponent triples, zero coefficients never stored.  The
+class holds what the character oracles use: building from a dict, comparing,
+reading items and mass, multiplying, and exact division by (1 - x^{-beta}) for
+a lattice vector beta, done line by line along the direction beta with suffix
+sums; a nonzero remainder raises DivisionFailure.
 """
 
 from __future__ import annotations
@@ -40,61 +41,24 @@ class LaurentPolynomial:
     def _trusted(cls, terms: dict[Exponent, int]) -> "LaurentPolynomial":
         """Take over terms as they are: keys are int triples, values nonzero.
 
-        For results of the arithmetic below, which build such dicts already;
-        __init__ would only copy and re-check every term.
+        For the results of __mul__ and divide_one_minus_inverse, which build
+        such dicts already; __init__ would only copy and re-check every term.
         """
         poly = cls.__new__(cls)
         poly._terms = terms
         return poly
 
-    @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
-    def monomial(cls, exponent, coefficient: int = 1) -> "LaurentPolynomial":
-        return cls({_as_exponent(exponent): coefficient})
-
-    @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls.monomial((0, 0, 0))
-
     def items(self) -> Iterator[tuple[Exponent, int]]:
         return iter(sorted(self._terms.items()))
-
-    def coefficient(self, exponent) -> int:
-        return self._terms.get(_as_exponent(exponent), 0)
-
-    def support(self) -> tuple[Exponent, ...]:
-        return tuple(sorted(self._terms))
 
     def mass(self) -> int:
         """Sum of all coefficients, i.e. evaluation at x = (1, 1, 1)."""
         return sum(self._terms.values())
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self._terms == other._terms
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPolynomial._trusted(out)
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial._trusted({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         out: dict[Exponent, int] = defaultdict(int)
@@ -102,9 +66,6 @@ class LaurentPolynomial:
             for e2, c2 in other._terms.items():
                 out[(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])] += c1 * c2
         return LaurentPolynomial._trusted({e: c for e, c in out.items() if c})
-
-    def scale(self, c: int) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: c * v for e, v in self._terms.items()})
 
     def __repr__(self) -> str:
         if not self._terms:

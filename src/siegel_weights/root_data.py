@@ -27,7 +27,7 @@ and regular dominant when k1 > k2 > 0.
 Two maximal parabolics matter here, indexed by m: m = 0 stabilizes a
 two-dimensional isotropic subspace (Siegel), m = 1 an isotropic line
 (Klingen).  levi_root(m) is the positive root of the semisimple part of the
-Levi; nilradical_roots(m) are the three roots in the unipotent radical.
+Levi; the other three positive roots are those of the unipotent radical.
 
 Weight maps.  For a character n = (n1, n2, r) of the Levi torus:
 
@@ -117,13 +117,6 @@ def levi_root(m: int) -> WeightTriple:
     """Positive root of the semisimple part of the Levi of parabolic m."""
     check_parabolic(m)
     return SIMPLE_ROOT_SHORT if m == SIEGEL else SIMPLE_ROOT_LONG
-
-
-def nilradical_roots(m: int) -> tuple[WeightTriple, ...]:
-    """Roots occurring in the unipotent radical of parabolic m."""
-    check_parabolic(m)
-    gamma = levi_root(m)
-    return tuple(b for b in POSITIVE_ROOTS if b != gamma)
 
 
 def is_dominant(lam: WeightTriple) -> bool:

@@ -303,8 +303,10 @@ SUITE_MUTANTS = {
     "kostant_tables": (checks, "nilpotent_cohomology", _third_module_shifted),
     "euler_characteristic": (  # every SL(2) string one weight short
         kostant,
-        "levi_character",
-        lambda real: lambda mod: real(replace(mod, restriction_weight=mod.restriction_weight - 1)),
+        "nilpotent_cohomology",
+        lambda real: lambda lam, m: tuple(
+            replace(mod, restriction_weight=mod.restriction_weight - 1) for mod in real(lam, m)
+        ),
     ),
     "weight_formulas": (kostant, "motivic_weight", lambda real: lambda n, m: real(n, m) + 1),
     "stratum_profiles": (checks, "intermediate_profile", _siegel_kernel_weight_bumped),

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,8 +24,8 @@ from siegel_weights import (
 from siegel_weights import kostant, root_data
 from siegel_weights.checks import KLINGEN_TABLE, SIEGEL_TABLE, dominant_grid
 from siegel_weights.errors import BadParabolicIndex
-from siegel_weights.kostant import freudenthal_multiplicities, levi_character
-from siegel_weights.root_data import COORDINATE_BOUND, levi_root, nilradical_roots
+from siegel_weights.kostant import freudenthal_multiplicities
+from siegel_weights.root_data import COORDINATE_BOUND, POSITIVE_ROOTS, levi_root
 from siegel_weights.weyl import all_elements
 
 
@@ -113,15 +114,15 @@ def test_table_input_validation():
 # --- character oracles ------------------------------------------------------
 
 def test_character_of_the_trivial_module_is_one():
-    assert character(make_weight(0, 0, 0)) == LaurentPolynomial.one()
+    assert character(make_weight(0, 0, 0)) == LaurentPolynomial({(0, 0, 0): 1})
 
 
 def test_character_of_the_standard_module():
     for r in (1, 3, -5):
         ch = character(make_weight(1, 0, r))
         assert ch.mass() == 4
-        assert ch.support() == tuple(sorted([(-1, 0, r), (0, -1, r), (0, 1, r), (1, 0, r)]))
-        assert all(c == 1 for _, c in ch.items())
+        weights = [(-1, 0, r), (0, -1, r), (0, 1, r), (1, 0, r)]
+        assert list(ch.items()) == [(e, 1) for e in weights]
 
 
 def test_character_mass_of_the_reference_weight():
@@ -191,13 +192,6 @@ def test_character_rejects_non_dominant_input():
 
 
 # --- Euler characteristic guard ---------------------------------------------
-
-def test_levi_character_mass_is_the_levi_dimension():
-    for lam in (make_weight(3, 1, 4), make_weight(2, 2, 4)):
-        for m in (0, 1):
-            for mod in nilpotent_cohomology(lam, m):
-                assert levi_character(mod).mass() == mod.levi_dim
-
 
 def test_euler_identity_reference_cases():
     assert euler_check(make_weight(0, 0, 0), 0)
@@ -279,11 +273,60 @@ def test_euler_right_sides_agree_with_the_product_form(lam):
     numerator = kostant._weyl_numerator(lam)
     for m in (0, 1):
         product = character(lam)
-        for beta in nilradical_roots(m):
-            product = product * (
-                LaurentPolynomial.one() - LaurentPolynomial.monomial((-beta.k1, -beta.k2, 0))
-            )
+        for beta in [b for b in POSITIVE_ROOTS if b != levi_root(m)]:
+            product = product * one_minus_inverse(beta)
         assert product == numerator.divide_one_minus_inverse(levi_root(m))
+
+
+def one_minus_inverse(beta):
+    return LaurentPolynomial({(0, 0, 0): 1, (-beta.k1, -beta.k2, 0): -1})
+
+
+def sl2_string(mod):
+    """Torus character of a Kostant module as the SL(2) string
+    x^{nu} + x^{nu - gamma} + ... + x^{nu - u*gamma}, as a dict."""
+    gamma, nu = levi_root(mod.m), mod.highest_weight
+    return {
+        (nu.k1 - i * gamma.k1, nu.k2 - i * gamma.k2, nu.r): 1
+        for i in range(mod.restriction_weight + 1)
+    }
+
+
+def string_form_holds(lam, m, mods):
+    """sum_q (-1)^q string_q * (1 - x^{-gamma_m}) == N(lam), by multiplication."""
+    lhs = {}
+    for mod in mods:
+        for e, c in sl2_string(mod).items():
+            lhs[e] = lhs.get(e, 0) + (-c if mod.q % 2 else c)
+    product = LaurentPolynomial(lhs) * one_minus_inverse(levi_root(m))
+    return product == kostant._weyl_numerator(lam)
+
+
+def _first_string_lengthened(real):
+    def lengthened(lam, m):
+        first, *rest = real(lam, m)
+        return (dataclasses.replace(first, restriction_weight=first.restriction_weight + 1), *rest)
+
+    return lengthened
+
+
+@settings(derandomize=True, deadline=None)
+@given(lam=dominant_weights(24))
+@example(lam=make_weight(0, 0, 0))
+@example(lam=make_weight(24, 0, 24))
+@example(lam=make_weight(24, 24, 8))
+def test_string_form_of_the_euler_identity_agrees_with_euler_check(lam):
+    # the SL(2) strings times 1 - x^{-gamma_m}, multiplied out, against the
+    # telescoped rank-one form that euler_check compares
+    for m in (0, 1):
+        mods = nilpotent_cohomology(lam, m)
+        assert all(LaurentPolynomial(sl2_string(mod)).mass() == mod.levi_dim for mod in mods)
+        assert string_form_holds(lam, m, mods)
+        assert euler_check(lam, m)
+        mutant = _first_string_lengthened(kostant.nilpotent_cohomology)
+        assert not string_form_holds(lam, m, mutant(lam, m))
+        with mock.patch.object(kostant, "nilpotent_cohomology", mutant):
+            assert not euler_check(lam, m)
 
 
 def test_negative_control_shortened_string_fails_the_euler_identity(monkeypatch):

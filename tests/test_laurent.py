@@ -8,10 +8,11 @@ from siegel_weights import DivisionFailure, LaurentPolynomial
 from siegel_weights.root_data import POSITIVE_ROOTS, WeightTriple
 
 
+ONE = LaurentPolynomial({(0, 0, 0): 1})
+
+
 def one_minus_inverse(beta):
-    return LaurentPolynomial.one() - LaurentPolynomial.monomial(
-        (-beta.k1, -beta.k2, -beta.r)
-    )
+    return LaurentPolynomial({(0, 0, 0): 1, (-beta.k1, -beta.k2, -beta.r): -1})
 
 
 def random_poly(rng, n_terms=12, box=8):
@@ -23,28 +24,30 @@ def random_poly(rng, n_terms=12, box=8):
 
 
 def test_basic_arithmetic():
-    x = LaurentPolynomial.monomial((1, 0, 0))
-    y = LaurentPolynomial.monomial((0, 1, 0), 3)
-    assert (x + y).mass() == 4
-    assert (x * y).support() == ((1, 1, 0),)
-    assert (x - x).is_zero()
-    assert x.scale(-2).coefficient((1, 0, 0)) == -2
-    assert LaurentPolynomial.one().mass() == 1
-    assert (x + (-x)) == LaurentPolynomial.zero()
+    x = LaurentPolynomial({(1, 0, 0): 1})
+    y = LaurentPolynomial({(0, 1, 0): 3})
+    assert list((x * y).items()) == [((1, 1, 0), 3)]
+    assert (x * y).mass() == 3
+    assert ONE.mass() == 1
+    assert x * ONE == x
+    assert x * LaurentPolynomial() == LaurentPolynomial()
+    assert x != y
 
 
 def test_zero_coefficients_are_never_stored():
     p = LaurentPolynomial({(0, 0, 0): 1, (1, 1, 1): 0})
-    assert p.support() == ((0, 0, 0),)
-    q = LaurentPolynomial.monomial((2, 0, 0)) - LaurentPolynomial.monomial((2, 0, 0))
-    assert q.support() == ()
+    assert list(p.items()) == [((0, 0, 0), 1)]
+    q = LaurentPolynomial({(1, 0, 0): 1, (-1, 0, 0): 1})
+    assert list((q * one_minus_inverse(WeightTriple(2, 0, 0))).items()) == [
+        ((-3, 0, 0), -1),
+        ((1, 0, 0), 1),
+    ]
 
 
 def test_multiplication_adds_exponents_with_multiplicity():
     p = LaurentPolynomial({(1, 0, 0): 1, (-1, 0, 0): 1})
     sq = p * p
-    assert sq.coefficient((0, 0, 0)) == 2
-    assert sq.coefficient((2, 0, 0)) == 1
+    assert dict(sq.items()) == {(-2, 0, 0): 1, (0, 0, 0): 2, (2, 0, 0): 1}
     assert sq.mass() == 4
 
 
@@ -59,7 +62,7 @@ def test_division_inverts_multiplication(beta):
 
 def test_division_failure_on_nonmultiple():
     with pytest.raises(DivisionFailure):
-        LaurentPolynomial.one().divide_one_minus_inverse((1, -1, 0))
+        ONE.divide_one_minus_inverse((1, -1, 0))
     p = LaurentPolynomial({(0, 0, 0): 1, (-1, 1, 0): -1, (5, 5, 5): 3})
     with pytest.raises(DivisionFailure):
         p.divide_one_minus_inverse((1, -1, 0))
@@ -67,29 +70,30 @@ def test_division_failure_on_nonmultiple():
 
 def test_division_by_zero_direction_fails():
     with pytest.raises(DivisionFailure):
-        LaurentPolynomial.one().divide_one_minus_inverse((0, 0, 0))
+        ONE.divide_one_minus_inverse((0, 0, 0))
 
 
 def test_zero_divides_to_zero():
-    assert LaurentPolynomial.zero().divide_one_minus_inverse((0, 2, 0)).is_zero()
+    zero = LaurentPolynomial()
+    assert zero.divide_one_minus_inverse((0, 2, 0)) == zero
 
 
 def test_division_handles_odd_residue_lines():
     # two terms on the same line of direction (0, 2, 0) through odd k2
     beta = (0, 2, 0)
-    p = LaurentPolynomial({(1, 3, 0): 1}) - LaurentPolynomial({(1, 1, 0): 1})
+    p = LaurentPolynomial({(1, 3, 0): 1, (1, 1, 0): -1})
     q = p.divide_one_minus_inverse(beta)
     # q * (1 - y^{-1}) = y^{t=1} - y^{t=0} along the line forces q = y^{t=1}
     assert q == LaurentPolynomial({(1, 3, 0): 1})
 
 
 def test_weyl_denominator_collapses_to_one():
-    product = LaurentPolynomial.one()
+    product = ONE
     for beta in POSITIVE_ROOTS:
         product = product * one_minus_inverse(beta)
     for beta in reversed(POSITIVE_ROOTS):
         product = product.divide_one_minus_inverse(beta)
-    assert product == LaurentPolynomial.one()
+    assert product == ONE
 
 
 small_ints = st.integers(-3, 3)
@@ -101,12 +105,9 @@ directions = st.tuples(small_ints, small_ints, small_ints).filter(lambda b: b !=
 @settings(derandomize=True, deadline=None)
 @given(p=polys, q=polys, beta=directions)
 def test_arithmetic_results_are_normalised(p, q, beta):
-    # sums, products and quotients skip the normalising constructor; their
-    # results must still be what that constructor would build
+    # products and quotients skip the normalising constructor; their results
+    # must still be what that constructor would build
     results = [
-        p + q,
-        p - q,
-        -p,
         p * q,
         (p * one_minus_inverse(WeightTriple(*beta))).divide_one_minus_inverse(beta),
     ]

@@ -23,7 +23,6 @@ from siegel_weights.root_data import (
     levi_restriction_weight,
     levi_root,
     motivic_weight,
-    nilradical_roots,
     pairing,
 )
 
@@ -92,16 +91,14 @@ def test_rho_is_the_half_sum_and_is_not_a_character():
 def test_parabolic_root_partition():
     for m in (0, 1):
         gamma = levi_root(m)
-        nil = nilradical_roots(m)
-        assert len(nil) == 3
-        assert gamma not in nil
-        assert set(nil) | {gamma} == set(POSITIVE_ROOTS)
+        assert gamma in POSITIVE_ROOTS
+        assert len([beta for beta in POSITIVE_ROOTS if beta != gamma]) == 3
     assert levi_root(0) == WeightTriple(1, -1, 0)
     assert levi_root(1) == WeightTriple(0, 2, 0)
     with pytest.raises(BadParabolicIndex):
         levi_root(2)
     with pytest.raises(BadParabolicIndex):
-        nilradical_roots(-1)
+        levi_root(-1)
 
 
 @pytest.mark.parametrize("m", [True, False, 1.0, 0.0, "0", [0], None, 2, -1])
