@@ -4,6 +4,9 @@ All output is deterministic: JSON is emitted with a fixed key order and
 2-space indentation, tables are fixed-width.  Exit codes: 0 success, 1 a
 verification suite found a counterexample, 2 invalid input (reported as a
 one-line JSON object {"error": ..., "message": ...} on stdout).
+
+Indented JSON comes from `_dump`, byte-identical to `json.dumps(obj, indent=2)`:
+with `indent` set, CPython skips its C encoder for much slower Python generators.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .kostant import LeviModule
 from .root_data import KLINGEN, SIEGEL, k_invariant, make_weight
 
 DEFAULT_STRATUM = (0, 3)
+_PARABOLICS = (("siegel", SIEGEL), ("klingen", KLINGEN))
 MAX_SWEEP_BOUND = 200
 MAX_VERIFY_BOUND = 40
 
@@ -48,26 +52,17 @@ def _strata_from_args(args) -> tuple[StratumDatum, ...]:
 
 def _module_json(mod: LeviModule) -> dict:
     return {
-        "m": mod.m,
-        "q": mod.q,
-        "highest_weight": weight_json(mod.highest_weight),
-        "levi_dim": mod.levi_dim,
-        "restriction_weight": mod.restriction_weight,
+        "m": mod.m, "q": mod.q, "highest_weight": weight_json(mod.highest_weight),
+        "levi_dim": mod.levi_dim, "restriction_weight": mod.restriction_weight,
         "motivic_weight": mod.motivic_weight,
     }
 
 
 def _entry_json(e: CohomologyEntry, witnesses=()) -> dict:
     out = {
-        "m": e.m,
-        "n_classical": e.n_classical,
-        "n_perverse": e.n_perverse,
-        "weight": e.weight,
-        "rank_lower": e.rank_lower,
-        "rank_upper": e.rank_upper,
-        "nonzero": e.nonzero,
-        "origin": [list(pq) for pq in e.origin],
-        "provenance": e.provenance,
+        "m": e.m, "n_classical": e.n_classical, "n_perverse": e.n_perverse, "weight": e.weight,
+        "rank_lower": e.rank_lower, "rank_upper": e.rank_upper, "nonzero": e.nonzero,
+        "origin": [list(pq) for pq in e.origin], "provenance": e.provenance,
     }
     if witnesses:
         out["witness"] = e in witnesses
@@ -76,30 +71,16 @@ def _entry_json(e: CohomologyEntry, witnesses=()) -> dict:
 
 def report_json(report: AnalysisReport) -> dict:
     """JSON-ready dict with the fixed top-level key order."""
-    wit = report.witnesses
-    inter = {}
-    for name, m in (("siegel", SIEGEL), ("klingen", KLINGEN)):
-        profile = report.intermediate[m]
-        inter[name] = {
-            "entries": [_entry_json(e, wit) for e in profile.entries],
-            "kernel": _entry_json(profile.kernel_entry, wit)
-            if profile.kernel_entry is not None
-            else None,
-        }
+    wit, ow = report.witnesses, report.occurring_weights
     return {
         "lambda": weight_json(report.lam),
         "k": report.k,
-        "avoided_interval": list(report.avoided_interval) if report.avoided_interval else [],
-        "occurring_weights": list(report.occurring_weights)
-        if report.occurring_weights
-        else None,
+        "avoided_interval": list(report.avoided_interval or ()),
+        "occurring_weights": list(ow) if ow else None,
         "regular": report.regular,
         "in_avoidance_category": report.in_avoidance_category,
         "duality_twist": report.duality_twist,
-        "kostant": {
-            "siegel": [_module_json(mod) for mod in report.kostant[SIEGEL]],
-            "klingen": [_module_json(mod) for mod in report.kostant[KLINGEN]],
-        },
+        "kostant": {name: [_module_json(x) for x in report.kostant[m]] for name, m in _PARABOLICS},
         "boundary": {
             "siegel": [
                 {"stratum": stratum_json(s), "entries": [_entry_json(e) for e in entries]}
@@ -107,13 +88,59 @@ def report_json(report: AnalysisReport) -> dict:
             ],
             "klingen": {"entries": [_entry_json(e) for e in report.boundary[KLINGEN]]},
         },
-        "intermediate": inter,
+        "intermediate": {
+            name: {
+                "entries": [_entry_json(e, wit) for e in profile.entries],
+                "kernel": _entry_json(profile.kernel_entry, wit) if profile.kernel_entry else None,
+            }
+            for name, m in _PARABOLICS
+            for profile in [report.intermediate[m]]
+        },
         "strata": [stratum_json(s) for s in report.strata],
     }
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_SCALARS = {str: _ESCAPE, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+            type(None): lambda _: "null"}
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False)
+    """`json.dumps(obj, indent=2)` for dicts with str keys, lists, str, int, bool and None."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(v, nl: str, out: list[str]) -> None:
+    """Append v to out, its scalar items inline; nl is the newline and indent of v's last line."""
+    kind = type(v)
+    if kind in _SCALARS:
+        out.append(_SCALARS[kind](v))
+    elif kind is dict:
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in v.items():
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            scalar = _SCALARS.get(type(item))
+            out.append(sep + _ESCAPE(key) + ": " + (scalar(item) if scalar else ""))
+            if scalar is None:
+                _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "}" if v else "{}")
+    elif kind is list:
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in v:
+            scalar = _SCALARS.get(type(item))
+            out.append(sep + (scalar(item) if scalar else ""))
+            if scalar is None:
+                _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]" if v else "[]")
+    else:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -132,53 +159,35 @@ def _entry_row(section: str, e: CohomologyEntry) -> str:
 
 
 def _report_table(report: AnalysisReport) -> str:
-    lines = []
-    lam = report.lam
-    lines.append(f"lambda = ({lam.k1}, {lam.k2}, {lam.r})   k = {report.k}")
-    iv = report.avoided_interval
-    lines.append(f"avoided_interval = {'[] (empty)' if iv is None else f'[{iv[0]}, {iv[1]}]'}")
-    ow = report.occurring_weights
-    lines.append(
+    lam, iv, ow = report.lam, report.avoided_interval, report.occurring_weights
+    lines = [
+        f"lambda = ({lam.k1}, {lam.k2}, {lam.r})   k = {report.k}",
+        f"avoided_interval = {'[] (empty)' if iv is None else f'[{iv[0]}, {iv[1]}]'}",
         "occurring_weights = "
-        + ("undetermined" if ow is None else f"{ow[0]} and {ow[1]} (upper by duality)")
-    )
-    lines.append(
+        + ("undetermined" if ow is None else f"{ow[0]} and {ow[1]} (upper by duality)"),
         f"regular = {report.regular}   in_avoidance_category = {report.in_avoidance_category}"
-        f"   duality_twist = {report.duality_twist}"
-    )
-    lines.append(f"strata = {', '.join(f'(g={s.g}, c={s.c})' for s in report.strata)}")
-    lines.append("")
-    lines.append(f"{'sec':<9} {'m':>2} {'q':>3} {'highest_weight':<16} {'dim':>5} {'restr':>6} {'motw':>6}")
-    for name, m in (("siegel", SIEGEL), ("klingen", KLINGEN)):
-        for mod in report.kostant[m]:
-            hw = mod.highest_weight
-            lines.append(
-                f"{'kostant':<9} {m:>2} {mod.q:>3} {f'({hw.k1}, {hw.k2}, {hw.r})':<16} "
-                f"{mod.levi_dim:>5} {mod.restriction_weight:>6} {mod.motivic_weight:>6}"
-            )
-    lines.append("")
-    lines.append(_ENTRY_HEADER)
-    for s, entries in report.boundary[SIEGEL]:
-        for e in entries:
-            lines.append(_entry_row(f"bd(g{s.g}c{s.c})", e))
-    for e in report.boundary[KLINGEN]:
-        lines.append(_entry_row("bd", e))
-    for m in (SIEGEL, KLINGEN):
-        profile = report.intermediate[m]
-        for e in profile.all_entries():
-            mark = "ic*" if e in report.witnesses else "ic"
-            lines.append(_entry_row(mark, e))
+        f"   duality_twist = {report.duality_twist}",
+        f"strata = {', '.join(f'(g={s.g}, c={s.c})' for s in report.strata)}",
+        "",
+        f"{'sec':<9} {'m':>2} {'q':>3} {'highest_weight':<16} {'dim':>5} {'restr':>6} {'motw':>6}",
+    ]
+    lines += [
+        f"{'kostant':<9} {m:>2} {mod.q:>3} {str(tuple(weight_json(mod.highest_weight))):<16} "
+        f"{mod.levi_dim:>5} {mod.restriction_weight:>6} {mod.motivic_weight:>6}"
+        for _, m in _PARABOLICS for mod in report.kostant[m]
+    ]
+    lines += ["", _ENTRY_HEADER]
+    lines += [_entry_row(f"bd(g{s.g}c{s.c})", e) for s, es in report.boundary[SIEGEL] for e in es]
+    lines += [_entry_row("bd", e) for e in report.boundary[KLINGEN]]
+    for _, m in _PARABOLICS:
+        for e in report.intermediate[m].all_entries():
+            lines.append(_entry_row("ic*" if e in report.witnesses else "ic", e))
     return "\n".join(lines)
 
 
 def _cmd_analyze(args) -> int:
-    lam = make_weight(args.k1, args.k2, args.r)
-    strata = _strata_from_args(args)
-    report = analysis_report(lam, strata)
-    if args.format == "json":
-        print(_dump(report_json(report)))
-    else:
-        print(_report_table(report))
+    report = analysis_report(make_weight(args.k1, args.k2, args.r), _strata_from_args(args))
+    print(_dump(report_json(report)) if args.format == "json" else _report_table(report))
     return 0
 
 
@@ -199,12 +208,7 @@ def _cmd_sweep(args) -> int:
             "bound": bound,
             "strata": [stratum_json(s) for s in strata],
             "rows": [
-                {
-                    "lambda": [k1, k2, r],
-                    "k": k,
-                    "closed_form": closed,
-                    "agree": k == closed,
-                }
+                {"lambda": [k1, k2, r], "k": k, "closed_form": closed, "agree": k == closed}
                 for k1, k2, r, k, closed in rows
             ],
         }
@@ -212,8 +216,7 @@ def _cmd_sweep(args) -> int:
     else:
         print(f"{'k1':>4} {'k2':>4} {'r':>6} {'k':>4} {'closed':>7} {'agree':>6}")
         for k1, k2, r, k, closed in rows:
-            agree = "yes" if k == closed else "no"
-            print(f"{k1:>4} {k2:>4} {r:>6} {k:>4} {closed:>7} {agree:>6}")
+            print(f"{k1:>4} {k2:>4} {r:>6} {k:>4} {closed:>7} {'yes' if k == closed else 'no':>6}")
     return 0
 
 
@@ -236,16 +239,13 @@ def _cmd_verify(args) -> int:
         ("avoided_interval", lambda: verification.suite_avoided_interval(max_k1)),
         ("dimension_oracle", lambda: verification.suite_dimension_oracle(max_k1)),
     ]
-    failed = False
     for name, run in suites:
         checks, counterexample = run()
-        if counterexample is None:
-            print(f"ok   {name} ({checks} checks)")
-        else:
-            failed = True
+        if counterexample is not None:
             print(f"FAIL {name}: {json.dumps(counterexample, sort_keys=False)}")
-            break
-    return 1 if failed else 0
+            return 1
+        print(f"ok   {name} ({checks} checks)")
+    return 0
 
 
 # ---------------------------------------------------------------------------

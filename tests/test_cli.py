@@ -8,6 +8,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from siegel_weights import checks, cli, intersection, kostant, root_data, weyl
 from siegel_weights.root_data import WeightTriple
@@ -118,6 +120,21 @@ def test_analyze_json_round_trips_identically():
         assert json.dumps(payload, indent=2) + "\n" == out.getvalue()
 
 
+def test_analyze_json_round_trips_with_40_strata_on_a_wall():
+    # the largest analyze shape: a wall weight (k2 = 0) with 40 strata
+    argv = ["analyze", "--k1", "283", "--k2", "0", "--r", "187"]
+    for i in range(40):
+        g = i % 6
+        argv += ["--stratum", f"{g},{(3 if g == 0 else 1) + 7 * i % 18}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    payload = json.loads(out.getvalue())
+    assert len(payload["strata"]) == len(payload["boundary"]["siegel"]) == 40
+    assert payload["k"] == 0
+    assert json.dumps(payload, indent=2) + "\n" == out.getvalue()
+
+
 def test_analyze_parity_error_is_machine_readable_exit_2():
     proc = run_cli("analyze", "--k1", "2", "--k2", "1", "--r", "4")
     assert proc.returncode == 2
@@ -211,6 +228,57 @@ def test_sweep_json_format():
         "closed_form": 0,
         "agree": True,
     }
+    wide = run_cli(
+        "sweep", "--max-k1", "30", "--format", "json", "--stratum", "1,1", "--stratum", "2,5"
+    )
+    assert wide.returncode == 0
+    assert json.dumps(json.loads(wide.stdout), indent=2) + "\n" == wide.stdout
+
+
+# --- JSON writer ----------------------------------------------------------------
+
+# quotes, backslashes, control characters and non-ASCII (BMP and astral)
+JSON_CHARS = st.sampled_from('"\\/\x00\x08\n\t\x1f\x7f aZé€\u2028\U0001F600') | st.characters()
+JSON_TEXT = st.text(JSON_CHARS, max_size=8)
+JSON_INTS = st.integers() | st.sampled_from([0, -1, 2**64, 2**64 + 1, -(2**64) - 1, 10**30])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_INTS | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(JSON_TEXT, inner, max_size=5),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(value=JSON_VALUES)
+@example(value={"a": [[], {}, [{"b": [None, True, False, 0, -(2**70), 'q"\\\x01é\U0001F600']}]]})
+@example(value=[[[[[[]]]]], {"x": {"y": {"z": {}}}, "": {}}])
+@example(value="")
+@example(value=-5)
+def test_dump_matches_json_dumps_indent_2(value):
+    assert cli._dump(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, [{"k": [0.0]}], {"k": {None: 1}}])
+def test_dump_rejects_unsupported_types(value):
+    with pytest.raises(TypeError):
+        cli._dump(value)
+
+
+def test_dump_rejects_unsupported_types_under_python_O():
+    # the type checks are explicit raises, so they survive assertion stripping
+    code = (
+        "import sys\n"
+        "if __debug__: sys.exit(3)\n"
+        "from siegel_weights import cli\n"
+        "for value in (1.5, (1, 2), {1: 'a'}):\n"
+        "    try:\n"
+        "        cli._dump(value)\n"
+        "    except TypeError:\n"
+        "        continue\n"
+        "    sys.exit(4)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- verify ---------------------------------------------------------------------
