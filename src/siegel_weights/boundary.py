@@ -36,9 +36,9 @@ same weight map.
 
 The entry builders _siegel_entries and _klingen_entries take Kostant modules
 that intersection has built, once per parabolic for all strata, and check
-nothing: intersection validates its inputs first.  The full classical
-profiles are the boundary field of intersection.analysis_report; the
-truncations ask the Siegel builder only for the classical degrees they keep.
+nothing: intersection validates its inputs first.  _siegel_entries sums each
+piece's rank over the strata it is given; no other field depends on a stratum.
+analysis_report shows each stratum's full profile; the truncations keep n <= 1.
 
 An entry's nonzero is read off its rank bounds: True when rank_lower >= 1,
 False when rank_upper == 0, and "unknown" when the bounds straddle zero
@@ -49,9 +49,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegreeOutOfRange, InvalidStratum, PreconditionViolation
+from .errors import DegreeOutOfRange, InputBoundExceeded, InvalidStratum, PreconditionViolation
 from .kostant import LeviModule
-from .root_data import KLINGEN, SIEGEL
+from .root_data import COORDINATE_BOUND, KLINGEN, SIEGEL
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,6 +64,8 @@ class StratumDatum:
     def __post_init__(self):
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.g, self.c)):
             raise InvalidStratum(f"stratum data must be integers, got {self!r}")
+        if abs(self.g) > COORDINATE_BOUND or abs(self.c) > COORDINATE_BOUND:
+            raise InputBoundExceeded(f"stratum data beyond {COORDINATE_BOUND} in absolute value")
         if self.g < 0 or self.c < 1 or (self.g == 0 and self.c < 3):
             raise InvalidStratum(
                 f"need g >= 0, c >= 1 and c >= 3 when g = 0, got (g={self.g}, c={self.c})"
@@ -117,16 +119,17 @@ def group_cohomology_dim(u: int, stratum: StratumDatum, p: int) -> int:
 
 
 def _siegel_entries(
-    modules: tuple[LeviModule, ...], stratum: StratumDatum, top: int
+    modules: tuple[LeviModule, ...], strata: tuple[StratumDatum, ...], top: int
 ) -> tuple[CohomologyEntry, ...]:
-    """Point-stratum entries of classical degree n <= top from the Siegel
-    Kostant modules, which must include every q <= top; nothing is checked.
-    Rank-0 pieces are kept (nonzero is False): vanishing is asserted, not omitted."""
+    """Point-stratum entries of classical degree n <= top, ranks summed over
+    the strata, from the Siegel Kostant modules, which must include every
+    q <= top; nothing is checked.  Rank-0 pieces are kept (nonzero is False):
+    vanishing is asserted, not omitted."""
     pieces: dict[tuple[int, int], list] = {}
     for q, mod in enumerate(modules):
         for p in (0, 1):
             if p + q <= top:
-                dim = group_cohomology_dim(mod.restriction_weight, stratum, p)
+                dim = sum(group_cohomology_dim(mod.restriction_weight, s, p) for s in strata)
                 pieces.setdefault((p + q, mod.motivic_weight), []).append(((p, q), dim))
     entries = []
     for (n, w), contribs in sorted(pieces.items()):

@@ -10,7 +10,7 @@ class ParityViolation(SiegelWeightsError):
 
 
 class InputBoundExceeded(SiegelWeightsError):
-    """A coordinate exceeds the supported bound of 10**6 in absolute value."""
+    """A weight coordinate or stratum datum beyond +-10**6, or k1 beyond an oracle's limit."""
 
 
 class NotDominant(SiegelWeightsError):

@@ -27,12 +27,12 @@ equals min(k1 - k2, k2); it is >= 1 exactly when lam is regular.  The weights
 complex with twist s = r + 3.
 
 Validate once, build only what is kept.  The public functions check lam and
-the strata once.  intermediate_profile and avoided_interval then build, per
-parabolic, only the Kostant modules q <= 1, shared by every stratum, and
-only the classical entries n <= 1: both truncations keep nothing else.
-analysis_report builds all four modules of each parabolic once and the full
-classical profiles from them, because its kostant and boundary fields show
-them.
+the strata once.  All three, intermediate_profile, avoided_interval and
+analysis_report, share _intermediate, which takes the Kostant modules q <= 1
+of a parabolic, shared by every stratum, and builds only the classical
+entries n <= 1, ranks summed over the strata: both truncations keep nothing
+else.  analysis_report builds all four modules of each parabolic once, because
+its kostant and boundary fields show them.
 """
 
 from __future__ import annotations
@@ -119,44 +119,36 @@ def _kernel_entry(lam: WeightTriple, strata: tuple[StratumDatum, ...]) -> Cohomo
     )
 
 
-def _intermediate(lam: WeightTriple, m: int, profiles, strata) -> IntermediateProfile:
-    """Intermediate profile of parabolic m from built classical profiles:
-    the Klingen profile alone for m = 1, one Siegel profile per stratum for
-    m = 0.
+def _intermediate(lam: WeightTriple, m: int, modules, strata) -> IntermediateProfile:
+    """Intermediate profile of parabolic m from its Kostant modules, which
+    must include q <= 1; nothing is checked.
 
     Both truncations (n_perverse <= r + 2 on curves, <= r + 1 on points)
-    keep exactly the classical degrees n <= 1.  Each survivor is built once,
-    in the perverse normalization: n_perverse = n + r + dim and weight + dim,
+    keep exactly the classical degrees n <= 1, with ranks summed over the
+    strata, which form a disjoint union.  Each survivor is built once, in
+    the perverse normalization: n_perverse = n + r + dim and weight + dim,
     with dim = 0 on point strata and 1 on curve strata; the weight rises
     because placing a lisse sheaf in degree -1 raises the Frobenius weight of
-    its perverse incarnation by one.  Ranks are summed over the strata, which
-    form a disjoint union.
+    its perverse incarnation by one.
     """
     dim = 1 if m == KLINGEN else 0
-    head, *rest = [[e for e in profile if e.n_classical <= 1] for profile in profiles]
-    shape = [(e.m, e.n_classical, e.weight, e.origin, e.provenance) for e in head]
-    lowers = [e.rank_lower for e in head]
-    uppers = [e.rank_upper for e in head]
-    for profile in rest:
-        if [(e.m, e.n_classical, e.weight, e.origin, e.provenance) for e in profile] != shape:
-            raise PreconditionViolation("internal: stratum profiles disagree off the rank fields")
-        for i, e in enumerate(profile):
-            lowers[i] += e.rank_lower
-            uppers[i] += e.rank_upper
+    if m == KLINGEN:
+        classical, kernel = _klingen_entries(modules[:2]), None
+    else:
+        classical, kernel = _siegel_entries(modules[:2], strata, 1), _kernel_entry(lam, strata)
     entries = tuple(
         CohomologyEntry(
             m=m,
             n_classical=e.n_classical,
             weight=e.weight + dim,
-            rank_lower=lo,
-            rank_upper=up,
+            rank_lower=e.rank_lower,
+            rank_upper=e.rank_upper,
             origin=e.origin,
             provenance=e.provenance,
             n_perverse=e.n_classical + lam.r + dim,
         )
-        for e, lo, up in zip(head, lowers, uppers)
+        for e in classical
     )
-    kernel = _kernel_entry(lam, strata) if m == SIEGEL else None
     return IntermediateProfile(m=m, entries=entries, kernel_entry=kernel)
 
 
@@ -170,19 +162,8 @@ def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfi
     """
     require_dominant(lam)
     check_parabolic(m)
-    return _truncated(lam, m, _require_strata(strata))
-
-
-def _truncated(lam: WeightTriple, m: int, strata: tuple[StratumDatum, ...]) -> IntermediateProfile:
-    """intermediate_profile on checked inputs, built from what the truncations
-    keep: the Kostant modules q <= 1, built once and shared by every stratum,
-    and the classical entries n <= 1."""
-    modules = _modules(lam, m, 2)
-    if m == KLINGEN:
-        profiles = (_klingen_entries(modules),)
-    else:
-        profiles = tuple(_siegel_entries(modules, s, 1) for s in strata)
-    return _intermediate(lam, m, profiles, strata)
+    strata = _require_strata(strata)
+    return _intermediate(lam, m, _modules(lam, m, 2), strata)
 
 
 def _minimal_gap(profiles) -> tuple[int, tuple[CohomologyEntry, ...]]:
@@ -205,7 +186,9 @@ def avoided_interval(lam: WeightTriple, strata) -> tuple[int, tuple[CohomologyEn
     """
     require_dominant(lam)
     strata = _require_strata(strata)
-    return _minimal_gap(_truncated(lam, m, strata) for m in (SIEGEL, KLINGEN))
+    return _minimal_gap(
+        _intermediate(lam, m, _modules(lam, m, 2), strata) for m in (SIEGEL, KLINGEN)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,19 +218,14 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
     weight structure is not decided here and occurring_weights is None.
 
     The four Kostant modules of each parabolic are built once and serve the
-    kostant field and every classical profile; each classical profile is
-    built once and serves both the boundary field and the intermediate
-    profiles, from which k and the witnesses come.
+    kostant field, the full classical profiles of the boundary field (one
+    per point stratum) and the intermediate profiles, from which k and the
+    witnesses come.
     """
     require_dominant(lam)
     strata = _require_strata(strata)
     kostant = {m: _modules(lam, m, 4) for m in (SIEGEL, KLINGEN)}
-    point = tuple(_siegel_entries(kostant[SIEGEL], s, 4) for s in strata)
-    curve = _klingen_entries(kostant[KLINGEN])
-    intermediate = {
-        SIEGEL: _intermediate(lam, SIEGEL, point, strata),
-        KLINGEN: _intermediate(lam, KLINGEN, (curve,), strata),
-    }
+    intermediate = {m: _intermediate(lam, m, kostant[m], strata) for m in (SIEGEL, KLINGEN)}
     k, witnesses = _minimal_gap(intermediate.values())
     regular = is_regular(lam)
     if k != k_invariant(lam) or (k >= 1) != regular:
@@ -265,7 +243,10 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
         in_avoidance_category=k >= 1,
         duality_twist=lam.r + 3,
         kostant=kostant,
-        boundary={SIEGEL: tuple(zip(strata, point)), KLINGEN: curve},
+        boundary={
+            SIEGEL: tuple((s, _siegel_entries(kostant[SIEGEL], (s,), 4)) for s in strata),
+            KLINGEN: _klingen_entries(kostant[KLINGEN]),
+        },
         intermediate=intermediate,
         witnesses=witnesses,
     )

@@ -2,10 +2,11 @@
 
 A polynomial is a finitely supported Z-valued function on Z^3; terms are kept
 in a dict keyed by exponent triples, zero coefficients never stored.  The
-class holds what the character oracles use: building from a dict, comparing,
-reading items and mass, multiplying, and exact division by (1 - x^{-beta}) for
-a lattice vector beta, done line by line along the direction beta with suffix
-sums; a nonzero remainder raises DivisionFailure.
+class holds what the character oracles use: building from a dict of int
+triples or WeightTriples to ints (PreconditionViolation on anything else),
+comparing, reading items and mass, multiplying, and exact division by
+(1 - x^{-beta}) for a lattice vector beta, done line by line along the
+direction beta with suffix sums; a nonzero remainder raises DivisionFailure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterator, Mapping
 
-from .errors import DivisionFailure
+from .errors import DivisionFailure, PreconditionViolation
 from .root_data import WeightTriple
 
 Exponent = tuple[int, int, int]
@@ -22,7 +23,9 @@ Exponent = tuple[int, int, int]
 def _as_exponent(e) -> Exponent:
     if isinstance(e, WeightTriple):
         return (e.k1, e.k2, e.r)
-    return (int(e[0]), int(e[1]), int(e[2]))
+    if isinstance(e, tuple) and len(e) == 3 and all(type(v) is int for v in e):
+        return tuple(e)
+    raise PreconditionViolation(f"exponent must be a WeightTriple or three ints, got {e!r}")
 
 
 class LaurentPolynomial:
@@ -34,8 +37,11 @@ class LaurentPolynomial:
         self._terms: dict[Exponent, int] = {}
         if terms:
             for e, c in terms.items():
+                e = _as_exponent(e)
+                if type(c) is not int:
+                    raise PreconditionViolation(f"coefficients must be ints, got {c!r}")
                 if c:
-                    self._terms[_as_exponent(e)] = int(c)
+                    self._terms[e] = c
 
     @classmethod
     def _trusted(cls, terms: dict[Exponent, int]) -> "LaurentPolynomial":

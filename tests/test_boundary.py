@@ -3,6 +3,7 @@ import pytest
 from siegel_weights import (
     KLINGEN,
     SIEGEL,
+    InputBoundExceeded,
     InvalidStratum,
     NotDominant,
     StratumDatum,
@@ -14,6 +15,7 @@ from siegel_weights import (
 from siegel_weights.boundary import CohomologyEntry, group_cohomology_dim
 from siegel_weights.checks import dominant_grid
 from siegel_weights.errors import DegreeOutOfRange, PreconditionViolation
+from siegel_weights.root_data import COORDINATE_BOUND
 
 
 def siegel_profile(lam, stratum):
@@ -42,6 +44,10 @@ def test_stratum_validation():
             StratumDatum(g, c)
     for g, c in [(1.0, 3), (True, 3), (1, True)]:
         with pytest.raises(InvalidStratum):
+            StratumDatum(g, c)
+    assert StratumDatum(COORDINATE_BOUND, COORDINATE_BOUND).euler_term == 3 * COORDINATE_BOUND - 2
+    for g, c in [(COORDINATE_BOUND + 1, 5), (1, COORDINATE_BOUND + 1), (-(10**5000), 5), (1, 10**5000)]:
+        with pytest.raises(InputBoundExceeded):
             StratumDatum(g, c)
 
 

@@ -19,7 +19,7 @@ from siegel_weights import (
 )
 from siegel_weights.checks import dominant_grid
 from siegel_weights.errors import PreconditionViolation
-from siegel_weights.intersection import _intermediate, _minimal_gap
+from siegel_weights.intersection import IntermediateProfile, _kernel_entry, _minimal_gap
 from siegel_weights.root_data import COORDINATE_BOUND
 
 P03 = StratumDatum(0, 3)
@@ -308,13 +308,29 @@ def wide_weights(draw):
 )
 def test_truncated_profiles_match_the_full_profiles(lam, strata):
     # intermediate_profile builds only the Kostant modules q <= 1 and the
-    # classical entries n <= 1; the truncation of the full profiles of
-    # analysis_report is the oracle
-    boundary = analysis_report(lam, strata).boundary
-    full = {
-        0: _intermediate(lam, 0, [entries for _, entries in boundary[0]], strata),
-        1: _intermediate(lam, 1, [boundary[1]], strata),
-    }
+    # classical entries n <= 1, with ranks summed over the strata; the oracle
+    # truncates the full per-stratum profiles of analysis_report, sums their
+    # ranks here and shifts them to the perverse normalization
+    report = analysis_report(lam, strata)
+    per_stratum = {0: [entries for _, entries in report.boundary[0]], 1: [report.boundary[1]]}
+    full = {}
+    for m, profiles in per_stratum.items():
+        dim = m  # points for m = 0, curves for m = 1
+        kept = [[e for e in profile if e.n_classical <= 1] for profile in profiles]
+        assert len({len(entries) for entries in kept}) == 1
+        entries = tuple(
+            replace(
+                column[0],
+                weight=column[0].weight + dim,
+                rank_lower=sum(e.rank_lower for e in column),
+                rank_upper=sum(e.rank_upper for e in column),
+                n_perverse=column[0].n_classical + lam.r + dim,
+            )
+            for column in zip(*kept)
+        )
+        kernel = _kernel_entry(lam, tuple(strata)) if m == 0 else None
+        full[m] = IntermediateProfile(m=m, entries=entries, kernel_entry=kernel)
     for m, expected in full.items():
         assert intermediate_profile(lam, m, strata) == expected
+        assert report.intermediate[m] == expected
     assert avoided_interval(lam, strata) == _minimal_gap(full.values())

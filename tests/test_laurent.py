@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegel_weights import DivisionFailure, LaurentPolynomial
+from siegel_weights import DivisionFailure, LaurentPolynomial, PreconditionViolation
 from siegel_weights.root_data import POSITIVE_ROOTS, WeightTriple
 
 
@@ -42,6 +42,35 @@ def test_zero_coefficients_are_never_stored():
         ((-3, 0, 0), -1),
         ((1, 0, 0), 1),
     ]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(0, 0, 0): 0.4},  # would store a zero coefficient
+        {(0.5, 0, 0): 2.7},  # would truncate to {(0, 0, 0): 2}
+        {(0.5, 0, 0): 2},
+        {("1", 0, 0): 1},
+        {(0, 0, 0): True},
+        {(0, 0): 1},
+        {(1, 2, 3, 4): 1},
+        {(0, 0, "0"): 0},  # checked even when the coefficient is zero
+    ],
+)
+def test_constructor_rejects_non_int_terms(terms):
+    with pytest.raises(PreconditionViolation):
+        LaurentPolynomial(terms)
+
+
+def test_constructor_accepts_int_triples_and_weight_triples():
+    assert LaurentPolynomial({WeightTriple(1, 0, 2): 3}) == LaurentPolynomial({(1, 0, 2): 3})
+    assert LaurentPolynomial({(0, 0, 0): 0}) == LaurentPolynomial({})
+
+
+@pytest.mark.parametrize("beta", [(0.5, 0, 0), (1.0, -1, 0), ("1", -1, 0), (True, -1, 0)])
+def test_division_rejects_non_int_directions(beta):
+    with pytest.raises(PreconditionViolation):
+        ONE.divide_one_minus_inverse(beta)
 
 
 def test_multiplication_adds_exponents_with_multiplicity():
