@@ -38,6 +38,9 @@ The entry builders _siegel_entries and _klingen_entries take Kostant modules
 that intersection has built, once per parabolic for all strata, and check
 nothing: intersection validates its inputs first.  _siegel_entries sums each
 piece's rank over the strata it is given; no other field depends on a stratum.
+Given the perverse base r, both build each entry in its perverse normalization,
+so intersection._intermediate builds no entry of its own; without r,
+n_perverse is None, as in analysis_report's classical boundary field.
 analysis_report shows each stratum's full profile; the truncations keep n <= 1.
 
 An entry's nonzero is read off its rank bounds: True when rank_lower >= 1,
@@ -47,29 +50,31 @@ False when rank_upper == 0, and "unknown" when the bounds straddle zero
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegreeOutOfRange, InputBoundExceeded, InvalidStratum, PreconditionViolation
 from .kostant import LeviModule
-from .root_data import COORDINATE_BOUND, KLINGEN, SIEGEL
+from .root_data import COORDINATE_BOUND, KLINGEN, SIEGEL, shown
 
 
-@dataclass(frozen=True, slots=True)
-class StratumDatum:
+class StratumDatum(namedtuple("StratumDatum", "g c")):
     """Genus and cusp count of the modular curve attached to a point stratum."""
 
-    g: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.g, self.c)):
-            raise InvalidStratum(f"stratum data must be integers, got {self!r}")
-        if abs(self.g) > COORDINATE_BOUND or abs(self.c) > COORDINATE_BOUND:
+    def __new__(cls, g: int, c: int):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (g, c)):
+            raise InvalidStratum(f"stratum data must be integers, got (g={shown(g)}, c={shown(c)})")
+        if abs(g) > COORDINATE_BOUND or abs(c) > COORDINATE_BOUND:
             raise InputBoundExceeded(f"stratum data beyond {COORDINATE_BOUND} in absolute value")
-        if self.g < 0 or self.c < 1 or (self.g == 0 and self.c < 3):
+        if g < 0 or c < 1 or (g == 0 and c < 3):
             raise InvalidStratum(
-                f"need g >= 0, c >= 1 and c >= 3 when g = 0, got (g={self.g}, c={self.c})"
+                f"need g >= 0, c >= 1 and c >= 3 when g = 0, got (g={g}, c={c})"
             )
+        return super().__new__(cls, g, c)
+
+    # namedtuple's _make, behind _replace, would skip the checks in __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def euler_term(self) -> int:
@@ -77,24 +82,22 @@ class StratumDatum:
         return 2 * self.g - 2 + self.c
 
 
-@dataclass(frozen=True, slots=True)
-class CohomologyEntry:
-    """One graded piece of a boundary cohomology profile."""
+_ENTRY_FIELDS = "m n_classical weight rank_lower rank_upper origin provenance n_perverse"
 
-    m: int
-    n_classical: int
-    weight: int
-    rank_lower: int
-    rank_upper: int
-    origin: tuple[tuple[int, int], ...]
-    provenance: str  # "paper" or "derived"
-    n_perverse: int | None = None
 
-    def __post_init__(self):
+class CohomologyEntry(namedtuple("CohomologyEntry", _ENTRY_FIELDS, defaults=(None,))):
+    """One graded piece of a boundary cohomology profile; provenance is
+    "paper" or "derived", and n_perverse is None in classical profiles."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.rank_lower < 0 or self.rank_lower > self.rank_upper:
-            raise PreconditionViolation(
-                f"bad rank bounds [{self.rank_lower}, {self.rank_upper}]"
-            )
+            raise PreconditionViolation(f"bad rank bounds [{self.rank_lower}, {self.rank_upper}]")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def nonzero(self) -> bool | str:
@@ -108,9 +111,9 @@ def group_cohomology_dim(u: int, stratum: StratumDatum, p: int) -> int:
     """dim H^p of the stratum's arithmetic group on the SL(2)-module of
     highest weight u >= 0; p must be 0 or 1 (cohomological dimension 1)."""
     if p not in (0, 1):
-        raise DegreeOutOfRange(f"degree p = {p!r} outside cohomological dimension 1")
+        raise DegreeOutOfRange(f"degree p = {shown(p)} outside cohomological dimension 1")
     if not isinstance(u, int) or u < 0:
-        raise PreconditionViolation(f"restriction weight must be a nonneg integer, got {u!r}")
+        raise PreconditionViolation(f"restriction weight must be a nonneg integer, got {shown(u)}")
     if p == 0:
         return 1 if u == 0 else 0
     if u == 0:
@@ -119,12 +122,12 @@ def group_cohomology_dim(u: int, stratum: StratumDatum, p: int) -> int:
 
 
 def _siegel_entries(
-    modules: tuple[LeviModule, ...], strata: tuple[StratumDatum, ...], top: int
+    modules: tuple[LeviModule, ...], strata: tuple[StratumDatum, ...], top: int, r=None
 ) -> tuple[CohomologyEntry, ...]:
     """Point-stratum entries of classical degree n <= top, ranks summed over
     the strata, from the Siegel Kostant modules, which must include every
     q <= top; nothing is checked.  Rank-0 pieces are kept (nonzero is False):
-    vanishing is asserted, not omitted."""
+    vanishing is asserted, not omitted.  Given r: n_perverse = n + r."""
     pieces: dict[tuple[int, int], list] = {}
     for q, mod in enumerate(modules):
         for p in (0, 1):
@@ -143,22 +146,26 @@ def _siegel_entries(
                 rank_upper=rank,
                 origin=tuple(pq for pq, _ in contribs),
                 provenance="paper" if n <= 2 else "derived",
+                n_perverse=None if r is None else n + r,
             )
         )
     return tuple(entries)
 
 
-def _klingen_entries(modules: tuple[LeviModule, ...]) -> tuple[CohomologyEntry, ...]:
-    """Curve-stratum entries, one per given Klingen Kostant module, in order."""
+def _klingen_entries(modules: tuple[LeviModule, ...], r=None) -> tuple[CohomologyEntry, ...]:
+    """Curve-stratum entries, one per given Klingen Kostant module, in order.
+    Given r: n_perverse = q + r + 1, and the weight rises by one."""
+    shift = 0 if r is None else 1
     return tuple(
         CohomologyEntry(
             m=KLINGEN,
             n_classical=mod.q,
-            weight=mod.motivic_weight,
+            weight=mod.motivic_weight + shift,
             rank_lower=mod.levi_dim,
             rank_upper=mod.levi_dim,
             origin=((0, mod.q),),
             provenance="paper" if mod.q <= 1 else "derived",
+            n_perverse=None if r is None else mod.q + r + 1,
         )
         for mod in modules
     )

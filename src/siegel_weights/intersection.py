@@ -29,15 +29,16 @@ complex with twist s = r + 3.
 Validate once, build only what is kept.  The public functions check lam and
 the strata once.  All three, intermediate_profile, avoided_interval and
 analysis_report, share _intermediate, which takes the Kostant modules q <= 1
-of a parabolic, shared by every stratum, and builds only the classical
-entries n <= 1, ranks summed over the strata: both truncations keep nothing
-else.  analysis_report builds all four modules of each parabolic once, because
-its kostant and boundary fields show them.
+of a parabolic, shared by every stratum, and has boundary's builders make
+only the entries n <= 1, ranks summed over the strata and perverse-normalized
+from the start: both truncations keep nothing else.  analysis_report builds
+all four modules of each parabolic once, because its kostant and boundary
+fields show them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .boundary import CohomologyEntry, StratumDatum, _klingen_entries, _siegel_entries
 from .errors import EmptyStrata, PreconditionViolation
@@ -53,8 +54,7 @@ from .root_data import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class IntermediateProfile:
+class IntermediateProfile(NamedTuple):
     """Perverse-normalized boundary profile of the intermediate extension."""
 
     m: int
@@ -121,35 +121,20 @@ def _kernel_entry(lam: WeightTriple, strata: tuple[StratumDatum, ...]) -> Cohomo
 
 def _intermediate(lam: WeightTriple, m: int, modules, strata) -> IntermediateProfile:
     """Intermediate profile of parabolic m from its Kostant modules, which
-    must include q <= 1; nothing is checked.
+    must include q <= 1; nothing is checked, and no entry is built here.
 
     Both truncations (n_perverse <= r + 2 on curves, <= r + 1 on points)
     keep exactly the classical degrees n <= 1, with ranks summed over the
-    strata, which form a disjoint union.  Each survivor is built once, in
-    the perverse normalization: n_perverse = n + r + dim and weight + dim,
-    with dim = 0 on point strata and 1 on curve strata; the weight rises
-    because placing a lisse sheaf in degree -1 raises the Frobenius weight of
-    its perverse incarnation by one.
+    strata, which form a disjoint union.  Given the perverse base r, the
+    entry builders of boundary build each survivor once, already normalized:
+    n_perverse = n + r + dim and weight + dim, with dim = 0 on point strata
+    and 1 on curve strata; the weight rises because placing a lisse sheaf in
+    degree -1 raises the Frobenius weight of its perverse incarnation by one.
     """
-    dim = 1 if m == KLINGEN else 0
     if m == KLINGEN:
-        classical, kernel = _klingen_entries(modules[:2]), None
-    else:
-        classical, kernel = _siegel_entries(modules[:2], strata, 1), _kernel_entry(lam, strata)
-    entries = tuple(
-        CohomologyEntry(
-            m=m,
-            n_classical=e.n_classical,
-            weight=e.weight + dim,
-            rank_lower=e.rank_lower,
-            rank_upper=e.rank_upper,
-            origin=e.origin,
-            provenance=e.provenance,
-            n_perverse=e.n_classical + lam.r + dim,
-        )
-        for e in classical
-    )
-    return IntermediateProfile(m=m, entries=entries, kernel_entry=kernel)
+        return IntermediateProfile(m, _klingen_entries(modules[:2], lam.r), None)
+    entries = _siegel_entries(modules[:2], strata, 1, lam.r)
+    return IntermediateProfile(m, entries, _kernel_entry(lam, strata))
 
 
 def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfile:
@@ -191,8 +176,7 @@ def avoided_interval(lam: WeightTriple, strata) -> tuple[int, tuple[CohomologyEn
     )
 
 
-@dataclass(frozen=True, slots=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Everything the weight analysis of one module produces."""
 
     lam: WeightTriple

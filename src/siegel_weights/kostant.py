@@ -49,9 +49,9 @@ InputBoundExceeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
+from typing import NamedTuple
 
 from . import root_data, weyl
 from .errors import InputBoundExceeded, PreconditionViolation
@@ -68,8 +68,7 @@ from .root_data import (
 ORACLE_MAX_K1 = 100
 
 
-@dataclass(frozen=True, slots=True)
-class LeviModule:
+class LeviModule(NamedTuple):
     """One cohomology degree of H^*(Lie W_m, V_lam) as a Levi module."""
 
     m: int
@@ -121,11 +120,7 @@ def _signed_elements() -> tuple[tuple[weyl.WeylElement, int], ...]:
 
 def _weyl_numerator(lam: WeightTriple) -> LaurentPolynomial:
     """N(lam) = sum_w sign(w) x^{w . lam}, the numerator of Weyl's formula."""
-    terms: dict[tuple[int, int, int], int] = {}
-    for w, sign in _signed_elements():
-        mu = weyl.dot(w, lam)
-        terms[(mu.k1, mu.k2, mu.r)] = sign
-    return LaurentPolynomial(terms)
+    return LaurentPolynomial({weyl.dot(w, lam): sign for w, sign in _signed_elements()})
 
 
 def character(lam: WeightTriple) -> LaurentPolynomial:
@@ -154,14 +149,8 @@ def weyl_dimension(lam: WeightTriple) -> int:
     return num // 6
 
 
-def _dominant_conjugate(v: WeightTriple) -> WeightTriple:
-    a, b = abs(v.k1), abs(v.k2)
-    return WeightTriple(max(a, b), min(a, b), v.r)
-
-
 def _orbit(v: WeightTriple) -> set[tuple[int, int]]:
-    images = (w(v) for w in weyl.all_elements())
-    return {(u.k1, u.k2) for u in images}
+    return {w(v)[:2] for w in weyl.all_elements()}
 
 
 def freudenthal_multiplicities(lam: WeightTriple) -> dict[tuple[int, int], int]:
@@ -195,8 +184,8 @@ def freudenthal_multiplicities(lam: WeightTriple) -> dict[tuple[int, int], int]:
     mult: dict[tuple[int, int], int] = {}
 
     def lookup(v: WeightTriple) -> int:
-        d = _dominant_conjugate(v)
-        return mult.get((d.k1, d.k2), 0)
+        a, b = abs(v.k1), abs(v.k2)  # the dominant conjugate of v
+        return mult.get((max(a, b), min(a, b)), 0)
 
     for height, mu in candidates:
         if height == 0:
@@ -251,12 +240,11 @@ def euler_check(lam: WeightTriple, m: int) -> bool:
     check_parabolic(m)
     _require_oracle_size(lam)
     gamma = root_data.levi_root(m)
-    terms: dict[tuple[int, int, int], int] = {}
+    terms: dict[WeightTriple, int] = {}
     for mod in nilpotent_cohomology(lam, m):
         sign = -1 if mod.q % 2 else 1
         nu, s = mod.highest_weight, mod.restriction_weight + 1
-        top = (nu.k1, nu.k2, nu.r)
-        bottom = (nu.k1 - s * gamma.k1, nu.k2 - s * gamma.k2, nu.r)
-        terms[top] = terms.get(top, 0) + sign
+        bottom = nu - WeightTriple(s * gamma.k1, s * gamma.k2, 0)
+        terms[nu] = terms.get(nu, 0) + sign
         terms[bottom] = terms.get(bottom, 0) - sign
     return LaurentPolynomial(terms) == _weyl_numerator(lam)

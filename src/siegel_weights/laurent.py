@@ -2,11 +2,12 @@
 
 A polynomial is a finitely supported Z-valued function on Z^3; terms are kept
 in a dict keyed by exponent triples, zero coefficients never stored.  The
-class holds what the character oracles use: building from a dict of int
-triples or WeightTriples to ints (PreconditionViolation on anything else),
-comparing, reading items and mass, multiplying, and exact division by
-(1 - x^{-beta}) for a lattice vector beta, done line by line along the
-direction beta with suffix sums; a nonzero remainder raises DivisionFailure.
+class holds what the character oracles use: building from a dict of tuples
+of three ints, a WeightTriple of ints being one, to ints (PreconditionViolation
+on anything else, a float in a WeightTriple too), comparing, reading items and
+mass, multiplying, and exact division by (1 - x^{-beta}) for a lattice vector
+beta, done line by line along the direction beta with suffix sums; a nonzero
+remainder raises DivisionFailure.
 """
 
 from __future__ import annotations
@@ -15,17 +16,14 @@ from collections import defaultdict
 from typing import Iterator, Mapping
 
 from .errors import DivisionFailure, PreconditionViolation
-from .root_data import WeightTriple
 
 Exponent = tuple[int, int, int]
 
 
 def _as_exponent(e) -> Exponent:
-    if isinstance(e, WeightTriple):
-        return (e.k1, e.k2, e.r)
     if isinstance(e, tuple) and len(e) == 3 and all(type(v) is int for v in e):
         return tuple(e)
-    raise PreconditionViolation(f"exponent must be a WeightTriple or three ints, got {e!r}")
+    raise PreconditionViolation(f"exponent must be a tuple of three ints, got {e!r}")
 
 
 class LaurentPolynomial:

@@ -40,7 +40,7 @@ Weight maps.  For a character n = (n1, n2, r) of the Levi torus:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadParabolicIndex,
@@ -53,9 +53,16 @@ from .errors import (
 COORDINATE_BOUND = 10**6
 
 
-@dataclass(frozen=True, slots=True)
-class WeightTriple:
-    """Point (k1, k2, r) of the ambient weight lattice Z^3."""
+def shown(v) -> str:
+    """repr(v) for error messages; an int beyond COORDINATE_BOUND, whose repr
+    can exceed Python's int-to-str digit limit, is only described."""
+    if isinstance(v, int) and abs(v) > COORDINATE_BOUND:
+        return f"<int beyond {COORDINATE_BOUND} in absolute value>"
+    return repr(v)
+
+
+class WeightTriple(NamedTuple):
+    """Point (k1, k2, r) of the ambient weight lattice Z^3, as a tuple."""
 
     k1: int
     k2: int
@@ -85,7 +92,7 @@ def make_weight(k1: int, k2: int, r: int) -> WeightTriple:
         if not isinstance(v, int) or isinstance(v, bool):
             raise PreconditionViolation(f"coordinates must be integers, got {v!r}")
         if abs(v) > COORDINATE_BOUND:
-            raise InputBoundExceeded(f"|{v}| > {COORDINATE_BOUND}")
+            raise InputBoundExceeded(f"coordinate beyond {COORDINATE_BOUND} in absolute value")
     if (r - k1 - k2) % 2 != 0:
         raise ParityViolation(f"r - k1 - k2 = {r - k1 - k2} is odd for ({k1}, {k2}, {r})")
     return WeightTriple(k1, k2, r)
@@ -109,7 +116,7 @@ KLINGEN = 1
 def check_parabolic(m: int) -> int:
     """Return m if it is the int 0 or 1; bools and other types are refused."""
     if type(m) is not int or m not in (SIEGEL, KLINGEN):
-        raise BadParabolicIndex(f"parabolic index must be 0 or 1, got {m!r}")
+        raise BadParabolicIndex(f"parabolic index must be 0 or 1, got {shown(m)}")
     return m
 
 
@@ -130,7 +137,7 @@ def is_regular(lam: WeightTriple) -> bool:
 
 def require_dominant(lam: WeightTriple) -> WeightTriple:
     if not is_dominant(lam):
-        raise NotDominant(f"weight ({lam.k1}, {lam.k2}, {lam.r}) is not dominant")
+        raise NotDominant(f"weight ({', '.join(map(shown, lam))}) is not dominant")
     return lam
 
 

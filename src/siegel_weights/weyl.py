@@ -24,27 +24,23 @@ only the dot action reads, at call time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import root_data
 from .errors import BadParabolicIndex
 from .root_data import WeightTriple
 
 
-@dataclass(frozen=True, slots=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """Signed permutation: w(v)[i] = signs[i] * v[source[i]]."""
 
     source: tuple[int, int]
     signs: tuple[int, int]
 
     def __call__(self, v: WeightTriple) -> WeightTriple:
-        coords = (v.k1, v.k2)
         return WeightTriple(
-            self.signs[0] * coords[self.source[0]],
-            self.signs[1] * coords[self.source[1]],
-            v.r,
+            self.signs[0] * v[self.source[0]], self.signs[1] * v[self.source[1]], v.r
         )
 
     def inverse(self) -> "WeylElement":

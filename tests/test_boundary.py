@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from siegel_weights import (
@@ -201,6 +204,47 @@ def test_purity_bound_in_low_perverse_degrees():
             n_perverse = e.n_classical + r + 1  # curve strata: weight + 1
             if e.nonzero is True and n_perverse <= r + 2:
                 assert e.weight + 1 <= n_perverse - lam.k2
+
+
+CHECKS_SURVIVE_REPLACE_AND_COPY = """
+import copy, pickle, sys
+if __debug__:
+    sys.exit(3)
+from siegel_weights import InvalidStratum, PreconditionViolation, StratumDatum
+from siegel_weights.boundary import CohomologyEntry
+
+
+def refused(build, error):
+    try:
+        build()
+    except error:
+        return True
+    return False
+
+
+s = StratumDatum(0, 3)
+entry = CohomologyEntry(0, 0, 0, 1, 1, (), "paper")
+results = {
+    "replace stratum": refused(lambda: s._replace(c=1), InvalidStratum),
+    "replace entry": refused(lambda: entry._replace(rank_lower=-1), PreconditionViolation),
+    "pickle stratum": pickle.loads(pickle.dumps(s)) == s,
+    "copy stratum": copy.copy(s) == s and type(copy.copy(s)) is StratumDatum,
+    "pickle entry": pickle.loads(pickle.dumps(entry)) == entry,
+}
+print(results)
+sys.exit(0 if all(results.values()) else 1)
+"""
+
+
+def test_value_checks_survive_replace_and_copy_under_python_O():
+    # namedtuple's _replace builds through _make, which bypasses __new__ and
+    # so the checks unless _make is routed through the constructor
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CHECKS_SURVIVE_REPLACE_AND_COPY],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_entry_rank_bounds_are_validated():

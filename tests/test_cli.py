@@ -5,7 +5,6 @@ import json
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -393,7 +392,7 @@ def test_verify_negative_control_catches_corrupted_cohomology(monkeypatch, capsy
 def _third_module_shifted(real):
     def shifted(lam, m):
         mods = list(real(lam, m))
-        mods[2] = replace(mods[2], highest_weight=mods[2].highest_weight + WeightTriple(0, 0, 2))
+        mods[2] = mods[2]._replace(highest_weight=mods[2].highest_weight + WeightTriple(0, 0, 2))
         return tuple(mods)
 
     return shifted
@@ -405,7 +404,7 @@ def _siegel_kernel_weight_bumped(real):
         kernel = profile.kernel_entry
         if kernel is None:
             return profile
-        return replace(profile, kernel_entry=replace(kernel, weight=kernel.weight + 1))
+        return profile._replace(kernel_entry=kernel._replace(weight=kernel.weight + 1))
 
     return bumped
 
@@ -434,7 +433,7 @@ SUITE_MUTANTS = {
         kostant,
         "nilpotent_cohomology",
         lambda real: lambda lam, m: tuple(
-            replace(mod, restriction_weight=mod.restriction_weight - 1) for mod in real(lam, m)
+            mod._replace(restriction_weight=mod.restriction_weight - 1) for mod in real(lam, m)
         ),
     ),
     "weight_formulas": (kostant, "motivic_weight", lambda real: lambda n, m: real(n, m) + 1),

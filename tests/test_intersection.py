@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -271,7 +269,7 @@ def test_one_pass_k_matches_strata_and_closed_form(lam, strata):
     for i, e in enumerate(summed):
         column = [single[i] for single in singles]
         for f in column:
-            assert replace(f, rank_lower=e.rank_lower, rank_upper=e.rank_upper) == e
+            assert f._replace(rank_lower=e.rank_lower, rank_upper=e.rank_upper) == e
         assert e.rank_lower == sum(f.rank_lower for f in column)
         assert e.rank_upper == sum(f.rank_upper for f in column)
 
@@ -319,8 +317,7 @@ def test_truncated_profiles_match_the_full_profiles(lam, strata):
         kept = [[e for e in profile if e.n_classical <= 1] for profile in profiles]
         assert len({len(entries) for entries in kept}) == 1
         entries = tuple(
-            replace(
-                column[0],
+            column[0]._replace(
                 weight=column[0].weight + dim,
                 rank_lower=sum(e.rank_lower for e in column),
                 rank_upper=sum(e.rank_upper for e in column),

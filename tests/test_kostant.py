@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import subprocess
 import sys
@@ -75,7 +74,7 @@ def test_closed_forms_on_random_dominant_weights():
     for _ in range(50):
         lam = random_dominant(rng)
         for m, table in ((0, SIEGEL_TABLE), (1, KLINGEN_TABLE)):
-            got = [dataclasses.astuple(mod.highest_weight) for mod in nilpotent_cohomology(lam, m)]
+            got = [tuple(mod.highest_weight) for mod in nilpotent_cohomology(lam, m)]
             assert got == [closed_form(lam.k1, lam.k2, lam.r) for closed_form in table]
 
 
@@ -236,7 +235,7 @@ def bounded_dominant_triples(draw):
 @example(lam=WeightTriple(COORDINATE_BOUND, COORDINATE_BOUND, COORDINATE_BOUND))
 def test_kostant_tables_match_the_closed_forms_over_the_whole_range(lam):
     for m, table in ((0, SIEGEL_TABLE), (1, KLINGEN_TABLE)):
-        got = [dataclasses.astuple(mod.highest_weight) for mod in nilpotent_cohomology(lam, m)]
+        got = [tuple(mod.highest_weight) for mod in nilpotent_cohomology(lam, m)]
         assert got == [closed_form(lam.k1, lam.k2, lam.r) for closed_form in table]
 
 
@@ -305,7 +304,7 @@ def string_form_holds(lam, m, mods):
 def _first_string_lengthened(real):
     def lengthened(lam, m):
         first, *rest = real(lam, m)
-        return (dataclasses.replace(first, restriction_weight=first.restriction_weight + 1), *rest)
+        return (first._replace(restriction_weight=first.restriction_weight + 1), *rest)
 
     return lengthened
 
@@ -334,7 +333,7 @@ def test_negative_control_shortened_string_fails_the_euler_identity(monkeypatch)
 
     def shortened(lam, m):
         mods = list(original(lam, m))
-        mods[0] = dataclasses.replace(mods[0], restriction_weight=mods[0].restriction_weight - 1)
+        mods[0] = mods[0]._replace(restriction_weight=mods[0].restriction_weight - 1)
         return tuple(mods)
 
     monkeypatch.setattr(kostant, "nilpotent_cohomology", shortened)
@@ -363,8 +362,8 @@ def test_negative_control_shifted_module_fails_the_euler_identity(monkeypatch):
 
     def shifted(lam, m):
         mods = list(original(lam, m))
-        mods[2] = dataclasses.replace(
-            mods[2], highest_weight=mods[2].highest_weight + WeightTriple(0, 0, 2)
+        mods[2] = mods[2]._replace(
+            highest_weight=mods[2].highest_weight + WeightTriple(0, 0, 2)
         )
         return tuple(mods)
 

@@ -55,6 +55,7 @@ def test_zero_coefficients_are_never_stored():
         {(0, 0): 1},
         {(1, 2, 3, 4): 1},
         {(0, 0, "0"): 0},  # checked even when the coefficient is zero
+        {WeightTriple(1.5, 0, 0): 1},  # WeightTriple itself is unchecked
     ],
 )
 def test_constructor_rejects_non_int_terms(terms):
@@ -67,7 +68,9 @@ def test_constructor_accepts_int_triples_and_weight_triples():
     assert LaurentPolynomial({(0, 0, 0): 0}) == LaurentPolynomial({})
 
 
-@pytest.mark.parametrize("beta", [(0.5, 0, 0), (1.0, -1, 0), ("1", -1, 0), (True, -1, 0)])
+@pytest.mark.parametrize(
+    "beta", [(0.5, 0, 0), (1.0, -1, 0), ("1", -1, 0), (True, -1, 0), WeightTriple(1.5, 0, 0)]
+)
 def test_division_rejects_non_int_directions(beta):
     with pytest.raises(PreconditionViolation):
         ONE.divide_one_minus_inverse(beta)

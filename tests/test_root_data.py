@@ -4,6 +4,7 @@ import pytest
 
 from siegel_weights import (
     InputBoundExceeded,
+    StratumDatum,
     NotDominant,
     ParityViolation,
     PreconditionViolation,
@@ -12,7 +13,9 @@ from siegel_weights import (
     make_weight,
 )
 from siegel_weights.checks import dominant_grid
-from siegel_weights.errors import BadParabolicIndex
+from siegel_weights.boundary import group_cohomology_dim
+from siegel_weights.errors import BadParabolicIndex, DegreeOutOfRange
+from siegel_weights.kostant import nilpotent_cohomology
 from siegel_weights.root_data import (
     COORDINATE_BOUND,
     POSITIVE_ROOTS,
@@ -173,3 +176,24 @@ def test_similitude_weight_parity_and_randomized_lattice_closure():
         for beta in POSITIVE_ROOTS:
             assert (lam + beta).is_character()
             assert (lam - beta).is_character()
+
+
+HUGE = 10**5000  # past Python's 4300-digit limit for int-to-str conversion
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: make_weight(HUGE, 0, 0), InputBoundExceeded),
+        (lambda: check_parabolic(HUGE), BadParabolicIndex),
+        (lambda: nilpotent_cohomology(make_weight(1, 1, 0), HUGE), BadParabolicIndex),
+        (lambda: group_cohomology_dim(1, StratumDatum(0, 3), HUGE), DegreeOutOfRange),
+        (lambda: group_cohomology_dim(-HUGE, StratumDatum(0, 3), 1), PreconditionViolation),
+        (lambda: k_invariant(WeightTriple(-HUGE, 0, 0)), NotDominant),
+    ],
+    ids=["make_weight", "check_parabolic", "nilpotent_cohomology", "degree", "weight", "k"],
+)
+def test_huge_ints_raise_the_documented_error(call, error):
+    # each message used to format the int, a ValueError before the raise
+    with pytest.raises(error, match="beyond 1000000 in absolute value"):
+        call()
