@@ -29,23 +29,19 @@ cohomology of the relevant arithmetic quotient.
 
 Each CohomologyEntry records one graded piece: classical degree, Frobenius
 weight (the motivic weight of the contributing Kostant module), rank bounds
-(equal except for kernel entries made downstream), the contributing (p, q)
-pairs, and a provenance tag: "paper" rows restate the printed profile of the
-weight computation this package reproduces, "derived" rows extend it by the
-same weight map.
+(equal except for kernel entries made downstream), origin, the one (p, q)
+piece it comes from, and a provenance tag: "paper" rows restate the printed
+profile of the weight computation this package reproduces, "derived" rows
+extend it by the same weight map.  No two pieces share a degree and a weight:
+a Klingen degree has one piece, and for dominant lam the Siegel weights w_q
+rise strictly in q, by w1 - w0 = 2k2 + 2, w2 - w1 = 2(k1 - k2) + 2 and
+w3 - w2 = 2k2 + 2, so the pieces (1, n - 1) and (0, n) of degree n differ.
 
 The entry builders _siegel_entries and _klingen_entries take Kostant modules
-that intersection has built, once per parabolic for all strata, and check
-nothing: intersection validates its inputs first.  _siegel_entries sums each
-piece's rank over the strata it is given; no other field depends on a stratum.
-Given the perverse base r, both build each entry in its perverse normalization,
-so intersection._intermediate builds no entry of its own; without r,
+built once per parabolic for all strata and check nothing; _siegel_entries
+sums each piece's rank over the strata it is given.  Given the perverse base
+r, both build each entry in its perverse normalization; without r,
 n_perverse is None, as in analysis_report's classical boundary field.
-analysis_report shows each stratum's full profile; the truncations keep n <= 1.
-
-An entry's nonzero is read off its rank bounds: True when rank_lower >= 1,
-False when rank_upper == 0, and "unknown" when the bounds straddle zero
-(only a kernel entry can, as its lower bound may be 0).
 """
 
 from __future__ import annotations
@@ -93,15 +89,17 @@ class CohomologyEntry(namedtuple("CohomologyEntry", _ENTRY_FIELDS, defaults=(Non
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.rank_lower < 0 or self.rank_lower > self.rank_upper:
-            raise PreconditionViolation(f"bad rank bounds [{self.rank_lower}, {self.rank_upper}]")
+        lo, hi = self.rank_lower, self.rank_upper
+        if lo < 0 or lo > hi:
+            raise PreconditionViolation(f"bad rank bounds [{shown(lo)}, {shown(hi)}]")
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def nonzero(self) -> bool | str:
-        """True, False, or "unknown" when the rank bounds straddle zero."""
+        """True when rank_lower >= 1, False when rank_upper == 0, and "unknown"
+        when the bounds straddle zero (only a kernel's lower bound may be 0)."""
         if self.rank_lower >= 1:
             return True
         return False if self.rank_upper == 0 else "unknown"
@@ -124,31 +122,29 @@ def group_cohomology_dim(u: int, stratum: StratumDatum, p: int) -> int:
 def _siegel_entries(
     modules: tuple[LeviModule, ...], strata: tuple[StratumDatum, ...], top: int, r=None
 ) -> tuple[CohomologyEntry, ...]:
-    """Point-stratum entries of classical degree n <= top, ranks summed over
-    the strata, from the Siegel Kostant modules, which must include every
-    q <= top; nothing is checked.  Rank-0 pieces are kept (nonzero is False):
-    vanishing is asserted, not omitted.  Given r: n_perverse = n + r."""
-    pieces: dict[tuple[int, int], list] = {}
-    for q, mod in enumerate(modules):
-        for p in (0, 1):
-            if p + q <= top:
-                dim = sum(group_cohomology_dim(mod.restriction_weight, s, p) for s in strata)
-                pieces.setdefault((p + q, mod.motivic_weight), []).append(((p, q), dim))
+    """Point-stratum entries of classical degree n <= top, one per (p, q)
+    piece with q among the given Siegel Kostant modules, ranks summed over
+    the strata; nothing is checked.  Degree n lists (1, n - 1) before (0, n),
+    which is weight order as w_q rises in q.  Rank-0 pieces are kept (nonzero
+    is False): vanishing is asserted, not omitted.  Given r: n_perverse = n + r."""
     entries = []
-    for (n, w), contribs in sorted(pieces.items()):
-        rank = sum(d for _, d in contribs)
-        entries.append(
-            CohomologyEntry(
-                m=SIEGEL,
-                n_classical=n,
-                weight=w,
-                rank_lower=rank,
-                rank_upper=rank,
-                origin=tuple(pq for pq, _ in contribs),
-                provenance="paper" if n <= 2 else "derived",
-                n_perverse=None if r is None else n + r,
-            )
-        )
+    for n in range(top + 1):
+        for p, q in ((1, n - 1), (0, n)):
+            if 0 <= q < len(modules):
+                mod = modules[q]
+                rank = sum(group_cohomology_dim(mod.restriction_weight, s, p) for s in strata)
+                entries.append(
+                    CohomologyEntry(
+                        m=SIEGEL,
+                        n_classical=n,
+                        weight=mod.motivic_weight,
+                        rank_lower=rank,
+                        rank_upper=rank,
+                        origin=((p, q),),
+                        provenance="paper" if n <= 2 else "derived",
+                        n_perverse=None if r is None else n + r,
+                    )
+                )
     return tuple(entries)
 
 

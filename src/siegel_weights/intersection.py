@@ -27,13 +27,9 @@ equals min(k1 - k2, k2); it is >= 1 exactly when lam is regular.  The weights
 complex with twist s = r + 3.
 
 Validate once, build only what is kept.  The public functions check lam and
-the strata once.  All three, intermediate_profile, avoided_interval and
-analysis_report, share _intermediate, which takes the Kostant modules q <= 1
-of a parabolic, shared by every stratum, and has boundary's builders make
-only the entries n <= 1, ranks summed over the strata and perverse-normalized
-from the start: both truncations keep nothing else.  analysis_report builds
-all four modules of each parabolic once, because its kostant and boundary
-fields show them.
+the strata once, then share _intermediate, which builds from the Kostant
+modules q <= 1 of each parabolic, shared by every stratum, only what both
+truncations keep.
 """
 
 from __future__ import annotations
@@ -103,14 +99,16 @@ def kernel_map_ranks(lam: WeightTriple, strata) -> tuple[int, int]:
     return sum(src for src, _ in ranks), sum(tgt for _, tgt in ranks)
 
 
-def _kernel_entry(lam: WeightTriple, strata: tuple[StratumDatum, ...]) -> CohomologyEntry:
-    """Weight-(r+2)-(k1-k2) kernel replacing degree r + 2 over point strata."""
+def _kernel_entry(lam: WeightTriple, piece: LeviModule, strata) -> CohomologyEntry:
+    """Kernel replacing degree r + 2 over point strata: the kernel of the
+    boundary map out of the (1, 1) piece, alone at its weight in degree 2,
+    whose weight it takes from piece, the Siegel Kostant module q = 1."""
     ranks = _map_ranks(lam, strata)
     floor = 1 if lam.k1 >= 1 else 0
     return CohomologyEntry(
         m=SIEGEL,
         n_classical=2,
-        weight=(lam.r + 2) - (lam.k1 - lam.k2),
+        weight=piece.motivic_weight,
         rank_lower=sum(max(src - tgt, floor) for src, tgt in ranks),
         rank_upper=sum(src for src, _ in ranks),
         origin=((1, 1),),
@@ -121,20 +119,19 @@ def _kernel_entry(lam: WeightTriple, strata: tuple[StratumDatum, ...]) -> Cohomo
 
 def _intermediate(lam: WeightTriple, m: int, modules, strata) -> IntermediateProfile:
     """Intermediate profile of parabolic m from its Kostant modules, which
-    must include q <= 1; nothing is checked, and no entry is built here.
+    must include q <= 1; nothing is checked.
 
     Both truncations (n_perverse <= r + 2 on curves, <= r + 1 on points)
-    keep exactly the classical degrees n <= 1, with ranks summed over the
-    strata, which form a disjoint union.  Given the perverse base r, the
-    entry builders of boundary build each survivor once, already normalized:
-    n_perverse = n + r + dim and weight + dim, with dim = 0 on point strata
-    and 1 on curve strata; the weight rises because placing a lisse sheaf in
-    degree -1 raises the Frobenius weight of its perverse incarnation by one.
+    keep exactly the classical degrees n <= 1, ranks summed over the strata,
+    which form a disjoint union.  Given r, boundary's builders normalize each
+    survivor as they build it: n_perverse = n + r + dim and weight + dim, dim
+    the stratum's dimension; placing a lisse sheaf in degree -1 raises the
+    Frobenius weight of its perverse incarnation by one.
     """
     if m == KLINGEN:
         return IntermediateProfile(m, _klingen_entries(modules[:2], lam.r), None)
     entries = _siegel_entries(modules[:2], strata, 1, lam.r)
-    return IntermediateProfile(m, entries, _kernel_entry(lam, strata))
+    return IntermediateProfile(m, entries, _kernel_entry(lam, modules[1], strata))
 
 
 def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfile:

@@ -16,6 +16,7 @@ from collections import defaultdict
 from typing import Iterator, Mapping
 
 from .errors import DivisionFailure, PreconditionViolation
+from .root_data import shown
 
 Exponent = tuple[int, int, int]
 
@@ -23,7 +24,7 @@ Exponent = tuple[int, int, int]
 def _as_exponent(e) -> Exponent:
     if isinstance(e, tuple) and len(e) == 3 and all(type(v) is int for v in e):
         return tuple(e)
-    raise PreconditionViolation(f"exponent must be a tuple of three ints, got {e!r}")
+    raise PreconditionViolation(f"exponent must be a tuple of three ints, got {shown(e)}")
 
 
 class LaurentPolynomial:
@@ -37,7 +38,7 @@ class LaurentPolynomial:
             for e, c in terms.items():
                 e = _as_exponent(e)
                 if type(c) is not int:
-                    raise PreconditionViolation(f"coefficients must be ints, got {c!r}")
+                    raise PreconditionViolation(f"coefficients must be ints, got {shown(c)}")
                 if c:
                     self._terms[e] = c
 
@@ -105,7 +106,7 @@ class LaurentPolynomial:
             total = sum(coeffs.values())
             if total != 0:
                 raise DivisionFailure(
-                    f"line through {base} along {b} has nonzero sum {total}"
+                    f"line through {shown(base)} along {shown(b)} has nonzero sum {shown(total)}"
                 )
             x, y, z = base
             get = coeffs.get

@@ -54,8 +54,11 @@ COORDINATE_BOUND = 10**6
 
 
 def shown(v) -> str:
-    """repr(v) for error messages; an int beyond COORDINATE_BOUND, whose repr
-    can exceed Python's int-to-str digit limit, is only described."""
+    """repr(v) for error messages, a tuple item by item; an int beyond
+    COORDINATE_BOUND, whose repr can exceed Python's int-to-str digit limit,
+    is only described."""
+    if isinstance(v, tuple):
+        return "(" + ", ".join(map(shown, v)) + ")"
     if isinstance(v, int) and abs(v) > COORDINATE_BOUND:
         return f"<int beyond {COORDINATE_BOUND} in absolute value>"
     return repr(v)
@@ -137,7 +140,7 @@ def is_regular(lam: WeightTriple) -> bool:
 
 def require_dominant(lam: WeightTriple) -> WeightTriple:
     if not is_dominant(lam):
-        raise NotDominant(f"weight ({', '.join(map(shown, lam))}) is not dominant")
+        raise NotDominant(f"weight {shown(lam)} is not dominant")
     return lam
 
 

@@ -2,6 +2,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from siegel_weights import (
     KLINGEN,
@@ -15,10 +17,12 @@ from siegel_weights import (
     intermediate_profile,
     make_weight,
 )
-from siegel_weights.boundary import CohomologyEntry, group_cohomology_dim
+from siegel_weights.boundary import CohomologyEntry, _siegel_entries, group_cohomology_dim
 from siegel_weights.checks import dominant_grid
 from siegel_weights.errors import DegreeOutOfRange, PreconditionViolation
+from siegel_weights.kostant import _modules
 from siegel_weights.root_data import COORDINATE_BOUND
+from weight_strategies import strata_data, wide_weights
 
 
 def siegel_profile(lam, stratum):
@@ -183,6 +187,51 @@ def test_perverse_reindex_keeps_everything_else():
                 b.nonzero,
                 b.origin,
             )
+
+
+# --- one entry per (p, q) piece ----------------------------------------------
+
+def merging_siegel_entries(modules, strata, top, r=None):
+    """The reference builder: pieces grouped by (degree, weight) in a dict,
+    the groups sorted and each group's ranks summed into one entry."""
+    pieces = {}
+    for q, mod in enumerate(modules):
+        for p in (0, 1):
+            if p + q <= top:
+                dim = sum(group_cohomology_dim(mod.restriction_weight, s, p) for s in strata)
+                pieces.setdefault((p + q, mod.motivic_weight), []).append(((p, q), dim))
+    return tuple(
+        CohomologyEntry(
+            m=SIEGEL,
+            n_classical=n,
+            weight=w,
+            rank_lower=sum(d for _, d in contribs),
+            rank_upper=sum(d for _, d in contribs),
+            origin=tuple(pq for pq, _ in contribs),
+            provenance="paper" if n <= 2 else "derived",
+            n_perverse=None if r is None else n + r,
+        )
+        for (n, w), contribs in sorted(pieces.items())
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lam=wide_weights(), strata=st.lists(strata_data(), min_size=1, max_size=6))
+@example(lam=make_weight(0, 0, 0), strata=[P03])
+@example(lam=make_weight(2, 2, 4), strata=[P03, StratumDatum(1, 1)])
+def test_siegel_entries_match_the_merging_builder(lam, strata):
+    # the Siegel weights rise strictly in q, so no two (p, q) pieces share a
+    # degree and a weight, and one entry per piece in degree order, (1, n - 1)
+    # before (0, n), is what merging and sorting produce
+    modules = _modules(lam, SIEGEL, 4)
+    weights = [mod.motivic_weight for mod in modules]
+    gaps = [b - a for a, b in zip(weights, weights[1:])]
+    assert gaps == [2 * lam.k2 + 2, 2 * (lam.k1 - lam.k2) + 2, 2 * lam.k2 + 2]  # all >= 2
+    strata = tuple(strata)
+    for mods, top, r in ((modules, 4, None), (modules[:2], 1, lam.r)):
+        entries = _siegel_entries(mods, strata, top, r)
+        assert entries == merging_siegel_entries(mods, strata, top, r)
+        assert all(len(e.origin) == 1 for e in entries)
 
 
 # --- weight bound of the full direct image profile ---------------------------

@@ -17,8 +17,9 @@ from siegel_weights import (
 )
 from siegel_weights.checks import dominant_grid
 from siegel_weights.errors import PreconditionViolation
-from siegel_weights.intersection import IntermediateProfile, _kernel_entry, _minimal_gap
+from siegel_weights.intersection import IntermediateProfile, _minimal_gap
 from siegel_weights.root_data import COORDINATE_BOUND
+from weight_strategies import strata_data, wide_weights
 
 P03 = StratumDatum(0, 3)
 REFERENCE = make_weight(3, 1, 4)
@@ -249,12 +250,6 @@ def dominant_weights(draw):
     return make_weight(k1, k2, k1 + k2 + 2 * draw(st.integers(-20, 20)))
 
 
-@st.composite
-def strata_data(draw):
-    g = draw(st.integers(0, 5))
-    return StratumDatum(g, draw(st.integers(3 if g == 0 else 1, 20)))
-
-
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(lam=dominant_weights(), strata=st.lists(strata_data(), min_size=1, max_size=6))
 @example(lam=make_weight(0, 0, 0), strata=[P03, StratumDatum(1, 1)])
@@ -286,16 +281,6 @@ def test_one_pass_k_matches_strata_and_closed_form(lam, strata):
 # --- truncated build against the full profiles ------------------------------------
 
 
-@st.composite
-def wide_weights(draw):
-    """Characters with every coordinate in [-COORDINATE_BOUND, COORDINATE_BOUND]."""
-    bound = COORDINATE_BOUND
-    k1 = draw(st.integers(0, bound))
-    k2 = draw(st.one_of(st.just(0), st.just(k1), st.integers(0, k1)))  # walls often
-    j = draw(st.integers(-((bound + k1 + k2) // 2), (bound - k1 - k2) // 2))
-    return make_weight(k1, k2, k1 + k2 + 2 * j)
-
-
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(lam=wide_weights(), strata=st.lists(strata_data(), min_size=1, max_size=6))
 @example(lam=make_weight(0, 0, 0), strata=[P03])
@@ -308,7 +293,8 @@ def test_truncated_profiles_match_the_full_profiles(lam, strata):
     # intermediate_profile builds only the Kostant modules q <= 1 and the
     # classical entries n <= 1, with ranks summed over the strata; the oracle
     # truncates the full per-stratum profiles of analysis_report, sums their
-    # ranks here and shifts them to the perverse normalization
+    # ranks here and shifts them to the perverse normalization, and builds the
+    # kernel from the per-stratum (1, 1) pieces it replaces
     report = analysis_report(lam, strata)
     per_stratum = {0: [entries for _, entries in report.boundary[0]], 1: [report.boundary[1]]}
     full = {}
@@ -325,7 +311,16 @@ def test_truncated_profiles_match_the_full_profiles(lam, strata):
             )
             for column in zip(*kept)
         )
-        kernel = _kernel_entry(lam, tuple(strata)) if m == 0 else None
+        kernel = None
+        if m == 0:  # the kernel of the map from each (1, 1) piece onto c cusps
+            pieces = [(s, e) for s, es in report.boundary[0] for e in es if e.origin == ((1, 1),)]
+            assert len(pieces) == len(strata)
+            floor = 1 if lam.k1 >= 1 else 0
+            kernel = pieces[0][1]._replace(
+                rank_lower=sum(max(e.rank_lower - s.c, floor) for s, e in pieces),
+                rank_upper=sum(e.rank_upper for _, e in pieces),
+                n_perverse=lam.r + 2,
+            )
         full[m] = IntermediateProfile(m=m, entries=entries, kernel_entry=kernel)
     for m, expected in full.items():
         assert intermediate_profile(lam, m, strata) == expected

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from siegel_weights import (
+    DivisionFailure,
     InputBoundExceeded,
+    LaurentPolynomial,
     StratumDatum,
     NotDominant,
     ParityViolation,
@@ -13,7 +15,7 @@ from siegel_weights import (
     make_weight,
 )
 from siegel_weights.checks import dominant_grid
-from siegel_weights.boundary import group_cohomology_dim
+from siegel_weights.boundary import CohomologyEntry, group_cohomology_dim
 from siegel_weights.errors import BadParabolicIndex, DegreeOutOfRange
 from siegel_weights.kostant import nilpotent_cohomology
 from siegel_weights.root_data import (
@@ -190,8 +192,17 @@ HUGE = 10**5000  # past Python's 4300-digit limit for int-to-str conversion
         (lambda: group_cohomology_dim(1, StratumDatum(0, 3), HUGE), DegreeOutOfRange),
         (lambda: group_cohomology_dim(-HUGE, StratumDatum(0, 3), 1), PreconditionViolation),
         (lambda: k_invariant(WeightTriple(-HUGE, 0, 0)), NotDominant),
+        (lambda: LaurentPolynomial({(HUGE, 0.5, 0): 1}), PreconditionViolation),
+        (
+            lambda: LaurentPolynomial({(HUGE, 0, 0): 1}).divide_one_minus_inverse((0, 1, 0)),
+            DivisionFailure,
+        ),
+        (lambda: CohomologyEntry(0, 0, 0, -HUGE, 1, (), "paper"), PreconditionViolation),
     ],
-    ids=["make_weight", "check_parabolic", "nilpotent_cohomology", "degree", "weight", "k"],
+    ids=[
+        "make_weight", "check_parabolic", "nilpotent_cohomology", "degree", "weight", "k",
+        "exponent", "division", "rank_bounds",
+    ],
 )
 def test_huge_ints_raise_the_documented_error(call, error):
     # each message used to format the int, a ValueError before the raise
