@@ -2,8 +2,8 @@
 
 Each suite_* function returns (checks run, counterexample): None, or a
 JSON-ready dict naming the failed check.  The verify command runs the suites
-in order and stops at the first failure.  weight_json and stratum_json, the
-JSON forms of weights and strata, serve these payloads and the CLI's output.
+in order and stops at the first failure.  Weights and strata go in as they
+are; a type's field order is its JSON key order.
 """
 
 from __future__ import annotations
@@ -21,14 +21,6 @@ from .kostant import (
     weyl_dimension,
 )
 from .root_data import KLINGEN, SIEGEL, WeightTriple, k_invariant, make_weight
-
-
-def weight_json(lam: WeightTriple) -> list[int]:
-    return [lam.k1, lam.k2, lam.r]
-
-
-def stratum_json(s: StratumDatum) -> dict:
-    return {"g": s.g, "c": s.c}
 
 
 def dominant_grid(bound: int) -> list[WeightTriple]:
@@ -59,12 +51,12 @@ def suite_dot_action(rng: random.Random, max_k1: int):
                 if lhs != rhs:
                     return checks, {
                         "check": "dot action group law",
-                        "lambda": weight_json(lam),
+                        "lambda": lam,
                         "w": w.word(),
                         "u": u.word(),
                     }
         if weyl.dot(weyl.IDENTITY, lam) != lam:
-            return checks, {"check": "dot identity", "lambda": weight_json(lam)}
+            return checks, {"check": "dot identity", "lambda": lam}
         checks += 1
     return checks, None
 
@@ -96,11 +88,11 @@ def suite_kostant_tables(rng: random.Random, max_k1: int):
                 if mod.highest_weight != expected:
                     return checks, {
                         "check": "kostant closed form",
-                        "lambda": weight_json(lam),
+                        "lambda": lam,
                         "m": m,
                         "q": q,
-                        "expected": list(expected),
-                        "actual": weight_json(mod.highest_weight),
+                        "expected": expected,
+                        "actual": mod.highest_weight,
                     }
     return checks, None
 
@@ -111,7 +103,7 @@ def suite_euler(max_k1: int):
         if not euler_check(lam, m):
             return len(grid), {
                 "check": "euler characteristic",
-                "lambda": weight_json(lam),
+                "lambda": lam,
                 "m": m,
             }
     return len(grid), None
@@ -142,7 +134,7 @@ def suite_weight_formulas(rng: random.Random, max_k1: int):
             if got != want:
                 return checks, {
                     "check": "weight closed form",
-                    "lambda": weight_json(lam),
+                    "lambda": lam,
                     "got": got,
                     "want": want,
                 }
@@ -165,15 +157,15 @@ def suite_stratum_profiles(max_k1: int):
                 if not any(e.nonzero is True for e in top):
                     return checks, {
                         "check": "top perverse degree nonzero",
-                        "lambda": weight_json(lam),
+                        "lambda": lam,
                         "m": m,
-                        "stratum": stratum_json(s),
+                        "stratum": s._asdict(),
                     }
                 want_top = (r + 2) - bound_gap
                 if {e.weight for e in top} != {want_top}:
                     return checks, {
                         "check": "top perverse weight",
-                        "lambda": weight_json(lam),
+                        "lambda": lam,
                         "m": m,
                         "got": sorted(e.weight for e in top),
                         "want": want_top,
@@ -183,7 +175,7 @@ def suite_stratum_profiles(max_k1: int):
                     if e.nonzero is True and e.weight > e.n_perverse - bound_gap:
                         return checks, {
                             "check": "weight bound below top degree",
-                            "lambda": weight_json(lam),
+                            "lambda": lam,
                             "m": m,
                             "entry_degree": e.n_perverse,
                             "weight": e.weight,
@@ -207,8 +199,8 @@ def suite_rank_inequality(max_k1: int):
             if not rank_inequality_check(lam, s):
                 return checks, {
                     "check": "rank inequality",
-                    "lambda": weight_json(lam),
-                    "stratum": stratum_json(s),
+                    "lambda": lam,
+                    "stratum": s._asdict(),
                 }
     return checks, None
 
@@ -225,7 +217,7 @@ def suite_avoided_interval(max_k1: int):
         if ka != closed or kb != closed:
             return checks, {
                 "check": "avoided interval closed form / level independence",
-                "lambda": weight_json(lam),
+                "lambda": lam,
                 "got": [ka, kb],
                 "want": closed,
             }
@@ -281,7 +273,7 @@ def suite_dimension_oracle(max_k1: int):
         if ch != fr or ch.mass() != weyl_dimension(lam):
             return checks, {
                 "check": "character oracle agreement",
-                "lambda": weight_json(lam),
+                "lambda": lam,
                 "division_mass": ch.mass(),
                 "freudenthal_mass": fr.mass(),
                 "weyl_dimension": weyl_dimension(lam),

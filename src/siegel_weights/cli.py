@@ -7,6 +7,7 @@ one-line JSON object {"error": ..., "message": ...} on stdout).
 
 Indented JSON comes from `_dump`, byte-identical to `json.dumps(obj, indent=2)`:
 with `indent` set, CPython skips its C encoder for much slower Python generators.
+Weights and strata go out as they are; a type's field order is its JSON key order.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import sys
 
 from . import checks as verification
 from .boundary import CohomologyEntry, StratumDatum
-from .checks import dominant_grid, stratum_json, weight_json
+from .checks import dominant_grid
 from .errors import SiegelWeightsError, PreconditionViolation
 from .intersection import AnalysisReport, analysis_report, avoided_interval
-from .kostant import LeviModule
 from .root_data import KLINGEN, SIEGEL, k_invariant, make_weight
 
 DEFAULT_STRATUM = (0, 3)
@@ -48,21 +48,13 @@ def _strata_from_args(args) -> tuple[StratumDatum, ...]:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (lists/dicts/ints/bools/strings/None only)
-
-def _module_json(mod: LeviModule) -> dict:
-    return {
-        "m": mod.m, "q": mod.q, "highest_weight": weight_json(mod.highest_weight),
-        "levi_dim": mod.levi_dim, "restriction_weight": mod.restriction_weight,
-        "motivic_weight": mod.motivic_weight,
-    }
-
+# JSON serialization (dicts/lists/tuples/ints/bools/strings/None only)
 
 def _entry_json(e: CohomologyEntry, witnesses=()) -> dict:
     out = {
         "m": e.m, "n_classical": e.n_classical, "n_perverse": e.n_perverse, "weight": e.weight,
         "rank_lower": e.rank_lower, "rank_upper": e.rank_upper, "nonzero": e.nonzero,
-        "origin": [list(pq) for pq in e.origin], "provenance": e.provenance,
+        "origin": e.origin, "provenance": e.provenance,
     }
     if witnesses:
         out["witness"] = e in witnesses
@@ -71,19 +63,19 @@ def _entry_json(e: CohomologyEntry, witnesses=()) -> dict:
 
 def report_json(report: AnalysisReport) -> dict:
     """JSON-ready dict with the fixed top-level key order."""
-    wit, ow = report.witnesses, report.occurring_weights
+    wit = report.witnesses
     return {
-        "lambda": weight_json(report.lam),
+        "lambda": report.lam,
         "k": report.k,
-        "avoided_interval": list(report.avoided_interval or ()),
-        "occurring_weights": list(ow) if ow else None,
+        "avoided_interval": report.avoided_interval or (),
+        "occurring_weights": report.occurring_weights,
         "regular": report.regular,
         "in_avoidance_category": report.in_avoidance_category,
         "duality_twist": report.duality_twist,
-        "kostant": {name: [_module_json(x) for x in report.kostant[m]] for name, m in _PARABOLICS},
+        "kostant": {name: [x._asdict() for x in report.kostant[m]] for name, m in _PARABOLICS},
         "boundary": {
             "siegel": [
-                {"stratum": stratum_json(s), "entries": [_entry_json(e) for e in entries]}
+                {"stratum": s._asdict(), "entries": [_entry_json(e) for e in entries]}
                 for s, entries in report.boundary[SIEGEL]
             ],
             "klingen": {"entries": [_entry_json(e) for e in report.boundary[KLINGEN]]},
@@ -96,7 +88,7 @@ def report_json(report: AnalysisReport) -> dict:
             for name, m in _PARABOLICS
             for profile in [report.intermediate[m]]
         },
-        "strata": [stratum_json(s) for s in report.strata],
+        "strata": [s._asdict() for s in report.strata],
     }
 
 
@@ -106,7 +98,7 @@ _SCALARS = {str: _ESCAPE, int: int.__repr__, bool: {True: "true", False: "false"
 
 
 def _dump(obj) -> str:
-    """`json.dumps(obj, indent=2)` for dicts with str keys, lists, str, int, bool and None."""
+    """`json.dumps(obj, indent=2)` for str-keyed dicts, lists, tuples, str, int, bool and None."""
     out: list[str] = []
     _write(obj, "\n", out)
     return "".join(out)
@@ -129,7 +121,7 @@ def _write(v, nl: str, out: list[str]) -> None:
                 _write(item, inner, out)
             sep = "," + inner
         out.append(nl + "}" if v else "{}")
-    elif kind is list:
+    elif kind is list or isinstance(v, tuple):
         inner = nl + "  "
         sep = "[" + inner
         for item in v:
@@ -172,7 +164,7 @@ def _report_table(report: AnalysisReport) -> str:
         f"{'sec':<9} {'m':>2} {'q':>3} {'highest_weight':<16} {'dim':>5} {'restr':>6} {'motw':>6}",
     ]
     lines += [
-        f"{'kostant':<9} {m:>2} {mod.q:>3} {str(tuple(weight_json(mod.highest_weight))):<16} "
+        f"{'kostant':<9} {m:>2} {mod.q:>3} {str(tuple(mod.highest_weight)):<16} "
         f"{mod.levi_dim:>5} {mod.restriction_weight:>6} {mod.motivic_weight:>6}"
         for _, m in _PARABOLICS for mod in report.kostant[m]
     ]
@@ -206,7 +198,7 @@ def _cmd_sweep(args) -> int:
     if args.format == "json":
         payload = {
             "bound": bound,
-            "strata": [stratum_json(s) for s in strata],
+            "strata": [s._asdict() for s in strata],
             "rows": [
                 {"lambda": [k1, k2, r], "k": k, "closed_form": closed, "agree": k == closed}
                 for k1, k2, r, k, closed in rows

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .boundary import CohomologyEntry, StratumDatum, _klingen_entries, _siegel_entries
-from .errors import EmptyStrata, PreconditionViolation
+from .errors import EmptyStrata, InvalidStratum, PreconditionViolation
 from .kostant import LeviModule, _modules
 from .root_data import (
     KLINGEN,
@@ -67,6 +67,8 @@ def _require_strata(strata) -> tuple[StratumDatum, ...]:
     strata = tuple(strata)
     if not strata:
         raise EmptyStrata("at least one boundary stratum is required")
+    if not all(isinstance(s, StratumDatum) for s in strata):
+        raise InvalidStratum("each stratum must be a StratumDatum")
     return strata
 
 
@@ -80,7 +82,7 @@ def rank_inequality_check(lam: WeightTriple, stratum: StratumDatum) -> bool:
     require_dominant(lam)
     if lam.k1 < 1:
         raise PreconditionViolation("kernel nonvanishing argument needs k1 >= 1")
-    ((source, target),) = _map_ranks(lam, (stratum,))
+    ((source, target),) = _map_ranks(lam, _require_strata((stratum,)))
     return source > target
 
 

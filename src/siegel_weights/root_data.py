@@ -139,6 +139,8 @@ def is_regular(lam: WeightTriple) -> bool:
 
 
 def require_dominant(lam: WeightTriple) -> WeightTriple:
+    if not isinstance(lam, WeightTriple):
+        raise PreconditionViolation(f"weight must be a WeightTriple, got {type(lam).__name__}")
     if not is_dominant(lam):
         raise NotDominant(f"weight {shown(lam)} is not dominant")
     return lam

@@ -168,8 +168,19 @@ def test_analyze_json_round_trips_with_40_strata_on_a_wall():
             ["sweep", "--max-k1", "30", "--format", "json", *STRATA_3[2:]],
             "284b6ced3affea8bb2ec370a5853e36f84142be620099d0741ce5e460215e9c5",
         ),
+        (
+            ["verify", "--max-k1", "8", "--seed", "0"],
+            "bc9c810b8203db385a64c2c91386871a600e2b824037621e07545d72163958c1",
+        ),
+        (
+            ["sweep", "--max-k1", "20"],
+            "21eb829baacfbfb3cb75a03a1e8394640b77e134065b2daf47e28fa8380c4b1e",
+        ),
     ],
-    ids=["analyze-3-strata", "analyze-3-strata-table", "analyze-trivial", "analyze-40-wall", "sweep-30"],
+    ids=[
+        "analyze-3-strata", "analyze-3-strata-table", "analyze-trivial", "analyze-40-wall",
+        "sweep-30", "verify-8", "sweep-20-table",
+    ],
 )
 def test_output_bytes_are_pinned(argv, digest):
     out = io.StringIO()
@@ -303,7 +314,9 @@ JSON_TEXT = st.text(JSON_CHARS, max_size=8)
 JSON_INTS = st.integers() | st.sampled_from([0, -1, 2**64, 2**64 + 1, -(2**64) - 1, 10**30])
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | JSON_INTS | JSON_TEXT,
-    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(JSON_TEXT, inner, max_size=5),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=5),
     max_leaves=20,
 )
 
@@ -312,13 +325,14 @@ JSON_VALUES = st.recursive(
 @given(value=JSON_VALUES)
 @example(value={"a": [[], {}, [{"b": [None, True, False, 0, -(2**70), 'q"\\\x01é\U0001F600']}]]})
 @example(value=[[[[[[]]]]], {"x": {"y": {"z": {}}}, "": {}}])
+@example(value={"w": ((WeightTriple(3, -1, 4),), (), [WeightTriple(0, 0, 0)])})
 @example(value="")
 @example(value=-5)
 def test_dump_matches_json_dumps_indent_2(value):
     assert cli._dump(value) == json.dumps(value, indent=2)
 
 
-@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, [{"k": [0.0]}], {"k": {None: 1}}])
+@pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "a"}, [{"k": [0.0]}], {"k": {None: 1}}])
 def test_dump_rejects_unsupported_types(value):
     with pytest.raises(TypeError):
         cli._dump(value)
@@ -330,7 +344,7 @@ def test_dump_rejects_unsupported_types_under_python_O():
         "import sys\n"
         "if __debug__: sys.exit(3)\n"
         "from siegel_weights import cli\n"
-        "for value in (1.5, (1, 2), {1: 'a'}):\n"
+        "for value in (1.5, {1, 2}, {1: 'a'}):\n"
         "    try:\n"
         "        cli._dump(value)\n"
         "    except TypeError:\n"
@@ -459,6 +473,21 @@ SUITE_MUTANTS = {
 }
 
 
+# The FAIL line each mutant gives under `verify --max-k1 3 --seed 7`; the
+# counterexample payloads are the suites' own JSON output.
+MUTANT_FAIL_PAYLOADS = {
+    "dot_action_laws": '{"check": "dot action group law", "lambda": [5, 1, 8], "w": "s1", "u": "s1"}',
+    "kostant_tables": '{"check": "kostant closed form", "lambda": [20, 18, 28], "m": 0, "q": 2, "expected": [17, -23, 28], "actual": [17, -23, 30]}',
+    "euler_characteristic": '{"check": "euler characteristic", "lambda": [0, 0, 0], "m": 0}',
+    "weight_formulas": '{"check": "weight closed form", "lambda": [13, 12, 35], "got": 11, "want": 10}',
+    "stratum_profiles": '{"check": "top perverse weight", "lambda": [2, 1, 3], "m": 0, "got": [5], "want": 4}',
+    "reference_rows": '{"check": "kernel entry", "got": [6, 4, 3, 6], "want": [6, 4, 4, 7]}',
+    "rank_inequality": '{"check": "rank inequality", "lambda": [1, 0, 1], "stratum": {"g": 0, "c": 3}}',
+    "avoided_interval": '{"check": "avoided interval closed form / level independence", "lambda": [1, 1, 2], "got": [1, 1], "want": 0}',
+    "dimension_oracle": '{"check": "character oracle agreement", "lambda": [0, 0, 0], "division_mass": 1, "freudenthal_mass": 2, "weyl_dimension": 1}',
+}
+
+
 def test_every_verify_suite_has_a_mutant(capsys):
     assert cli.main(["verify", "--max-k1", "0"]) == 0
     assert [line.split()[1] for line in capsys.readouterr().out.splitlines()] == list(SUITE_MUTANTS)
@@ -472,8 +501,7 @@ def test_verify_suite_fails_on_its_own_mutant(suite, monkeypatch, capsys):
     *passed, last = capsys.readouterr().out.splitlines()
     assert code == 1
     assert all(line.startswith("ok   ") for line in passed)
-    assert last.startswith(f"FAIL {suite}: ")
-    assert "check" in json.loads(last.split(": ", 1)[1])
+    assert last == f"FAIL {suite}: {MUTANT_FAIL_PAYLOADS[suite]}"
 
 
 def test_negative_control_k_mismatch_fails_under_python_O():

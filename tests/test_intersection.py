@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from siegel_weights import (
     EmptyStrata,
+    InvalidStratum,
     NotDominant,
     StratumDatum,
     WeightTriple,
@@ -108,6 +109,32 @@ def test_empty_strata_rejected():
         avoided_interval(REFERENCE, [])
     with pytest.raises(EmptyStrata):
         analysis_report(REFERENCE, [])
+
+
+# a bare tuple for a stratum or a weight is refused with a documented error
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: avoided_interval(REFERENCE, [(0, 3)]), InvalidStratum),
+        (lambda: analysis_report(REFERENCE, [(0, 3)]), InvalidStratum),
+        (lambda: kernel_map_ranks(REFERENCE, [(0, 3)]), InvalidStratum),
+        (lambda: intermediate_profile(REFERENCE, 1, [(0, 3)]), InvalidStratum),
+        (lambda: intermediate_profile(REFERENCE, 0, [P03, (0, 3)]), InvalidStratum),
+        (lambda: rank_inequality_check(REFERENCE, (0, 3)), InvalidStratum),
+        (lambda: avoided_interval((3, 1, 4), [P03]), PreconditionViolation),
+        (lambda: analysis_report([3, 1, 4], [P03]), PreconditionViolation),
+        (lambda: k_invariant((3, 1, 4)), PreconditionViolation),
+    ],
+    ids=[
+        "avoided_interval-stratum", "analysis_report-stratum", "kernel_map_ranks-stratum",
+        "intermediate_profile-curve-stratum", "intermediate_profile-second-stratum",
+        "rank_inequality_check-stratum", "avoided_interval-weight", "analysis_report-list-weight",
+        "k_invariant-weight",
+    ],
+)
+def test_wrong_container_types_raise_documented_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 # --- rank inequality ----------------------------------------------------------
