@@ -44,12 +44,9 @@ class WeylElement(NamedTuple):
         )
 
     def inverse(self) -> "WeylElement":
-        src = [0, 0]
-        sg = [1, 1]
-        for i in (0, 1):
-            src[self.source[i]] = i
-            sg[self.source[i]] = self.signs[i]
-        return WeylElement((src[0], src[1]), (sg[0], sg[1]))
+        if self.source == (0, 1):
+            return self  # a sign change is its own inverse
+        return WeylElement(self.source, self.signs[::-1])  # a swap's signs trade places
 
     def word(self) -> str:
         """A reduced word in s1, s2 ('e' for the identity), for display."""

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siegel_weights import checks, cli, intersection, kostant, root_data, weyl
+from siegel_weights.boundary import CohomologyEntry
 from siegel_weights.root_data import WeightTriple
 
 TOP_LEVEL_KEYS = [
@@ -27,6 +28,9 @@ TOP_LEVEL_KEYS = [
     "intermediate",
     "strata",
 ]
+
+
+ANALYZE_3_1_4 = ["analyze", "--k1", "3", "--k2", "1", "--r", "4"]
 
 
 def run_cli(*args):
@@ -91,16 +95,28 @@ def test_analyze_is_byte_stable():
     assert a.returncode == b.returncode == 0
 
 
-def readme_json_keys():
-    """The top-level keys listed in the README's analyze section, in order."""
+def readme_keys(after: str) -> list[str]:
+    """The keys listed in the README's first code block after the given text, in order."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("JSON output has exactly these top-level keys, in order:")[1]
+    block = readme.split(after)[1]
     return [line.split()[0] for line in block.split("```")[1].strip().splitlines()]
+
+
+def test_readme_lists_the_keys_of_modules_strata_and_entries():
+    payload = json.loads(run_cli(*ANALYZE_3_1_4).stdout)
+    entry_keys = readme_keys("A profile entry, in the")
+    assert entry_keys == list(cli._ENTRY_KEYS)
+    assert list(payload["kostant"]["klingen"][0]) == readme_keys("A Kostant module, in")
+    assert list(payload["strata"][0]) == ["g", "c"]
+    assert list(payload["boundary"]["siegel"][0]["stratum"]) == ["g", "c"]
+    assert list(payload["boundary"]["klingen"]["entries"][0]) == entry_keys[:-1]  # no witness
+    assert list(payload["intermediate"]["siegel"]["kernel"]) == entry_keys
+    assert list(payload["intermediate"]["klingen"]["entries"][0]) == entry_keys
 
 
 def test_analyze_json_round_trips_identically():
     # seeded weights in the interior, on both walls and at the origin
-    assert readme_json_keys() == TOP_LEVEL_KEYS
+    assert readme_keys("JSON output has exactly these top-level keys, in order:") == TOP_LEVEL_KEYS
     rng = random.Random(2017)
     cases = [(4, 2), (0, 0)]
     for _ in range(4):
@@ -176,10 +192,19 @@ def test_analyze_json_round_trips_with_40_strata_on_a_wall():
             ["sweep", "--max-k1", "20"],
             "21eb829baacfbfb3cb75a03a1e8394640b77e134065b2daf47e28fa8380c4b1e",
         ),
+        (  # the default stratum (0, 3): the kernel's lower bound is 0, so nonzero is "unknown"
+            ["analyze", "--k1", "0", "--k2", "0", "--r", "0"],
+            "7b3dbf31d8691f049fd8e03dc5ffb53187db51bde9983fa3ee2bd5b1e7322ea1",
+        ),
+        (
+            ["analyze", "--k1", "0", "--k2", "0", "--r", "0", "--format", "table"],
+            "d0111163a59f27b9e3419f0f381cc2a81e4846fa9046207693594cd1a7956d54",
+        ),
     ],
     ids=[
         "analyze-3-strata", "analyze-3-strata-table", "analyze-trivial", "analyze-40-wall",
-        "sweep-30", "verify-8", "sweep-20-table",
+        "sweep-30", "verify-8", "sweep-20-table", "analyze-unknown-kernel",
+        "analyze-unknown-kernel-table",
     ],
 )
 def test_output_bytes_are_pinned(argv, digest):
@@ -336,6 +361,77 @@ def test_dump_matches_json_dumps_indent_2(value):
 def test_dump_rejects_unsupported_types(value):
     with pytest.raises(TypeError):
         cli._dump(value)
+
+
+def _entry_json(e, witnesses=()):
+    """The dict an entry was written from before `cli._entry_text`: the reference."""
+    out = {
+        "m": e.m, "n_classical": e.n_classical, "n_perverse": e.n_perverse, "weight": e.weight,
+        "rank_lower": e.rank_lower, "rank_upper": e.rank_upper, "nonzero": e.nonzero,
+        "origin": e.origin, "provenance": e.provenance,
+    }
+    if witnesses:
+        out["witness"] = e in witnesses
+    return out
+
+
+RANKS = st.integers(1, 2**80)  # beyond 2**64 too
+ENTRY_RANKS = st.one_of(  # (rank_lower, rank_upper) with nonzero True, False and "unknown"
+    st.tuples(RANKS, RANKS).map(sorted),
+    st.just((0, 0)),
+    RANKS.map(lambda hi: (0, hi)),
+)
+ENTRIES = st.builds(
+    lambda m, n, npv, weight, ranks, origin, provenance: CohomologyEntry(
+        m, n, weight, *ranks, origin, provenance, npv
+    ),
+    st.sampled_from([0, 1]),
+    st.integers(0, 4),
+    st.none() | st.integers(-(2**70), 2**70),
+    st.integers(-(2**70), 2**70),
+    ENTRY_RANKS,
+    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3)), min_size=1, max_size=2).map(tuple),
+    st.sampled_from(["paper", "derived"]),
+)
+CONTAINERS = st.lists(st.sampled_from([list, tuple, "dict"]), max_size=4)
+
+
+def _nested(value, containers):
+    for kind in containers:
+        value = {"entry": value, "k": 1} if kind == "dict" else kind([value, None])
+    return value
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    entries=st.lists(st.tuples(ENTRIES, st.none() | st.booleans()), min_size=1, max_size=3),
+    containers=CONTAINERS,
+)
+def test_entry_text_matches_the_dict_reference(entries, containers):
+    # the entries go in a list nested 0-4 containers deep, each beside another item
+    pairs = [cli._Entry((e, witness)) for e, witness in entries]
+    # the witnesses _entry_json took for each flag: none, the entry, or only another entry
+    reference = [
+        _entry_json(e, {None: (), True: (e,), False: (e._replace(m=1 - e.m),)}[witness])
+        for e, witness in entries
+    ]
+    want = json.dumps(_nested(reference, containers), indent=2)
+    assert cli._dump(_nested(pairs, containers)) == want
+    assert cli._dump(pairs[0]) == json.dumps(reference[0], indent=2)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("weight", 1.5), ("n_perverse", -0.0), ("origin", ((1, 0.5),)), ("witness", 1.0)],
+)
+def test_entry_text_rejects_a_float_field(field, value):
+    e = CohomologyEntry(0, 2, 4, 0, 7, ((1, 1),), "paper", 6)
+    if field == "witness":
+        pair = cli._Entry((e, value))
+    else:
+        pair = cli._Entry((e._replace(**{field: value}), True))
+    with pytest.raises(TypeError):
+        cli._dump([pair])
 
 
 def test_dump_rejects_unsupported_types_under_python_O():
@@ -536,6 +632,35 @@ def test_argparse_errors_are_one_json_line_exit_2():
         lines = proc.stdout.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "PreconditionViolation"
+
+
+def _main_in_process(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:  # --help
+            code = stop.code
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "first, then",
+    [
+        ([*ANALYZE_3_1_4, "--stratum", "1,1", "--stratum", "2,5"], ANALYZE_3_1_4),
+        (["sweep", "--max-k1", "x"], ["sweep", "--max-k1", "3"]),
+        (["--help"], ["verify", "--max-k1", "2"]),
+    ],
+    ids=["strata-then-default", "error-then-sweep", "help-then-verify"],
+)
+def test_cached_parser_keeps_no_state_between_calls(first, then, monkeypatch):
+    # main reuses one parser per process; each command, run after another in
+    # this process, must print what it prints in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    for argv in (first, then):
+        proc = run_cli(*argv)
+        assert _main_in_process(argv) == (proc.returncode, proc.stdout)
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_help_still_exits_0():
