@@ -8,8 +8,7 @@ one-line JSON object {"error": ..., "message": ...} on stdout).
 Indented JSON comes from `_dump`, byte-identical to `json.dumps(obj, indent=2)`:
 with `indent` set, CPython skips its C encoder for much slower Python generators.
 Weights and strata go out as they are; a type's field order is its JSON key order.
-A profile entry goes out as one string from `_entry_text`, keys in the order of
-`_ENTRY_KEYS`.  The argparse parser is built once per process, at the first `main()`.
+`_entry_json` alone orders an entry's keys; `main` builds the parser once per process.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import operator
 import random
+import sys
 
 from . import checks as verification
 from .boundary import CohomologyEntry, StratumDatum
@@ -34,8 +33,11 @@ MAX_VERIFY_BOUND = 40
 
 
 def _parse_stratum(text: str) -> StratumDatum:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise PreconditionViolation(f"stratum must be 'g,c', got {text!r}")
     try:
-        g, c = map(int, text.split(","))  # ValueError too on more or fewer than two parts
+        g, c = int(parts[0]), int(parts[1])
     except ValueError:
         raise PreconditionViolation(f"stratum must be two integers 'g,c', got {text!r}")
     return StratumDatum(g=g, c=c)
@@ -50,11 +52,19 @@ def _strata_from_args(args) -> tuple[StratumDatum, ...]:
 # ---------------------------------------------------------------------------
 # JSON serialization (dicts/lists/tuples/ints/bools/strings/None only)
 
+def _entry_json(e: CohomologyEntry, witnesses=()) -> dict:
+    out = {
+        "m": e.m, "n_classical": e.n_classical, "n_perverse": e.n_perverse, "weight": e.weight,
+        "rank_lower": e.rank_lower, "rank_upper": e.rank_upper, "nonzero": e.nonzero,
+        "origin": e.origin, "provenance": e.provenance,
+    }
+    if witnesses:
+        out["witness"] = e in witnesses
+    return out
+
+
 def report_json(report: AnalysisReport) -> dict:
     """JSON-ready dict with the fixed top-level key order."""
-    def entry(e: CohomologyEntry, witnesses=()) -> _Entry:
-        return _Entry((e, e in witnesses if witnesses else None))
-
     wit = report.witnesses
     return {
         "lambda": report.lam,
@@ -67,15 +77,15 @@ def report_json(report: AnalysisReport) -> dict:
         "kostant": {name: [x._asdict() for x in report.kostant[m]] for name, m in _PARABOLICS},
         "boundary": {
             "siegel": [
-                {"stratum": s._asdict(), "entries": [entry(e) for e in es]}
-                for s, es in report.boundary[SIEGEL]
+                {"stratum": s._asdict(), "entries": [_entry_json(e) for e in entries]}
+                for s, entries in report.boundary[SIEGEL]
             ],
-            "klingen": {"entries": [entry(e) for e in report.boundary[KLINGEN]]},
+            "klingen": {"entries": [_entry_json(e) for e in report.boundary[KLINGEN]]},
         },
         "intermediate": {
             name: {
-                "entries": [entry(e, wit) for e in profile.entries],
-                "kernel": entry(profile.kernel_entry, wit) if profile.kernel_entry else None,
+                "entries": [_entry_json(e, wit) for e in profile.entries],
+                "kernel": _entry_json(profile.kernel_entry, wit) if profile.kernel_entry else None,
             }
             for name, m in _PARABOLICS
             for profile in [report.intermediate[m]]
@@ -87,20 +97,10 @@ def report_json(report: AnalysisReport) -> dict:
 _ESCAPE = json.encoder.encode_basestring_ascii
 _SCALARS = {str: _ESCAPE, int: int.__repr__, bool: {True: "true", False: "false"}.get,
             type(None): lambda _: "null"}
-_ENTRY_KEYS = ("m", "n_classical", "n_perverse", "weight", "rank_lower", "rank_upper", "nonzero",
-               "origin", "provenance", "witness")
-_entry_fields = operator.attrgetter(*_ENTRY_KEYS[:-1])
-
-
-class _Entry(tuple):
-    """(CohomologyEntry, witness flag); a None flag leaves out "witness", the last key."""
-
-    __slots__ = ()
 
 
 def _dump(obj) -> str:
-    """`json.dumps(obj, indent=2)` for str-keyed dicts, lists, tuples, str, int, bool and None;
-    an `_Entry` goes out as the JSON object of its entry (see `_entry_text`)."""
+    """`json.dumps(obj, indent=2)` for str-keyed dicts, lists, tuples, str, int, bool and None."""
     out: list[str] = []
     _write(obj, "\n", out)
     return "".join(out)
@@ -111,8 +111,6 @@ def _write(v, nl: str, out: list[str]) -> None:
     kind = type(v)
     if kind in _SCALARS:
         out.append(_SCALARS[kind](v))
-    elif kind is _Entry:
-        out.append(_entry_text(v, nl))
     elif kind is dict:
         inner = nl + "  "
         sep = "{" + inner
@@ -137,16 +135,6 @@ def _write(v, nl: str, out: list[str]) -> None:
         out.append(nl + "]" if v else "[]")
     else:
         raise TypeError(f"cannot write {kind.__name__} as JSON")
-
-
-def _entry_text(pair: _Entry, nl: str) -> str:
-    """The JSON object of a profile entry and its witness flag at indent nl: each field is
-    written as at the top level, then indented (no scalar's text holds a newline)."""
-    e, witness = pair
-    fields = _entry_fields(e) if witness is None else (*_entry_fields(e), witness)
-    texts = [_SCALARS.get(type(v), _dump)(v) for v in fields]
-    items = ',\n"'.join(map('": '.join, zip(_ENTRY_KEYS, texts)))
-    return ('{\n"' + items).replace("\n", nl + "  ") + nl + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +249,7 @@ class _Parser(argparse.ArgumentParser):
         raise PreconditionViolation(message)
 
 
-@functools.cache
+@functools.cache  # reusable: _Parser.error raises, parse_args makes a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="siegel-weights",
@@ -298,3 +286,7 @@ def main(argv=None) -> int:
     except SiegelWeightsError as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)}))
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -149,6 +149,10 @@ def weyl_dimension(lam: WeightTriple) -> int:
     return num // 6
 
 
+def _orbit(v: WeightTriple) -> set[tuple[int, int]]:
+    return {w(v)[:2] for w in weyl.all_elements()}
+
+
 def freudenthal_multiplicities(lam: WeightTriple) -> dict[tuple[int, int], int]:
     """Weight multiplicities of V_lam on dominant weights, by Freudenthal.
 
@@ -219,7 +223,7 @@ def freudenthal_character(lam: WeightTriple) -> LaurentPolynomial:
     """Full character from the dominant-multiplicity table by orbit expansion."""
     terms: dict[tuple[int, int, int], int] = {}
     for (n1, n2), m in freudenthal_multiplicities(lam).items():
-        for x, y in {w(WeightTriple(n1, n2, lam.r))[:2] for w in weyl.all_elements()}:
+        for x, y in _orbit(WeightTriple(n1, n2, lam.r)):
             terms[(x, y, lam.r)] = terms.get((x, y, lam.r), 0) + m
     return LaurentPolynomial(terms)
 

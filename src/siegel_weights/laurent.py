@@ -72,6 +72,12 @@ class LaurentPolynomial:
                 out[(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])] += c1 * c2
         return LaurentPolynomial._trusted({e: c for e, c in out.items() if c})
 
+    def __repr__(self) -> str:
+        if not self._terms:
+            return "LaurentPolynomial(0)"
+        bits = [f"{c}*x^{e}" for e, c in sorted(self._terms.items())]
+        return "LaurentPolynomial(" + " + ".join(bits) + ")"
+
     def divide_one_minus_inverse(self, beta) -> "LaurentPolynomial":
         """Exact quotient self / (1 - x^{-beta}).
 

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siegel_weights import checks, cli, intersection, kostant, root_data, weyl
-from siegel_weights.boundary import CohomologyEntry
 from siegel_weights.root_data import WeightTriple
 
 TOP_LEVEL_KEYS = [
@@ -105,7 +104,6 @@ def readme_keys(after: str) -> list[str]:
 def test_readme_lists_the_keys_of_modules_strata_and_entries():
     payload = json.loads(run_cli(*ANALYZE_3_1_4).stdout)
     entry_keys = readme_keys("A profile entry, in the")
-    assert entry_keys == list(cli._ENTRY_KEYS)
     assert list(payload["kostant"]["klingen"][0]) == readme_keys("A Kostant module, in")
     assert list(payload["strata"][0]) == ["g", "c"]
     assert list(payload["boundary"]["siegel"][0]["stratum"]) == ["g", "c"]
@@ -363,77 +361,6 @@ def test_dump_rejects_unsupported_types(value):
         cli._dump(value)
 
 
-def _entry_json(e, witnesses=()):
-    """The dict an entry was written from before `cli._entry_text`: the reference."""
-    out = {
-        "m": e.m, "n_classical": e.n_classical, "n_perverse": e.n_perverse, "weight": e.weight,
-        "rank_lower": e.rank_lower, "rank_upper": e.rank_upper, "nonzero": e.nonzero,
-        "origin": e.origin, "provenance": e.provenance,
-    }
-    if witnesses:
-        out["witness"] = e in witnesses
-    return out
-
-
-RANKS = st.integers(1, 2**80)  # beyond 2**64 too
-ENTRY_RANKS = st.one_of(  # (rank_lower, rank_upper) with nonzero True, False and "unknown"
-    st.tuples(RANKS, RANKS).map(sorted),
-    st.just((0, 0)),
-    RANKS.map(lambda hi: (0, hi)),
-)
-ENTRIES = st.builds(
-    lambda m, n, npv, weight, ranks, origin, provenance: CohomologyEntry(
-        m, n, weight, *ranks, origin, provenance, npv
-    ),
-    st.sampled_from([0, 1]),
-    st.integers(0, 4),
-    st.none() | st.integers(-(2**70), 2**70),
-    st.integers(-(2**70), 2**70),
-    ENTRY_RANKS,
-    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3)), min_size=1, max_size=2).map(tuple),
-    st.sampled_from(["paper", "derived"]),
-)
-CONTAINERS = st.lists(st.sampled_from([list, tuple, "dict"]), max_size=4)
-
-
-def _nested(value, containers):
-    for kind in containers:
-        value = {"entry": value, "k": 1} if kind == "dict" else kind([value, None])
-    return value
-
-
-@settings(derandomize=True, deadline=None)
-@given(
-    entries=st.lists(st.tuples(ENTRIES, st.none() | st.booleans()), min_size=1, max_size=3),
-    containers=CONTAINERS,
-)
-def test_entry_text_matches_the_dict_reference(entries, containers):
-    # the entries go in a list nested 0-4 containers deep, each beside another item
-    pairs = [cli._Entry((e, witness)) for e, witness in entries]
-    # the witnesses _entry_json took for each flag: none, the entry, or only another entry
-    reference = [
-        _entry_json(e, {None: (), True: (e,), False: (e._replace(m=1 - e.m),)}[witness])
-        for e, witness in entries
-    ]
-    want = json.dumps(_nested(reference, containers), indent=2)
-    assert cli._dump(_nested(pairs, containers)) == want
-    assert cli._dump(pairs[0]) == json.dumps(reference[0], indent=2)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [("weight", 1.5), ("n_perverse", -0.0), ("origin", ((1, 0.5),)), ("witness", 1.0)],
-)
-def test_entry_text_rejects_a_float_field(field, value):
-    e = CohomologyEntry(0, 2, 4, 0, 7, ((1, 1),), "paper", 6)
-    if field == "witness":
-        pair = cli._Entry((e, value))
-    else:
-        pair = cli._Entry((e._replace(**{field: value}), True))
-    with pytest.raises(TypeError):
-        cli._dump([pair])
-
-
 def test_dump_rejects_unsupported_types_under_python_O():
     # the type checks are explicit raises, so they survive assertion stripping
     code = (
@@ -661,6 +588,17 @@ def test_cached_parser_keeps_no_state_between_calls(first, then, monkeypatch):
         proc = run_cli(*argv)
         assert _main_in_process(argv) == (proc.returncode, proc.stdout)
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_cli_module_runs_as_a_script():
+    # `python -m siegel_weights.cli` runs the command, exit code included
+    for args in (ANALYZE_3_1_4, ["sweep", "--max-k1", "x"]):
+        script = subprocess.run(
+            [sys.executable, "-m", "siegel_weights.cli", *args], capture_output=True, text=True
+        )
+        package = run_cli(*args)
+        assert (script.returncode, script.stdout) == (package.returncode, package.stdout)
+        assert script.stdout
 
 
 def test_help_still_exits_0():

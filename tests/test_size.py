@@ -9,7 +9,7 @@ from pathlib import Path
 import siegel_weights
 
 MAX_PUBLIC_NAMES = 27
-MAX_SOURCE_LINES = 1770
+MAX_SOURCE_LINES = 1772
 
 
 def readme_api_names():
