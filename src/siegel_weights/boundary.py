@@ -131,20 +131,11 @@ def _siegel_entries(
     for n in range(top + 1):
         for p, q in ((1, n - 1), (0, n)):
             if 0 <= q < len(modules):
-                mod = modules[q]
-                rank = sum(group_cohomology_dim(mod.restriction_weight, s, p) for s in strata)
-                entries.append(
-                    CohomologyEntry(
-                        m=SIEGEL,
-                        n_classical=n,
-                        weight=mod.motivic_weight,
-                        rank_lower=rank,
-                        rank_upper=rank,
-                        origin=((p, q),),
-                        provenance="paper" if n <= 2 else "derived",
-                        n_perverse=None if r is None else n + r,
-                    )
-                )
+                u, weight = modules[q].restriction_weight, modules[q].motivic_weight
+                rank = sum(group_cohomology_dim(u, s, p) for s in strata)
+                prov = "paper" if n <= 2 else "derived"
+                npv = None if r is None else n + r
+                entries.append(CohomologyEntry(SIEGEL, n, weight, rank, rank, ((p, q),), prov, npv))
     return tuple(entries)
 
 
@@ -153,15 +144,7 @@ def _klingen_entries(modules: tuple[LeviModule, ...], r=None) -> tuple[Cohomolog
     Given r: n_perverse = q + r + 1, and the weight rises by one."""
     shift = 0 if r is None else 1
     return tuple(
-        CohomologyEntry(
-            m=KLINGEN,
-            n_classical=mod.q,
-            weight=mod.motivic_weight + shift,
-            rank_lower=mod.levi_dim,
-            rank_upper=mod.levi_dim,
-            origin=((0, mod.q),),
-            provenance="paper" if mod.q <= 1 else "derived",
-            n_perverse=None if r is None else mod.q + r + 1,
-        )
-        for mod in modules
+        CohomologyEntry(KLINGEN, q, w + shift, d, d, ((0, q),), "paper" if q <= 1 else "derived",
+                        None if r is None else q + r + 1)
+        for _, q, _, d, _, w in modules  # d: levi_dim, w: motivic_weight
     )

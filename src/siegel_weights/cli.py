@@ -8,7 +8,7 @@ one-line JSON object {"error": ..., "message": ...} on stdout).
 Indented JSON comes from `_dump`, byte-identical to `json.dumps(obj, indent=2)`:
 with `indent` set, CPython skips its C encoder for much slower Python generators.
 Weights and strata go out as they are; a type's field order is its JSON key order.
-`_entry_json` alone orders an entry's keys; `main` builds the parser once per process.
+`_ENTRY_KEYS` alone orders an entry's keys; `main` builds the parser once per process.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -52,19 +53,12 @@ def _strata_from_args(args) -> tuple[StratumDatum, ...]:
 # ---------------------------------------------------------------------------
 # JSON serialization (dicts/lists/tuples/ints/bools/strings/None only)
 
-def _entry_json(e: CohomologyEntry, witnesses=()) -> dict:
-    out = {
-        "m": e.m, "n_classical": e.n_classical, "n_perverse": e.n_perverse, "weight": e.weight,
-        "rank_lower": e.rank_lower, "rank_upper": e.rank_upper, "nonzero": e.nonzero,
-        "origin": e.origin, "provenance": e.provenance,
-    }
-    if witnesses:
-        out["witness"] = e in witnesses
-    return out
+class _Witnessed(tuple):
+    """(entry, is_witness): an intermediate profile entry, written with a "witness" key."""
 
 
 def report_json(report: AnalysisReport) -> dict:
-    """JSON-ready dict with the fixed top-level key order."""
+    """The report for `_dump` in the fixed key order; `json.dumps` would write entries as arrays."""
     wit = report.witnesses
     return {
         "lambda": report.lam,
@@ -76,16 +70,13 @@ def report_json(report: AnalysisReport) -> dict:
         "duality_twist": report.duality_twist,
         "kostant": {name: [x._asdict() for x in report.kostant[m]] for name, m in _PARABOLICS},
         "boundary": {
-            "siegel": [
-                {"stratum": s._asdict(), "entries": [_entry_json(e) for e in entries]}
-                for s, entries in report.boundary[SIEGEL]
-            ],
-            "klingen": {"entries": [_entry_json(e) for e in report.boundary[KLINGEN]]},
+            "siegel": [{"stratum": s._asdict(), "entries": es} for s, es in report.boundary[SIEGEL]],
+            "klingen": {"entries": report.boundary[KLINGEN]},
         },
         "intermediate": {
             name: {
-                "entries": [_entry_json(e, wit) for e in profile.entries],
-                "kernel": _entry_json(profile.kernel_entry, wit) if profile.kernel_entry else None,
+                "entries": [_Witnessed((e, e in wit)) for e in profile.entries],
+                "kernel": _Witnessed((k, k in wit)) if (k := profile.kernel_entry) else None,
             }
             for name, m in _PARABOLICS
             for profile in [report.intermediate[m]]
@@ -95,21 +86,25 @@ def report_json(report: AnalysisReport) -> dict:
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
-_SCALARS = {str: _ESCAPE, int: int.__repr__, bool: {True: "true", False: "false"}.get,
-            type(None): lambda _: "null"}
+_FLAGS = {True: "true", False: "false", "unknown": '"unknown"'}  # bools, and an entry's nonzero
+_SCALARS = {str: _ESCAPE, int: int.__repr__, bool: _FLAGS.get, type(None): lambda _: "null"}
 
 
-def _dump(obj) -> str:
-    """`json.dumps(obj, indent=2)` for str-keyed dicts, lists, tuples, str, int, bool and None."""
+def _dump(obj, nl: str = "\n") -> str:
+    """json.dumps(obj, indent=2) of dicts, lists, tuples, str, int, bool, None; nl as in _write."""
     out: list[str] = []
-    _write(obj, "\n", out)
+    _write(obj, nl, out)
     return "".join(out)
 
 
 def _write(v, nl: str, out: list[str]) -> None:
     """Append v to out, its scalar items inline; nl is the newline and indent of v's last line."""
     kind = type(v)
-    if kind in _SCALARS:
+    if kind is CohomologyEntry:
+        out.append(_entry_text(nl, v))
+    elif kind is _Witnessed:
+        out.append(_entry_text(nl, *v))
+    elif kind in _SCALARS:
         out.append(_SCALARS[kind](v))
     elif kind is dict:
         inner = nl + "  "
@@ -135,6 +130,30 @@ def _write(v, nl: str, out: list[str]) -> None:
         out.append(nl + "]" if v else "[]")
     else:
         raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
+_ENTRY_KEYS = ("m", "n_classical", "n_perverse", "weight", "rank_lower", "rank_upper",
+               "nonzero", "origin", "provenance", "witness")
+_origin_text = functools.cache(_dump)  # keyed by value, and True == 1: give it exact ints only
+
+
+@functools.cache  # a dict of the first size `_ENTRY_KEYS` as `_write` writes it, values `%s`
+def _entry_template(nl: str, size: int) -> str:
+    return "{" + ",".join(f'{nl}  "{key}": %s' for key in _ENTRY_KEYS[:size]) + nl + "}"
+
+
+def _entry_text(nl: str, e: CohomologyEntry, *witness: bool) -> str:
+    """`_write` of e as a dict keyed by `_ENTRY_KEYS`, "witness" if given; only ints as numbers."""
+    m, n, weight, lo, hi, origin, provenance, npv = e
+    npv_type = int if npv is None else type(npv)
+    if not int is type(m) is type(n) is type(weight) is type(lo) is type(hi) is npv_type:
+        raise TypeError(f"profile entry numbers must be ints, got {e!r}")
+    for p, q in origin:
+        if not int is type(p) is type(q):
+            raise TypeError(f"origin must hold pairs of ints, got {origin!r}")
+    values = (m, n, "null" if npv is None else npv, weight, lo, hi, _FLAGS[e.nonzero],
+              _origin_text(origin, nl + "  "), _ESCAPE(provenance), *map(_FLAGS.get, witness))
+    return _entry_template(nl, len(values)) % values
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +301,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that left shows here, not in the flush at exit
+        return code
     except SiegelWeightsError as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)}))
         return 2
+    except BrokenPipeError:  # the reader closed stdout: exit 128 + SIGPIPE, as `cat` would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # so the flush at exit cannot fail again
+        return 141
 
 
 if __name__ == "__main__":

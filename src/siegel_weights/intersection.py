@@ -107,16 +107,9 @@ def _kernel_entry(lam: WeightTriple, piece: LeviModule, strata) -> CohomologyEnt
     whose weight it takes from piece, the Siegel Kostant module q = 1."""
     ranks = _map_ranks(lam, strata)
     floor = 1 if lam.k1 >= 1 else 0
-    return CohomologyEntry(
-        m=SIEGEL,
-        n_classical=2,
-        weight=piece.motivic_weight,
-        rank_lower=sum(max(src - tgt, floor) for src, tgt in ranks),
-        rank_upper=sum(src for src, _ in ranks),
-        origin=((1, 1),),
-        provenance="paper",
-        n_perverse=lam.r + 2,
-    )
+    lo = sum(max(src - tgt, floor) for src, tgt in ranks)
+    hi = sum(src for src, _ in ranks)
+    return CohomologyEntry(SIEGEL, 2, piece.motivic_weight, lo, hi, ((1, 1),), "paper", lam.r + 2)
 
 
 def _intermediate(lam: WeightTriple, m: int, modules, strata) -> IntermediateProfile:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siegel_weights import checks, cli, intersection, kostant, root_data, weyl
+from siegel_weights.boundary import CohomologyEntry
 from siegel_weights.root_data import WeightTriple
 
 TOP_LEVEL_KEYS = [
@@ -362,12 +364,18 @@ def test_dump_rejects_unsupported_types(value):
 
 
 def test_dump_rejects_unsupported_types_under_python_O():
-    # the type checks are explicit raises, so they survive assertion stripping
+    # the type checks are explicit raises, so they survive assertion stripping; the
+    # good entry is written first, so a bool origin would find its text cached
     code = (
         "import sys\n"
         "if __debug__: sys.exit(3)\n"
         "from siegel_weights import cli\n"
-        "for value in (1.5, {1, 2}, {1: 'a'}):\n"
+        "from siegel_weights.boundary import CohomologyEntry\n"
+        "good = CohomologyEntry(0, 1, 2, 1, 1, ((1, 0),), 'paper', 3)\n"
+        "cli._dump([good, cli._Witnessed((good, True))])\n"
+        "bad = [good._replace(weight=1.5), good._replace(rank_lower=True),\n"
+        "       good._replace(provenance=b'paper'), good._replace(origin=((True, 0),))]\n"
+        "for value in (1.5, {1, 2}, {1: 'a'}, *bad, cli._Witnessed((bad[-1], False))):\n"
         "    try:\n"
         "        cli._dump(value)\n"
         "    except TypeError:\n"
@@ -376,6 +384,69 @@ def test_dump_rejects_unsupported_types_under_python_O():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+ENTRY = CohomologyEntry(0, 1, 2, 1, 1, ((1, 0),), "paper", 3)
+
+
+def entry_dict(e, *witness):
+    """A profile entry as the dict that `json.dumps` is the oracle for."""
+    out = {
+        "m": e.m, "n_classical": e.n_classical, "n_perverse": e.n_perverse, "weight": e.weight,
+        "rank_lower": e.rank_lower, "rank_upper": e.rank_upper, "nonzero": e.nonzero,
+        "origin": e.origin, "provenance": e.provenance,
+    }
+    if witness:
+        out["witness"] = witness[0]
+    return out
+
+
+@st.composite
+def profile_entries(draw):
+    """Entries with huge and negative ints and every value of nonzero, and a witness
+    flag that is absent (an empty tuple), true or false."""
+    nonzero = draw(st.sampled_from([True, False, "unknown"]))
+    lo = draw(st.integers(min_value=1) | st.just(2**64 + 1)) if nonzero is True else 0
+    extra = draw(st.integers(min_value=1 if lo == 0 else 0) | st.just(2**65))
+    hi = 0 if nonzero is False else lo + extra
+    origin = draw(st.lists(st.tuples(JSON_INTS, JSON_INTS), max_size=3).map(tuple))
+    npv = draw(st.none() | JSON_INTS)
+    e = CohomologyEntry(draw(JSON_INTS), draw(JSON_INTS), draw(JSON_INTS), lo, hi, origin,
+                        draw(JSON_TEXT), npv)
+    assert e.nonzero == nonzero
+    return e, draw(st.sampled_from([(), (True,), (False,)]))
+
+
+@settings(derandomize=True, deadline=None)
+@given(drawn=profile_entries())
+def test_entry_writer_matches_the_dict_form(drawn):
+    e, witness = drawn
+    written = cli._Witnessed((e, *witness)) if witness else e
+    for wrap in (lambda x: x, lambda x: {"entries": [x]}):
+        assert cli._dump(wrap(written)) == json.dumps(wrap(entry_dict(e, *witness)), indent=2)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ENTRY._replace(weight=1.5),
+        ENTRY._replace(rank_lower=True),
+        ENTRY._replace(n_perverse=False),
+        ENTRY._replace(provenance=None),
+        ENTRY._replace(provenance=b"paper"),
+        ENTRY._replace(origin=((True, 0),)),
+        ENTRY._replace(origin=((1, 0), (0, 1.0))),
+    ],
+    ids=["float-weight", "bool-rank", "bool-n-perverse", "none-provenance", "bytes-provenance",
+         "bool-origin", "float-origin"],
+)
+def test_entry_writer_rejects_non_json_field_types(bad):
+    # ENTRY is written first at both indents: the origin text of ((1, 0),) is then
+    # cached, and ((True, 0),), equal to it and of equal hash, must still be refused
+    assert cli._dump([ENTRY, {"e": cli._Witnessed((ENTRY, True))}])
+    for value in (bad, [bad], {"e": cli._Witnessed((bad, False))}):
+        with pytest.raises(TypeError):
+            cli._dump(value)
 
 
 # --- verify ---------------------------------------------------------------------
@@ -599,6 +670,31 @@ def test_cli_module_runs_as_a_script():
         package = run_cli(*args)
         assert (script.returncode, script.stdout) == (package.returncode, package.stdout)
         assert script.stdout
+
+
+@pytest.mark.parametrize(
+    "args, lines",
+    [(["sweep", "--max-k1", "200"], 1), (["verify", "--max-k1", "2"], 0)],
+    ids=["sweep-after-one-line", "verify-before-any"],
+)
+def test_closed_stdout_exits_141_without_a_traceback(args, lines):
+    # sweep's table is far larger than a pipe buffer, so a print meets the closed
+    # pipe; verify's lines fit in stdout's block buffer, so only a flush meets it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "siegel_weights", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    for _ in range(lines):
+        assert proc.stdout.readline().split() == ["k1", "k2", "r", "k", "closed", "agree"]
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141  # 128 + SIGPIPE; 1 would claim a failed verify suite
+    assert "Traceback" not in stderr and "Error" not in stderr
 
 
 def test_help_still_exits_0():
