@@ -38,10 +38,11 @@ rise strictly in q, by w1 - w0 = 2k2 + 2, w2 - w1 = 2(k1 - k2) + 2 and
 w3 - w2 = 2k2 + 2, so the pieces (1, n - 1) and (0, n) of degree n differ.
 
 The entry builders _siegel_entries and _klingen_entries take Kostant modules
-built once per parabolic for all strata and check nothing; _siegel_entries
-sums each piece's rank over the strata it is given.  Given the perverse base
-r, both build each entry in its perverse normalization; without r,
-n_perverse is None, as in analysis_report's classical boundary field.
+built once per parabolic for all strata and check only each rank, explicitly,
+as they skip CohomologyEntry's checks; _siegel_entries sums each piece's rank
+over the strata it is given.  Given the perverse base r, both build each
+entry in its perverse normalization; without r, n_perverse is None, as in
+analysis_report's classical boundary field.
 """
 
 from __future__ import annotations
@@ -133,9 +134,12 @@ def _siegel_entries(
             if 0 <= q < len(modules):
                 u, weight = modules[q].restriction_weight, modules[q].motivic_weight
                 rank = sum(group_cohomology_dim(u, s, p) for s in strata)
+                if rank < 0:  # CohomologyEntry's own check, skipped by tuple.__new__
+                    raise PreconditionViolation(f"bad rank bounds [{shown(rank)}, {shown(rank)}]")
                 prov = "paper" if n <= 2 else "derived"
                 npv = None if r is None else n + r
-                entries.append(CohomologyEntry(SIEGEL, n, weight, rank, rank, ((p, q),), prov, npv))
+                fields = (SIEGEL, n, weight, rank, rank, ((p, q),), prov, npv)
+                entries.append(tuple.__new__(CohomologyEntry, fields))
     return tuple(entries)
 
 
@@ -143,8 +147,11 @@ def _klingen_entries(modules: tuple[LeviModule, ...], r=None) -> tuple[Cohomolog
     """Curve-stratum entries, one per given Klingen Kostant module, in order.
     Given r: n_perverse = q + r + 1, and the weight rises by one."""
     shift = 0 if r is None else 1
-    return tuple(
-        CohomologyEntry(KLINGEN, q, w + shift, d, d, ((0, q),), "paper" if q <= 1 else "derived",
-                        None if r is None else q + r + 1)
-        for _, q, _, d, _, w in modules  # d: levi_dim, w: motivic_weight
-    )
+    entries = []
+    for _, q, _, d, _, w in modules:  # d: levi_dim, w: motivic_weight
+        if d < 0:  # CohomologyEntry's own check, skipped by tuple.__new__
+            raise PreconditionViolation(f"bad rank bounds [{shown(d)}, {shown(d)}]")
+        fields = (KLINGEN, q, w + shift, d, d, ((0, q),), "paper" if q <= 1 else "derived",
+                  None if r is None else q + r + 1)
+        entries.append(tuple.__new__(CohomologyEntry, fields))
+    return tuple(entries)

@@ -300,13 +300,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        code = args.fn(args)
+        try:
+            args = _build_parser().parse_args(argv)
+            code = args.fn(args)
+        except SiegelWeightsError as err:
+            print(json.dumps({"error": type(err).__name__, "message": str(err)}))
+            code = 2
         sys.stdout.flush()  # a reader that left shows here, not in the flush at exit
         return code
-    except SiegelWeightsError as err:
-        print(json.dumps({"error": type(err).__name__, "message": str(err)}))
-        return 2
     except BrokenPipeError:  # the reader closed stdout: exit 128 + SIGPIPE, as `cat` would
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # so the flush at exit cannot fail again
         return 141

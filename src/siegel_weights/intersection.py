@@ -144,10 +144,14 @@ def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfi
 
 
 def _minimal_gap(profiles) -> tuple[int, tuple[CohomologyEntry, ...]]:
-    """k and its witnesses over the nonzero entries of the given profiles."""
-    nonzero = [e for profile in profiles for e in profile.all_entries() if e.nonzero is True]
-    k = min(e.n_perverse - e.weight for e in nonzero)
-    return k, tuple(e for e in nonzero if e.n_perverse - e.weight == k)
+    """k and its witnesses over the nonzero entries of the profiles, in one pass."""
+    by_gap: dict[int, list[CohomologyEntry]] = {}
+    for profile in profiles:
+        for e in profile.all_entries():
+            if e.rank_lower >= 1:  # e.nonzero is True
+                by_gap.setdefault(e.n_perverse - e.weight, []).append(e)
+    k = min(by_gap)
+    return k, tuple(by_gap[k])
 
 
 def avoided_interval(lam: WeightTriple, strata) -> tuple[int, tuple[CohomologyEntry, ...]]:

@@ -11,7 +11,11 @@ with their Levi dimension, SL(2)-restriction weight and motivic weight.  It
 validates lam and m once and hands them to the private builder _modules,
 which checks nothing and builds only the modules q < count.  The profile
 pipeline calls _modules on inputs it has already checked: the boundary
-truncations need only q <= 1, the full report all four.
+truncations need only q <= 1, the full report all four.  The dot action is
+affine in lam: w . lam = (a lam[i] + c1, b lam[j] + c2, r) for w(v) =
+(a v[i], b v[j], v.r), with (c1, c2) = w . 0 from weyl.dot, the one home of
+the rho shift.  _modules reads these numbers from _dot_table(m, rho), built
+once per parabolic and per value of root_data.RHO, which keys it.
 
 Two independent character oracles guard the tables:
 
@@ -49,7 +53,7 @@ InputBoundExceeded.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import count
 from typing import NamedTuple
 
@@ -58,9 +62,9 @@ from .errors import InputBoundExceeded, PreconditionViolation
 from .laurent import LaurentPolynomial
 from .root_data import (
     WeightTriple,
+    _motivic_weight,
+    _restriction_weight,
     check_parabolic,
-    levi_restriction_weight,
-    motivic_weight,
     pairing,
     require_dominant,
 )
@@ -86,22 +90,21 @@ def nilpotent_cohomology(lam: WeightTriple, m: int) -> tuple[LeviModule, ...]:
     return _modules(lam, m, 4)
 
 
+@cache
+def _dot_table(m: int, rho: WeightTriple) -> tuple[tuple[int, ...], ...]:
+    """(i, j, a, b, c1, c2) per minimal representative of parabolic m, in length
+    order; rho is only the cache key, as weyl.dot reads root_data.RHO itself."""
+    reps = weyl._minimal_representatives(m)
+    return tuple((*w.source, *w.signs, *weyl.dot(w, WeightTriple(0, 0, 0))[:2]) for w in reps)
+
+
 def _modules(lam: WeightTriple, m: int, count: int) -> tuple[LeviModule, ...]:
     """The Kostant modules q < count of parabolic m; lam and m are not checked."""
     modules = []
-    for q, w in enumerate(weyl._minimal_representatives(m)[:count]):
-        hw = weyl.dot(w, lam)
-        u = levi_restriction_weight(hw, m)
-        modules.append(
-            LeviModule(
-                m=m,
-                q=q,
-                highest_weight=hw,
-                levi_dim=u + 1,
-                restriction_weight=u,
-                motivic_weight=motivic_weight(hw, m),
-            )
-        )
+    for q, (i, j, a, b, c1, c2) in enumerate(_dot_table(m, root_data.RHO)[:count]):
+        hw = WeightTriple(a * lam[i] + c1, b * lam[j] + c2, lam.r)
+        u = _restriction_weight(hw, m)
+        modules.append(LeviModule(m, q, hw, u + 1, u, _motivic_weight(hw, m)))
     return tuple(modules)
 
 
@@ -149,10 +152,6 @@ def weyl_dimension(lam: WeightTriple) -> int:
     return num // 6
 
 
-def _orbit(v: WeightTriple) -> set[tuple[int, int]]:
-    return {w(v)[:2] for w in weyl.all_elements()}
-
-
 def freudenthal_multiplicities(lam: WeightTriple) -> dict[tuple[int, int], int]:
     """Weight multiplicities of V_lam on dominant weights, by Freudenthal.
 
@@ -193,7 +192,6 @@ def freudenthal_multiplicities(lam: WeightTriple) -> dict[tuple[int, int], int]:
             continue
         numer = 0
         for beta in root_data.POSITIVE_ROOTS:
-            bb = pairing(beta, beta)
             for j in count(1):
                 nu = mu + WeightTriple(j * beta.k1, j * beta.k2, 0)
                 m_nu = lookup(nu)
@@ -223,7 +221,7 @@ def freudenthal_character(lam: WeightTriple) -> LaurentPolynomial:
     """Full character from the dominant-multiplicity table by orbit expansion."""
     terms: dict[tuple[int, int, int], int] = {}
     for (n1, n2), m in freudenthal_multiplicities(lam).items():
-        for x, y in _orbit(WeightTriple(n1, n2, lam.r)):
+        for x, y in {w(WeightTriple(n1, n2, lam.r))[:2] for w in weyl.all_elements()}:
             terms[(x, y, lam.r)] = terms.get((x, y, lam.r), 0) + m
     return LaurentPolynomial(terms)
 

@@ -5,9 +5,9 @@ in a dict keyed by exponent triples, zero coefficients never stored.  The
 class holds what the character oracles use: building from a dict of tuples
 of three ints, a WeightTriple of ints being one, to ints (PreconditionViolation
 on anything else, a float in a WeightTriple too), comparing, reading items and
-mass, multiplying, and exact division by (1 - x^{-beta}) for a lattice vector
-beta, done line by line along the direction beta with suffix sums; a nonzero
-remainder raises DivisionFailure.
+mass, and exact division by (1 - x^{-beta}) for a lattice vector beta, done
+line by line along the direction beta with suffix sums; a nonzero remainder
+raises DivisionFailure.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class LaurentPolynomial:
     def _trusted(cls, terms: dict[Exponent, int]) -> "LaurentPolynomial":
         """Take over terms as they are: keys are int triples, values nonzero.
 
-        For the results of __mul__ and divide_one_minus_inverse, which build
-        such dicts already; __init__ would only copy and re-check every term.
+        For the result of divide_one_minus_inverse, which builds such a dict
+        already; __init__ would only copy and re-check every term.
         """
         poly = cls.__new__(cls)
         poly._terms = terms
@@ -64,19 +64,6 @@ class LaurentPolynomial:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self._terms == other._terms
-
-    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out: dict[Exponent, int] = defaultdict(int)
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                out[(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])] += c1 * c2
-        return LaurentPolynomial._trusted({e: c for e, c in out.items() if c})
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "LaurentPolynomial(0)"
-        bits = [f"{c}*x^{e}" for e, c in sorted(self._terms.items())]
-        return "LaurentPolynomial(" + " + ".join(bits) + ")"
 
     def divide_one_minus_inverse(self, beta) -> "LaurentPolynomial":
         """Exact quotient self / (1 - x^{-beta}).

@@ -77,10 +77,6 @@ class WeightTriple(NamedTuple):
     def __sub__(self, other: "WeightTriple") -> "WeightTriple":
         return WeightTriple(self.k1 - other.k1, self.k2 - other.k2, self.r - other.r)
 
-    def is_character(self) -> bool:
-        """True when the triple lies in the character sublattice."""
-        return (self.r - self.k1 - self.k2) % 2 == 0
-
 
 def make_weight(k1: int, k2: int, r: int) -> WeightTriple:
     """Checked constructor for torus characters.
@@ -156,20 +152,28 @@ def k_invariant(lam: WeightTriple) -> int:
     return min(lam.k1 - lam.k2, lam.k2)
 
 
-def motivic_weight(n: WeightTriple, m: int) -> int:
-    """Weight of the central cocharacter of the Levi anchor on character n."""
-    check_parabolic(m)
+def _motivic_weight(n: WeightTriple, m: int) -> int:
+    """motivic_weight without the check of m, for callers that checked it."""
     if m == SIEGEL:
         return n.r - n.k1 - n.k2
     return n.r - n.k1
 
 
-def levi_restriction_weight(n: WeightTriple, m: int) -> int:
-    """Highest weight of n restricted to the SL(2) inside the Levi of m."""
-    check_parabolic(m)
+def motivic_weight(n: WeightTriple, m: int) -> int:
+    """Weight of the central cocharacter of the Levi anchor on character n."""
+    return _motivic_weight(n, check_parabolic(m))
+
+
+def _restriction_weight(n: WeightTriple, m: int) -> int:
+    """levi_restriction_weight without the check of m, for callers that checked it."""
     if m == SIEGEL:
         return n.k1 - n.k2
     return n.k2
+
+
+def levi_restriction_weight(n: WeightTriple, m: int) -> int:
+    """Highest weight of n restricted to the SL(2) inside the Levi of m."""
+    return _restriction_weight(n, check_parabolic(m))
 
 
 def pairing(u: WeightTriple, v: WeightTriple) -> int:

@@ -19,7 +19,7 @@ of the quotient by the Levi Weyl group of parabolic m, in length order 0, 1,
 The criterion is the usual one: w represents its coset minimally iff w^{-1}
 keeps the Levi's positive root positive.  all_elements and the
 representatives are built once and cached; neither depends on rho, which
-only the dot action reads, at call time.
+dot reads at call time and which keys kostant's cached table of dot.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class WeylElement(NamedTuple):
 IDENTITY = WeylElement((0, 1), (1, 1))
 S1 = WeylElement((1, 0), (1, 1))  # swap k1 <-> k2
 S2 = WeylElement((0, 1), (1, -1))  # negate k2
-LONGEST = WeylElement((0, 1), (-1, -1))  # -id
 
 
 def _simple(name: str) -> WeightTriple:

@@ -17,7 +17,12 @@ from siegel_weights import (
     intermediate_profile,
     make_weight,
 )
-from siegel_weights.boundary import CohomologyEntry, _siegel_entries, group_cohomology_dim
+from siegel_weights.boundary import (
+    CohomologyEntry,
+    _klingen_entries,
+    _siegel_entries,
+    group_cohomology_dim,
+)
 from siegel_weights.checks import dominant_grid
 from siegel_weights.errors import DegreeOutOfRange, PreconditionViolation
 from siegel_weights.kostant import _modules
@@ -307,3 +312,46 @@ def test_entry_rank_bounds_are_validated():
             origin=((0, 0),),
             provenance="paper",
         )
+
+
+# --- the builders skip CohomologyEntry's checking constructor ----------------
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(lam=wide_weights(), strata=st.lists(strata_data(), min_size=1, max_size=4))
+@example(lam=make_weight(0, 0, 0), strata=[P03])
+def test_builder_entries_are_what_the_checked_constructor_builds(lam, strata):
+    strata = tuple(strata)
+    for r in (None, lam.r):
+        entries = _siegel_entries(_modules(lam, SIEGEL, 4), strata, 4, r)
+        entries += _klingen_entries(_modules(lam, KLINGEN, 4), r)
+        for e in entries:
+            assert type(e) is CohomologyEntry
+            assert e == CohomologyEntry._make(e)
+
+
+NEGATIVE_RANKS_RAISE = """
+import sys
+if __debug__:
+    sys.exit(3)
+from siegel_weights import StratumDatum, analysis_report, avoided_interval, boundary, make_weight
+from siegel_weights.errors import PreconditionViolation
+
+boundary.group_cohomology_dim = lambda u, stratum, p: -1
+for build in (avoided_interval, analysis_report):
+    try:
+        build(make_weight(3, 1, 4), (StratumDatum(0, 3),))
+    except PreconditionViolation as err:
+        print(err)
+    else:
+        sys.exit(1)
+"""
+
+
+def test_builders_check_each_rank_under_python_O():
+    # the builders make entries with tuple.__new__, so their own rank check is
+    # all that stands between a negative rank and the output
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", NEGATIVE_RANKS_RAISE], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["bad rank bounds [-1, -1]"] * 2

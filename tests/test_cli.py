@@ -200,11 +200,15 @@ def test_analyze_json_round_trips_with_40_strata_on_a_wall():
             ["analyze", "--k1", "0", "--k2", "0", "--r", "0", "--format", "table"],
             "d0111163a59f27b9e3419f0f381cc2a81e4846fa9046207693594cd1a7956d54",
         ),
+        (  # the largest sweep: every Kostant module up to k1 = 200
+            ["sweep", "--max-k1", "200", "--format", "json"],
+            "ad240770c05227c902f73d58225ab87b6cb9f5659613bf9e2699014a04c79712",
+        ),
     ],
     ids=[
         "analyze-3-strata", "analyze-3-strata-table", "analyze-trivial", "analyze-40-wall",
         "sweep-30", "verify-8", "sweep-20-table", "analyze-unknown-kernel",
-        "analyze-unknown-kernel-table",
+        "analyze-unknown-kernel-table", "sweep-200",
     ],
 )
 def test_output_bytes_are_pinned(argv, digest):
@@ -544,7 +548,7 @@ SUITE_MUTANTS = {
             mod._replace(restriction_weight=mod.restriction_weight - 1) for mod in real(lam, m)
         ),
     ),
-    "weight_formulas": (kostant, "motivic_weight", lambda real: lambda n, m: real(n, m) + 1),
+    "weight_formulas": (kostant, "_motivic_weight", lambda real: lambda n, m: real(n, m) + 1),
     "stratum_profiles": (checks, "intermediate_profile", _siegel_kernel_weight_bumped),
     "reference_rows": (  # k1 + k2 + 2 for k1 + k2 + 3 in the kernel's source rank
         intersection,
@@ -674,12 +678,17 @@ def test_cli_module_runs_as_a_script():
 
 @pytest.mark.parametrize(
     "args, lines",
-    [(["sweep", "--max-k1", "200"], 1), (["verify", "--max-k1", "2"], 0)],
-    ids=["sweep-after-one-line", "verify-before-any"],
+    [
+        (["sweep", "--max-k1", "200"], 1),
+        (["verify", "--max-k1", "2"], 0),
+        (["sweep", "--max-k1", "x"], 0),
+    ],
+    ids=["sweep-after-one-line", "verify-before-any", "error-line-before-any"],
 )
 def test_closed_stdout_exits_141_without_a_traceback(args, lines):
     # sweep's table is far larger than a pipe buffer, so a print meets the closed
-    # pipe; verify's lines fit in stdout's block buffer, so only a flush meets it
+    # pipe; verify's lines and the one-line JSON error of an invalid input fit in
+    # stdout's block buffer, so only a flush meets it
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen(
         [sys.executable, "-m", "siegel_weights", *args],

@@ -20,12 +20,20 @@ from siegel_weights import (
     nilpotent_cohomology,
     weyl_dimension,
 )
-from siegel_weights import kostant, root_data
+from siegel_weights import kostant, root_data, weyl
 from siegel_weights.checks import KLINGEN_TABLE, SIEGEL_TABLE, dominant_grid
 from siegel_weights.errors import BadParabolicIndex
-from siegel_weights.kostant import freudenthal_multiplicities
-from siegel_weights.root_data import COORDINATE_BOUND, POSITIVE_ROOTS, levi_root
+from siegel_weights.kostant import LeviModule, freudenthal_multiplicities
+from siegel_weights.root_data import (
+    COORDINATE_BOUND,
+    POSITIVE_ROOTS,
+    levi_restriction_weight,
+    levi_root,
+    motivic_weight,
+)
 from siegel_weights.weyl import all_elements
+from laurent_reference import times
+from weight_strategies import wide_weights
 
 
 def random_dominant(rng, max_k1=25):
@@ -110,6 +118,47 @@ def test_table_input_validation():
         nilpotent_cohomology(make_weight(1, 1, 2), 7)
 
 
+def reference_modules(lam, m, count):
+    """The Kostant modules q < count straight from weyl.dot and the checked weight rules."""
+    modules = []
+    for q, w in enumerate(weyl._minimal_representatives(m)[:count]):
+        hw = weyl.dot(w, lam)
+        u = levi_restriction_weight(hw, m)
+        modules.append(LeviModule(m, q, hw, u + 1, u, motivic_weight(hw, m)))
+    return tuple(modules)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lam=wide_weights(), m=st.sampled_from((0, 1)), count=st.integers(1, 4))
+@example(lam=make_weight(0, 0, 0), m=0, count=4)
+def test_modules_from_the_dot_table_match_the_dot_action(lam, m, count):
+    assert kostant._modules(lam, m, count) == reference_modules(lam, m, count)
+
+
+def test_dot_table_follows_a_patched_rho(monkeypatch):
+    # the table is keyed by rho: one filled under the real rho must not serve
+    # another, or a corrupted rho would go unseen by the profile pipeline
+    lam = make_weight(3, 1, 4)
+    real = {m: kostant._modules(lam, m, 4) for m in (0, 1)}
+    monkeypatch.setattr(root_data, "RHO", WeightTriple(2, 2, 0))
+    for m in (0, 1):
+        patched = kostant._modules(lam, m, 4)
+        assert patched == reference_modules(lam, m, 4)
+        assert patched != real[m]
+
+
+def test_dot_table_is_built_once_per_parabolic_and_rho(monkeypatch):
+    calls = []
+    real_dot = weyl.dot
+    monkeypatch.setattr(weyl, "dot", lambda w, lam: calls.append(w) or real_dot(w, lam))
+    kostant._dot_table.cache_clear()
+    for lam in dominant_grid(6):
+        for m in (0, 1):
+            kostant._modules(lam, m, 4)
+    assert kostant._dot_table.cache_info().misses == 2
+    assert len(calls) == 8  # four representatives per parabolic, at table build only
+
+
 # --- character oracles ------------------------------------------------------
 
 def test_character_of_the_trivial_module_is_one():
@@ -162,7 +211,7 @@ def test_character_is_weyl_invariant_with_fixed_r():
 def test_character_support_stays_in_the_character_lattice():
     lam = make_weight(3, 3, 8)
     for (a, b, r), _ in character(lam).items():
-        assert WeightTriple(a, b, r).is_character()
+        assert (r - a - b) % 2 == 0  # a character: r - k1 - k2 is even
 
 
 def test_freudenthal_multiplicity_table_of_the_reference_weight():
@@ -273,7 +322,7 @@ def test_euler_right_sides_agree_with_the_product_form(lam):
     for m in (0, 1):
         product = character(lam)
         for beta in [b for b in POSITIVE_ROOTS if b != levi_root(m)]:
-            product = product * one_minus_inverse(beta)
+            product = times(product, one_minus_inverse(beta))
         assert product == numerator.divide_one_minus_inverse(levi_root(m))
 
 
@@ -297,7 +346,7 @@ def string_form_holds(lam, m, mods):
     for mod in mods:
         for e, c in sl2_string(mod).items():
             lhs[e] = lhs.get(e, 0) + (-c if mod.q % 2 else c)
-    product = LaurentPolynomial(lhs) * one_minus_inverse(levi_root(m))
+    product = times(LaurentPolynomial(lhs), one_minus_inverse(levi_root(m)))
     return product == kostant._weyl_numerator(lam)
 
 

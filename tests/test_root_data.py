@@ -32,11 +32,16 @@ from siegel_weights.root_data import (
 )
 
 
+def is_character(v):
+    """v lies in the character sublattice: r - k1 - k2 is even."""
+    return (v.r - v.k1 - v.k2) % 2 == 0
+
+
 def test_make_weight_accepts_even_parity():
     lam = make_weight(3, 1, 4)
     assert (lam.k1, lam.k2, lam.r) == (3, 1, 4)
     assert make_weight(0, 0, 0) == WeightTriple(0, 0, 0)
-    assert make_weight(2, 1, -3).is_character()
+    assert is_character(make_weight(2, 1, -3))
 
 
 def test_make_weight_rejects_odd_parity():
@@ -81,7 +86,7 @@ def test_positive_roots_are_the_expected_four():
 def test_roots_kill_the_center_and_lie_in_the_character_lattice():
     for beta in POSITIVE_ROOTS:
         assert beta.r == 0
-        assert beta.is_character()
+        assert is_character(beta)
 
 
 def test_rho_is_the_half_sum_and_is_not_a_character():
@@ -90,7 +95,7 @@ def test_rho_is_the_half_sum_and_is_not_a_character():
         total = total + beta
     assert total == WeightTriple(4, 2, 0)
     assert RHO + RHO == total
-    assert not RHO.is_character()
+    assert not is_character(RHO)
 
 
 def test_parabolic_root_partition():
@@ -176,8 +181,8 @@ def test_similitude_weight_parity_and_randomized_lattice_closure():
         r = k1 + k2 + 2 * rng.randint(-10, 10)
         lam = make_weight(k1, k2, r)
         for beta in POSITIVE_ROOTS:
-            assert (lam + beta).is_character()
-            assert (lam - beta).is_character()
+            assert is_character(lam + beta)
+            assert is_character(lam - beta)
 
 
 HUGE = 10**5000  # past Python's 4300-digit limit for int-to-str conversion

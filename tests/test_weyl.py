@@ -11,9 +11,9 @@ from siegel_weights.errors import BadParabolicIndex
 from siegel_weights.root_data import COORDINATE_BOUND, POSITIVE_ROOTS, levi_root
 from siegel_weights.weyl import (
     IDENTITY,
-    LONGEST,
     S1,
     S2,
+    WeylElement,
     _is_negative,
     _minimal_representatives,
     all_elements,
@@ -22,6 +22,13 @@ from siegel_weights.weyl import (
     length,
     sign,
 )
+
+LONGEST = WeylElement((0, 1), (-1, -1))  # -id
+
+
+def is_character(v):
+    """v lies in the character sublattice: r - k1 - k2 is even."""
+    return (v.r - v.k1 - v.k2) % 2 == 0
 
 
 def random_character(rng):
@@ -124,7 +131,7 @@ def test_dot_action_preserves_the_character_lattice():
     for _ in range(30):
         lam = random_character(rng)
         for w in all_elements():
-            assert dot(w, lam).is_character()
+            assert is_character(dot(w, lam))
 
 
 def test_minimal_representatives_lengths_and_criterion():
