@@ -39,10 +39,10 @@ w3 - w2 = 2k2 + 2, so the pieces (1, n - 1) and (0, n) of degree n differ.
 
 The entry builders _siegel_entries and _klingen_entries take Kostant modules
 built once per parabolic for all strata and check only each rank, explicitly,
-as they skip CohomologyEntry's checks; _siegel_entries sums each piece's rank
-over the strata it is given.  Given the perverse base r, both build each
-entry in its perverse normalization; without r, n_perverse is None, as in
-analysis_report's classical boundary field.
+as they skip CohomologyEntry's checks; _siegel_entries reads its ranks off a
+rank table of _piece_ranks, one stratum's or a sum.  Given the perverse base
+r, both build each entry in its perverse normalization; without r,
+n_perverse is None, as in analysis_report's classical boundary field.
 """
 
 from __future__ import annotations
@@ -120,26 +120,33 @@ def group_cohomology_dim(u: int, stratum: StratumDatum, p: int) -> int:
     return (u + 1) * stratum.euler_term
 
 
+# The (p, q) pieces over a point stratum in degree order, (1, n - 1) before
+# (0, n): the first 2 * count have q < count, the first 2 * top + 1 have n <= top.
+SIEGEL_PIECES = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3))
+KERNEL_PIECE = SIEGEL_PIECES.index((1, 1))  # the piece whose kernel survives
+
+
+def _piece_ranks(modules: tuple[LeviModule, ...], stratum: StratumDatum) -> tuple[int, ...]:
+    """The stratum's rank table, one rank per piece of the given Siegel modules."""
+    pieces = SIEGEL_PIECES[: 2 * len(modules)]
+    return tuple(group_cohomology_dim(modules[q].restriction_weight, stratum, p) for p, q in pieces)
+
+
 def _siegel_entries(
-    modules: tuple[LeviModule, ...], strata: tuple[StratumDatum, ...], top: int, r=None
+    modules: tuple[LeviModule, ...], ranks: tuple[int, ...], top: int, r=None
 ) -> tuple[CohomologyEntry, ...]:
-    """Point-stratum entries of classical degree n <= top, one per (p, q)
-    piece with q among the given Siegel Kostant modules, ranks summed over
-    the strata; nothing is checked.  Degree n lists (1, n - 1) before (0, n),
-    which is weight order as w_q rises in q.  Rank-0 pieces are kept (nonzero
-    is False): vanishing is asserted, not omitted.  Given r: n_perverse = n + r."""
+    """Point-stratum entries of classical degree n <= top, one per piece of the
+    rank table in SIEGEL_PIECES order, which is weight order as w_q rises in
+    q; nothing is checked.  Rank-0 pieces are kept (nonzero is False):
+    vanishing is asserted, not omitted.  Given r: n_perverse = n + r."""
     entries = []
-    for n in range(top + 1):
-        for p, q in ((1, n - 1), (0, n)):
-            if 0 <= q < len(modules):
-                u, weight = modules[q].restriction_weight, modules[q].motivic_weight
-                rank = sum(group_cohomology_dim(u, s, p) for s in strata)
-                if rank < 0:  # CohomologyEntry's own check, skipped by tuple.__new__
-                    raise PreconditionViolation(f"bad rank bounds [{shown(rank)}, {shown(rank)}]")
-                prov = "paper" if n <= 2 else "derived"
-                npv = None if r is None else n + r
-                fields = (SIEGEL, n, weight, rank, rank, ((p, q),), prov, npv)
-                entries.append(tuple.__new__(CohomologyEntry, fields))
+    for (p, q), rank in zip(SIEGEL_PIECES[: 2 * top + 1], ranks):
+        n = p + q
+        if rank < 0:  # CohomologyEntry's own check, skipped by tuple.__new__
+            raise PreconditionViolation(f"bad rank bounds [{shown(rank)}, {shown(rank)}]")
+        fields = (SIEGEL, n, modules[q].motivic_weight, rank, rank, ((p, q),),
+                  "paper" if n <= 2 else "derived", None if r is None else n + r)
+        entries.append(tuple.__new__(CohomologyEntry, fields))
     return tuple(entries)
 
 

@@ -5,16 +5,16 @@ boundary stratum as a truncation of the full direct image, in the perverse
 normalization:
 
 * curve strata (m = 1): sharp truncation in degrees n_perverse <= r + 2; the
-  surviving entries are the reindexed Klingen profile rows with
-  n_perverse in {r + 1, r + 2}, unchanged.
+  survivors are the Klingen rows reindexed to n_perverse in {r + 1, r + 2},
+  their weight raised by one as a lisse sheaf's is when put in degree -1.
 
 * point strata (m = 0): degrees n_perverse <= r + 1 survive unchanged, and at
   n_perverse = r + 2 the full degree is replaced by the kernel of a boundary
-  map out of the weight-graded piece of weight (r + 2) - (k1 - k2).  Summed
-  over the supplied strata the map has source rank (k1+k2+3) * sum(2g-2+c)
-  and target rank sum(c); the kernel rank is pinned to the interval
-  [max(source - target, 0 or 1), source], with lower bound 1 per stratum once
-  k1 >= 1 because then source - target > 0 stratum-wise.
+  map out of the (1, 1) piece, of weight (r + 2) - (k1 - k2).  Summed over
+  the supplied strata its source rank is that piece's and its target rank
+  sum(c); the kernel rank lies in [source - target, source].  Per stratum,
+  source - target = (k1+k2+3)(2g-2+c) - c is at least 8g - 8 + 3c >= 1 once
+  k1 >= 1 (the rank inequality) and 6g - 6 + 2c >= 0 at k1 = 0.
 
 The avoided interval: over all nonzero entries of both intermediate profiles,
 
@@ -25,18 +25,20 @@ k = 0) avoid the boundary entirely.  For dominant lam this minimum always
 equals min(k1 - k2, k2); it is >= 1 exactly when lam is regular.  The weights
 -k and k + 1 do occur, the upper one by self-duality of the intersection
 complex with twist s = r + 3.
-
-Validate once, build only what is kept.  The public functions check lam and
-the strata once, then share _intermediate, which builds from the Kostant
-modules q <= 1 of each parabolic, shared by every stratum, only what both
-truncations keep.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .boundary import CohomologyEntry, StratumDatum, _klingen_entries, _siegel_entries
+from .boundary import (
+    KERNEL_PIECE,
+    CohomologyEntry,
+    StratumDatum,
+    _klingen_entries,
+    _piece_ranks,
+    _siegel_entries,
+)
 from .errors import EmptyStrata, InvalidStratum, PreconditionViolation
 from .kostant import LeviModule, _modules
 from .root_data import (
@@ -73,7 +75,8 @@ def _require_strata(strata) -> tuple[StratumDatum, ...]:
 
 
 def rank_inequality_check(lam: WeightTriple, stratum: StratumDatum) -> bool:
-    """(k1 + k2 + 3) * (2g - 2 + c) > c, the kernel nonvanishing inequality.
+    """(k1 + k2 + 3) * (2g - 2 + c) > c, the kernel nonvanishing inequality,
+    as printed: an oracle kept apart from the rank tables the profiles use.
 
     Requires dominant lam with k1 >= 1 (the chain of estimates behind the
     inequality starts from k1 + k2 + 3 >= 4); k1 = 0 raises
@@ -82,51 +85,38 @@ def rank_inequality_check(lam: WeightTriple, stratum: StratumDatum) -> bool:
     require_dominant(lam)
     if lam.k1 < 1:
         raise PreconditionViolation("kernel nonvanishing argument needs k1 >= 1")
-    ((source, target),) = _map_ranks(lam, _require_strata((stratum,)))
-    return source > target
-
-
-def _map_ranks(lam: WeightTriple, strata) -> list[tuple[int, int]]:
-    """Per stratum, the (source, target) ranks (k1+k2+3) * (2g-2+c) and c of
-    the boundary map; nothing is checked."""
-    return [((lam.k1 + lam.k2 + 3) * s.euler_term, s.c) for s in strata]
+    (stratum,) = _require_strata((stratum,))
+    return (lam.k1 + lam.k2 + 3) * stratum.euler_term > stratum.c
 
 
 def kernel_map_ranks(lam: WeightTriple, strata) -> tuple[int, int]:
-    """(source, target) ranks of the boundary map whose kernel survives at
-    n_perverse = r + 2 over the point strata: source = (k1+k2+3) * sum of
-    (2g-2+c), target = sum of c."""
-    require_dominant(lam)
-    ranks = _map_ranks(lam, _require_strata(strata))
-    return sum(src for src, _ in ranks), sum(tgt for _, tgt in ranks)
+    """(source, target) = (summed rank of the (1, 1) piece, sum of c), the ranks
+    of the boundary map whose kernel survives at n_perverse = r + 2."""
+    kernel = intermediate_profile(lam, SIEGEL, strata).kernel_entry
+    return kernel.rank_upper, kernel.rank_upper - kernel.rank_lower
 
 
-def _kernel_entry(lam: WeightTriple, piece: LeviModule, strata) -> CohomologyEntry:
-    """Kernel replacing degree r + 2 over point strata: the kernel of the
-    boundary map out of the (1, 1) piece, alone at its weight in degree 2,
-    whose weight it takes from piece, the Siegel Kostant module q = 1."""
-    ranks = _map_ranks(lam, strata)
-    floor = 1 if lam.k1 >= 1 else 0
-    lo = sum(max(src - tgt, floor) for src, tgt in ranks)
-    hi = sum(src for src, _ in ranks)
-    return CohomologyEntry(SIEGEL, 2, piece.motivic_weight, lo, hi, ((1, 1),), "paper", lam.r + 2)
+def _kernel_entry(r: int, piece: LeviModule, source: int, target: int) -> CohomologyEntry:
+    """Kernel of the boundary map of ranks (source, target) out of the (1, 1)
+    piece, which it replaces over the point strata, with the weight of piece."""
+    lo = source - target
+    return CohomologyEntry(SIEGEL, 2, piece.motivic_weight, lo, source, ((1, 1),), "paper", r + 2)
 
 
-def _intermediate(lam: WeightTriple, m: int, modules, strata) -> IntermediateProfile:
-    """Intermediate profile of parabolic m from its Kostant modules, which
-    must include q <= 1; nothing is checked.
-
+def _intermediate(lam: WeightTriple, m: int, modules, strata, tables) -> IntermediateProfile:
+    """Intermediate profile of parabolic m from its Kostant modules and, for
+    m = 0, the strata's rank tables, both covering q <= 1; nothing is checked.
     Both truncations (n_perverse <= r + 2 on curves, <= r + 1 on points)
     keep exactly the classical degrees n <= 1, ranks summed over the strata,
-    which form a disjoint union.  Given r, boundary's builders normalize each
-    survivor as they build it: n_perverse = n + r + dim and weight + dim, dim
-    the stratum's dimension; placing a lisse sheaf in degree -1 raises the
-    Frobenius weight of its perverse incarnation by one.
+    which form a disjoint union; boundary's builders, given r, normalize each
+    survivor as they build it.
     """
     if m == KLINGEN:
         return IntermediateProfile(m, _klingen_entries(modules[:2], lam.r), None)
-    entries = _siegel_entries(modules[:2], strata, 1, lam.r)
-    return IntermediateProfile(m, entries, _kernel_entry(lam, modules[1], strata))
+    ranks = tuple(map(sum, zip(*tables)))
+    entries = _siegel_entries(modules, ranks, 1, lam.r)  # first: it checks each rank
+    kernel = _kernel_entry(lam.r, modules[1], ranks[KERNEL_PIECE], sum(s.c for s in strata))
+    return IntermediateProfile(m, entries, kernel)
 
 
 def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfile:
@@ -140,7 +130,9 @@ def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfi
     require_dominant(lam)
     check_parabolic(m)
     strata = _require_strata(strata)
-    return _intermediate(lam, m, _modules(lam, m, 2), strata)
+    modules = _modules(lam, m, 2)
+    tables = [_piece_ranks(modules, s) for s in strata] if m == SIEGEL else ()
+    return _intermediate(lam, m, modules, strata, tables)
 
 
 def _minimal_gap(profiles) -> tuple[int, tuple[CohomologyEntry, ...]]:
@@ -160,16 +152,15 @@ def avoided_interval(lam: WeightTriple, strata) -> tuple[int, tuple[CohomologyEn
 
     Computed in one pass over the profiles aggregated over all strata.  This
     is also the minimum of the per-stratum values of k: the strata's profiles
-    agree in every field but the ranks, ranks are non-negative and summed,
-    and so an aggregated entry is nonzero exactly when the entry of some
-    stratum is (for the kernel entry, the summed lower bound is >= 1 exactly
-    when some stratum's is).
+    agree in every field but the ranks, ranks and the kernel's lower bounds
+    are non-negative and summed, and so an aggregated entry is nonzero
+    exactly when the entry of some stratum is.
     """
     require_dominant(lam)
     strata = _require_strata(strata)
-    return _minimal_gap(
-        _intermediate(lam, m, _modules(lam, m, 2), strata) for m in (SIEGEL, KLINGEN)
-    )
+    modules = {m: _modules(lam, m, 2) for m in (SIEGEL, KLINGEN)}
+    tables = [_piece_ranks(modules[SIEGEL], s) for s in strata]
+    return _minimal_gap(_intermediate(lam, m, modules[m], strata, tables) for m in modules)
 
 
 class AnalysisReport(NamedTuple):
@@ -197,15 +188,16 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
     occurring_weights = (-k, k + 1) whenever k >= 1.  For k = 0 the boundary
     weight structure is not decided here and occurring_weights is None.
 
-    The four Kostant modules of each parabolic are built once and serve the
-    kostant field, the full classical profiles of the boundary field (one
-    per point stratum) and the intermediate profiles, from which k and the
-    witnesses come.
+    The four Kostant modules of each parabolic and each point stratum's rank
+    table are built once and serve the kostant field, the full classical
+    profiles of the boundary field (one per point stratum) and the
+    intermediate profiles, from which k and the witnesses come.
     """
     require_dominant(lam)
     strata = _require_strata(strata)
     kostant = {m: _modules(lam, m, 4) for m in (SIEGEL, KLINGEN)}
-    intermediate = {m: _intermediate(lam, m, kostant[m], strata) for m in (SIEGEL, KLINGEN)}
+    tables = [_piece_ranks(kostant[SIEGEL], s) for s in strata]
+    intermediate = {m: _intermediate(lam, m, kostant[m], strata, tables) for m in kostant}
     k, witnesses = _minimal_gap(intermediate.values())
     regular = is_regular(lam)
     if k != k_invariant(lam) or (k >= 1) != regular:
@@ -224,7 +216,7 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
         duality_twist=lam.r + 3,
         kostant=kostant,
         boundary={
-            SIEGEL: tuple((s, _siegel_entries(kostant[SIEGEL], (s,), 4)) for s in strata),
+            SIEGEL: tuple(zip(strata, (_siegel_entries(kostant[SIEGEL], t, 4) for t in tables))),
             KLINGEN: _klingen_entries(kostant[KLINGEN]),
         },
         intermediate=intermediate,

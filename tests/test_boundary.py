@@ -20,6 +20,7 @@ from siegel_weights import (
 from siegel_weights.boundary import (
     CohomologyEntry,
     _klingen_entries,
+    _piece_ranks,
     _siegel_entries,
     group_cohomology_dim,
 )
@@ -196,6 +197,11 @@ def test_perverse_reindex_keeps_everything_else():
 
 # --- one entry per (p, q) piece ----------------------------------------------
 
+def summed_table(modules, strata):
+    """The rank tables of the strata, summed piece by piece."""
+    return tuple(map(sum, zip(*(_piece_ranks(modules, s) for s in strata))))
+
+
 def merging_siegel_entries(modules, strata, top, r=None):
     """The reference builder: pieces grouped by (degree, weight) in a dict,
     the groups sorted and each group's ranks summed into one entry."""
@@ -234,7 +240,7 @@ def test_siegel_entries_match_the_merging_builder(lam, strata):
     assert gaps == [2 * lam.k2 + 2, 2 * (lam.k1 - lam.k2) + 2, 2 * lam.k2 + 2]  # all >= 2
     strata = tuple(strata)
     for mods, top, r in ((modules, 4, None), (modules[:2], 1, lam.r)):
-        entries = _siegel_entries(mods, strata, top, r)
+        entries = _siegel_entries(mods, summed_table(mods, strata), top, r)
         assert entries == merging_siegel_entries(mods, strata, top, r)
         assert all(len(e.origin) == 1 for e in entries)
 
@@ -322,7 +328,8 @@ def test_entry_rank_bounds_are_validated():
 def test_builder_entries_are_what_the_checked_constructor_builds(lam, strata):
     strata = tuple(strata)
     for r in (None, lam.r):
-        entries = _siegel_entries(_modules(lam, SIEGEL, 4), strata, 4, r)
+        modules = _modules(lam, SIEGEL, 4)
+        entries = _siegel_entries(modules, summed_table(modules, strata), 4, r)
         entries += _klingen_entries(_modules(lam, KLINGEN, 4), r)
         for e in entries:
             assert type(e) is CohomologyEntry

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siegel_weights import checks, cli, intersection, kostant, root_data, weyl
-from siegel_weights.boundary import CohomologyEntry
+from siegel_weights.boundary import KERNEL_PIECE, CohomologyEntry
 from siegel_weights.root_data import WeightTriple
 
 TOP_LEVEL_KEYS = [
@@ -204,11 +204,16 @@ def test_analyze_json_round_trips_with_40_strata_on_a_wall():
             ["sweep", "--max-k1", "200", "--format", "json"],
             "ad240770c05227c902f73d58225ab87b6cb9f5659613bf9e2699014a04c79712",
         ),
+        (  # a tight stratum (source rank = target rank) beside two with slack, at k1 = 0
+            ["analyze", "--k1", "0", "--k2", "0", "--r", "0",
+             "--stratum", "0,3", "--stratum", "1,1", "--stratum", "2,5"],
+            "c6045925379d1901384d6e4df0f2f3febc6e0238c646858a2891b485dc630621",
+        ),
     ],
     ids=[
         "analyze-3-strata", "analyze-3-strata-table", "analyze-trivial", "analyze-40-wall",
         "sweep-30", "verify-8", "sweep-20-table", "analyze-unknown-kernel",
-        "analyze-unknown-kernel-table", "sweep-200",
+        "analyze-unknown-kernel-table", "sweep-200", "analyze-mixed-strata-k1-0",
     ],
 )
 def test_output_bytes_are_pinned(argv, digest):
@@ -552,10 +557,11 @@ SUITE_MUTANTS = {
     "stratum_profiles": (checks, "intermediate_profile", _siegel_kernel_weight_bumped),
     "reference_rows": (  # k1 + k2 + 2 for k1 + k2 + 3 in the kernel's source rank
         intersection,
-        "_map_ranks",
-        lambda real: lambda lam, strata: [
-            ((lam.k1 + lam.k2 + 2) * s.euler_term, s.c) for s in strata
-        ],
+        "_piece_ranks",
+        lambda real: lambda modules, s: tuple(
+            rank - s.euler_term if i == KERNEL_PIECE else rank
+            for i, rank in enumerate(real(modules, s))
+        ),
     ),
     "rank_inequality": (  # 2g - 2 for 2g - 2 + c
         checks,

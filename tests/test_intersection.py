@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siegel_weights import (
+    SIEGEL,
     EmptyStrata,
     InvalidStratum,
     NotDominant,
@@ -16,9 +17,12 @@ from siegel_weights import (
     make_weight,
     rank_inequality_check,
 )
+from siegel_weights import boundary
+from siegel_weights.boundary import KERNEL_PIECE, _piece_ranks
 from siegel_weights.checks import dominant_grid
 from siegel_weights.errors import PreconditionViolation
 from siegel_weights.intersection import IntermediateProfile, _minimal_gap
+from siegel_weights.kostant import _modules
 from siegel_weights.root_data import COORDINATE_BOUND
 from weight_strategies import strata_data, wide_weights
 
@@ -100,6 +104,60 @@ def test_kernel_entry_at_k1_zero_is_honest_about_unknowns():
     slack = intermediate_profile(lam, 0, [StratumDatum(1, 1)])  # source 3 > target 1
     assert slack.kernel_entry.rank_lower == 2
     assert slack.kernel_entry.nonzero is True
+
+
+# --- one home for every rank ---------------------------------------------------
+
+def kernel_piece_rank(lam, stratum):
+    """The (1, 1) rank in the stratum's rank table."""
+    return _piece_ranks(_modules(lam, SIEGEL, 2), stratum)[KERNEL_PIECE]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lam=wide_weights(), strata=st.lists(strata_data(), min_size=1, max_size=6))
+@example(lam=make_weight(0, 0, 0), strata=[P03])
+@example(lam=make_weight(0, 0, 2), strata=[P03, StratumDatum(1, 1), StratumDatum(2, 5)])
+def test_kernel_lower_bound_is_source_minus_target(lam, strata):
+    # each stratum's (1, 1) rank is at least its c, and above it once k1 >= 1,
+    # so the floored per-stratum bound max(source - c, floor) is source - c
+    # term by term, and the oracle's sum is the kernel's source - target
+    floor = 1 if lam.k1 >= 1 else 0
+    for s in strata:
+        assert kernel_piece_rank(lam, s) - s.c >= floor
+    kernel = intermediate_profile(lam, SIEGEL, strata).kernel_entry
+    source = [(lam.k1 + lam.k2 + 3) * s.euler_term for s in strata]
+    assert kernel.rank_lower == sum(max(src - s.c, floor) for src, s in zip(source, strata))
+    assert kernel.rank_upper == sum(source)
+    assert kernel_map_ranks(lam, strata) == (kernel.rank_upper, sum(s.c for s in strata))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lam=wide_weights(), stratum=strata_data())
+@example(lam=make_weight(1, 0, 1), stratum=P03)
+def test_rank_inequality_is_the_rank_table_inequality(lam, stratum):
+    # the printed closed form and the rank the pipeline reads cannot drift apart
+    if lam.k1 < 1:
+        with pytest.raises(PreconditionViolation):
+            rank_inequality_check(lam, stratum)
+    else:
+        assert rank_inequality_check(lam, stratum) == (kernel_piece_rank(lam, stratum) > stratum.c)
+
+
+@pytest.mark.parametrize("lam", [REFERENCE, make_weight(0, 0, 0), make_weight(2, 2, 4)])
+def test_each_piece_rank_is_computed_once(lam, monkeypatch):
+    real = boundary.group_cohomology_dim
+    calls = []
+
+    def counted(u, stratum, p):
+        calls.append((u, stratum, p))
+        return real(u, stratum, p)
+
+    monkeypatch.setattr(boundary, "group_cohomology_dim", counted)
+    for strata in ([P03], [P03, StratumDatum(1, 1), StratumDatum(2, 5)]):
+        for build, pieces in ((analysis_report, 8), (avoided_interval, 4)):
+            calls.clear()
+            build(lam, strata)
+            assert len(calls) == pieces * len(strata)
 
 
 def test_empty_strata_rejected():
