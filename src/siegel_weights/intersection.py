@@ -85,7 +85,8 @@ def rank_inequality_check(lam: WeightTriple, stratum: StratumDatum) -> bool:
     require_dominant(lam)
     if lam.k1 < 1:
         raise PreconditionViolation("kernel nonvanishing argument needs k1 >= 1")
-    (stratum,) = _require_strata((stratum,))
+    if not isinstance(stratum, StratumDatum):
+        raise InvalidStratum("each stratum must be a StratumDatum")
     return (lam.k1 + lam.k2 + 3) * stratum.euler_term > stratum.c
 
 

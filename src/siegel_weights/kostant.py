@@ -14,8 +14,9 @@ pipeline calls _modules on inputs it has already checked: the boundary
 truncations need only q <= 1, the full report all four.  The dot action is
 affine in lam: w . lam = (a lam[i] + c1, b lam[j] + c2, r) for w(v) =
 (a v[i], b v[j], v.r), with (c1, c2) = w . 0 from weyl.dot, the one home of
-the rho shift.  _modules reads these numbers from _dot_table(m, rho), built
-once per parabolic and per value of root_data.RHO, which keys it.
+the rho shift.  One table, _affine_maps(elements, rho), holds these numbers
+and sign(w), keyed by root_data.RHO: _modules reads the rows of the minimal
+representatives through _dot_table(m, rho), _weyl_numerator all eight.
 
 Two independent character oracles guard the tables:
 
@@ -24,6 +25,9 @@ Two independent character oracles guard the tables:
   prod (1 - x^{-beta}) over the positive roots;
 * freudenthal_multiplicities(lam) runs Freudenthal's recursion on dominant
   weights and expands Weyl orbits.
+
+The oracles check lam once per call, then build their terms on plain ints
+and hand them to LaurentPolynomial._trusted unchecked.
 
 euler_check(lam, m) verifies the Euler characteristic identity
 
@@ -53,7 +57,7 @@ InputBoundExceeded.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 from itertools import count
 from typing import NamedTuple
 
@@ -65,8 +69,8 @@ from .root_data import (
     _motivic_weight,
     _restriction_weight,
     check_parabolic,
-    pairing,
     require_dominant,
+    shown,
 )
 
 ORACLE_MAX_K1 = 100
@@ -91,39 +95,46 @@ def nilpotent_cohomology(lam: WeightTriple, m: int) -> tuple[LeviModule, ...]:
 
 
 @cache
+def _affine_maps(elements: tuple, rho: WeightTriple) -> tuple[tuple[int, ...], ...]:
+    """(i, j, a, b, c1, c2, sign(w)) per w in elements, so that w . lam =
+    (a lam[i] + c1, b lam[j] + c2, lam.r); rho is only the cache key, as
+    weyl.dot reads root_data.RHO itself."""
+    zero = WeightTriple(0, 0, 0)
+    return tuple((*w.source, *w.signs, *weyl.dot(w, zero)[:2], weyl.sign(w)) for w in elements)
+
+
+@cache
 def _dot_table(m: int, rho: WeightTriple) -> tuple[tuple[int, ...], ...]:
-    """(i, j, a, b, c1, c2) per minimal representative of parabolic m, in length
-    order; rho is only the cache key, as weyl.dot reads root_data.RHO itself."""
-    reps = weyl._minimal_representatives(m)
-    return tuple((*w.source, *w.signs, *weyl.dot(w, WeightTriple(0, 0, 0))[:2]) for w in reps)
+    """_affine_maps of parabolic m's minimal representatives, looked up by (m, rho)."""
+    return _affine_maps(weyl._minimal_representatives(m), rho)
 
 
 def _modules(lam: WeightTriple, m: int, count: int) -> tuple[LeviModule, ...]:
     """The Kostant modules q < count of parabolic m; lam and m are not checked."""
     modules = []
-    for q, (i, j, a, b, c1, c2) in enumerate(_dot_table(m, root_data.RHO)[:count]):
+    for q, (i, j, a, b, c1, c2, _) in enumerate(_dot_table(m, root_data.RHO)[:count]):
         hw = WeightTriple(a * lam[i] + c1, b * lam[j] + c2, lam.r)
         u = _restriction_weight(hw, m)
         modules.append(LeviModule(m, q, hw, u + 1, u, _motivic_weight(hw, m)))
     return tuple(modules)
 
 
-def _require_oracle_size(lam: WeightTriple) -> None:
+def _require_oracle_weight(lam: WeightTriple) -> None:
+    if not all(type(v) is int for v in lam):
+        raise PreconditionViolation(f"weight coordinates must be ints, got {shown(lam)}")
     if lam.k1 > ORACLE_MAX_K1:
         raise InputBoundExceeded(
             f"character oracles need k1 <= {ORACLE_MAX_K1}, got k1 = {lam.k1}"
         )
 
 
-@lru_cache(maxsize=1)
-def _signed_elements() -> tuple[tuple[weyl.WeylElement, int], ...]:
-    # signs come from the positive roots; rho is read by weyl.dot per call
-    return tuple((w, weyl.sign(w)) for w in weyl.all_elements())
-
-
 def _weyl_numerator(lam: WeightTriple) -> LaurentPolynomial:
-    """N(lam) = sum_w sign(w) x^{w . lam}, the numerator of Weyl's formula."""
-    return LaurentPolynomial({weyl.dot(w, lam): sign for w, sign in _signed_elements()})
+    """N(lam) = sum_w sign(w) x^{w . lam}, Weyl's numerator; of equal images the last wins."""
+    r = lam.r
+    maps = _affine_maps(weyl.all_elements(), root_data.RHO)
+    return LaurentPolynomial._trusted(
+        {(a * lam[i] + c1, b * lam[j] + c2, r): sign for i, j, a, b, c1, c2, sign in maps}
+    )
 
 
 def character(lam: WeightTriple) -> LaurentPolynomial:
@@ -135,7 +146,7 @@ def character(lam: WeightTriple) -> LaurentPolynomial:
     for k1 > ORACLE_MAX_K1.
     """
     require_dominant(lam)
-    _require_oracle_size(lam)
+    _require_oracle_weight(lam)
     poly = _weyl_numerator(lam)
     for beta in root_data.POSITIVE_ROOTS:
         poly = poly.divide_one_minus_inverse(beta)
@@ -161,69 +172,65 @@ def freudenthal_multiplicities(lam: WeightTriple) -> dict[tuple[int, int], int]:
         (|lam+rho|^2 - |mu+rho|^2) m_mu
             = 2 sum_{beta > 0} sum_{j >= 1} m_{mu + j beta} <mu + j beta, beta>
 
-    runs downward in j-height from lam; every division is exact in Z.
-    Raises InputBoundExceeded for k1 > ORACLE_MAX_K1.
+    runs downward in j-height from lam; every division is exact in Z.  Here
+    <u, v> = u.k1 v.k1 + u.k2 v.k2 (r pairs to zero with the roots) is W-invariant,
+    short roots of squared length 2, long ones 4.  Raises InputBoundExceeded
+    for k1 > ORACLE_MAX_K1.
     """
     require_dominant(lam)
-    _require_oracle_size(lam)
-    rho = root_data.RHO
+    _require_oracle_weight(lam)
+    rho1, rho2, _ = root_data.RHO
+    roots = [beta[:2] for beta in root_data.POSITIVE_ROOTS]
     k1, k2 = lam.k1, lam.k2
 
     # Dominant weights mu <= lam: lam - mu = m1*(1,-1) + m2*(0,2), m1, m2 >= 0.
+    # Listed by k1 then k2 descending; the stable sort keeps that order per height.
     candidates = []
     for a in range(k1, -1, -1):
         for b in range(min(a, k1 + k2 - a), -1, -1):
             if (k1 + k2 - a - b) % 2 == 0:
-                m1 = k1 - a
-                m2 = (k1 + k2 - a - b) // 2
-                candidates.append((m1 + m2, WeightTriple(a, b, lam.r)))
-    candidates.sort(key=lambda t: (t[0], -t[1].k1, -t[1].k2))
+                candidates.append(((k1 - a) + (k1 + k2 - a - b) // 2, a, b))
+    candidates.sort(key=lambda t: t[0])
 
-    lam_norm = pairing(lam + rho, lam + rho)
+    lam_norm = (k1 + rho1) ** 2 + (k2 + rho2) ** 2
+    lam_len = k1 * k1 + k2 * k2
     mult: dict[tuple[int, int], int] = {}
 
-    def lookup(v: WeightTriple) -> int:
-        a, b = abs(v.k1), abs(v.k2)  # the dominant conjugate of v
-        return mult.get((max(a, b), min(a, b)), 0)
-
-    for height, mu in candidates:
+    for height, a, b in candidates:
         if height == 0:
-            mult[(mu.k1, mu.k2)] = 1
+            mult[(a, b)] = 1
             continue
         numer = 0
-        for beta in root_data.POSITIVE_ROOTS:
+        for b1, b2 in roots:
             for j in count(1):
-                nu = mu + WeightTriple(j * beta.k1, j * beta.k2, 0)
-                m_nu = lookup(nu)
+                n1, n2 = a + j * b1, b + j * b2
+                x, y = abs(n1), abs(n2)  # the dominant conjugate of (n1, n2)
+                m_nu = mult.get((x, y) if x >= y else (y, x), 0)
+                along = n1 * b1 + n2 * b2
                 if m_nu:
-                    numer += 2 * m_nu * pairing(nu, beta)
-                else:
-                    # stop once on the growing branch of |mu + j beta|^2 and
-                    # already past the weight-norm bound |lam|^2
-                    f = pairing(nu, nu)
-                    if f > pairing(lam, lam) and pairing(nu, beta) > 0:
-                        break
-                    if j > 2 * (k1 + k2 + 4):
-                        break
-        denom = lam_norm - pairing(mu + rho, mu + rho)
+                    numer += 2 * m_nu * along
+                # stop once on the growing branch of |mu + j beta|^2 and
+                # already past the weight-norm bound |lam|^2
+                elif (n1 * n1 + n2 * n2 > lam_len and along > 0) or j > 2 * (k1 + k2 + 4):
+                    break
+        denom = lam_norm - (a + rho1) ** 2 - (b + rho2) ** 2
         if denom <= 0 or numer % denom:
             raise PreconditionViolation(
-                f"internal: Freudenthal step at mu = ({mu.k1}, {mu.k2}) divides"
-                f" {numer} by {denom}"
+                f"internal: Freudenthal step at mu = ({a}, {b}) divides {numer} by {denom}"
             )
         m_mu = numer // denom
         if m_mu:
-            mult[(mu.k1, mu.k2)] = m_mu
+            mult[(a, b)] = m_mu
     return mult
 
 
 def freudenthal_character(lam: WeightTriple) -> LaurentPolynomial:
     """Full character from the dominant-multiplicity table by orbit expansion."""
     terms: dict[tuple[int, int, int], int] = {}
-    for (n1, n2), m in freudenthal_multiplicities(lam).items():
-        for x, y in {w(WeightTriple(n1, n2, lam.r))[:2] for w in weyl.all_elements()}:
+    for n, m in freudenthal_multiplicities(lam).items():
+        for x, y in {(a * n[i], b * n[j]) for (i, j), (a, b) in weyl.all_elements()}:
             terms[(x, y, lam.r)] = terms.get((x, y, lam.r), 0) + m
-    return LaurentPolynomial(terms)
+    return LaurentPolynomial._trusted(terms)
 
 
 def euler_check(lam: WeightTriple, m: int) -> bool:
@@ -236,13 +243,14 @@ def euler_check(lam: WeightTriple, m: int) -> bool:
     """
     require_dominant(lam)
     check_parabolic(m)
-    _require_oracle_size(lam)
-    gamma = root_data.levi_root(m)
-    terms: dict[WeightTriple, int] = {}
+    _require_oracle_weight(lam)
+    g1, g2, _ = root_data.levi_root(m)
+    terms: dict[tuple[int, int, int], int] = {}
     for mod in nilpotent_cohomology(lam, m):
         sign = -1 if mod.q % 2 else 1
-        nu, s = mod.highest_weight, mod.restriction_weight + 1
-        bottom = nu - WeightTriple(s * gamma.k1, s * gamma.k2, 0)
-        terms[nu] = terms.get(nu, 0) + sign
+        (n1, n2, r), s = mod.highest_weight, mod.restriction_weight + 1
+        top, bottom = (n1, n2, r), (n1 - s * g1, n2 - s * g2, r)
+        terms[top] = terms.get(top, 0) + sign
         terms[bottom] = terms.get(bottom, 0) - sign
-    return LaurentPolynomial(terms) == _weyl_numerator(lam)
+    left = LaurentPolynomial._trusted({e: c for e, c in terms.items() if c})
+    return left == _weyl_numerator(lam)

@@ -175,12 +175,3 @@ def levi_restriction_weight(n: WeightTriple, m: int) -> int:
     """Highest weight of n restricted to the SL(2) inside the Levi of m."""
     return _restriction_weight(n, check_parabolic(m))
 
-
-def pairing(u: WeightTriple, v: WeightTriple) -> int:
-    """Euclidean pairing on the (k1, k2) plane.
-
-    The r-coordinate is central and pairs to zero with every root, so it is
-    omitted.  Under this form the short roots have squared length 2 and the
-    long ones 4, a valid W-invariant normalization for type C2.
-    """
-    return u.k1 * v.k1 + u.k2 * v.k2

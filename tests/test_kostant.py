@@ -22,7 +22,7 @@ from siegel_weights import (
 )
 from siegel_weights import kostant, root_data, weyl
 from siegel_weights.checks import KLINGEN_TABLE, SIEGEL_TABLE, dominant_grid
-from siegel_weights.errors import BadParabolicIndex
+from siegel_weights.errors import BadParabolicIndex, PreconditionViolation
 from siegel_weights.kostant import LeviModule, freudenthal_multiplicities
 from siegel_weights.root_data import (
     COORDINATE_BOUND,
@@ -152,11 +152,40 @@ def test_dot_table_is_built_once_per_parabolic_and_rho(monkeypatch):
     real_dot = weyl.dot
     monkeypatch.setattr(weyl, "dot", lambda w, lam: calls.append(w) or real_dot(w, lam))
     kostant._dot_table.cache_clear()
+    kostant._affine_maps.cache_clear()
     for lam in dominant_grid(6):
         for m in (0, 1):
             kostant._modules(lam, m, 4)
     assert kostant._dot_table.cache_info().misses == 2
     assert len(calls) == 8  # four representatives per parabolic, at table build only
+
+
+def reference_numerator(lam):
+    """N(lam) term by term from weyl.dot and weyl.sign, through the checked constructor;
+    of equal images the last wins, as in kostant._weyl_numerator."""
+    return LaurentPolynomial({weyl.dot(w, lam): weyl.sign(w) for w in all_elements()})
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lam=wide_weights())
+@example(lam=make_weight(0, 0, 0))
+@example(lam=make_weight(COORDINATE_BOUND, COORDINATE_BOUND, COORDINATE_BOUND))
+def test_weyl_numerator_from_the_affine_table_matches_the_dot_action(lam):
+    numerator = kostant._weyl_numerator(lam)
+    assert numerator == reference_numerator(lam)
+    assert len(list(numerator.items())) == 8  # lam + rho is strictly dominant
+
+
+def test_weyl_numerator_follows_a_patched_rho(monkeypatch):
+    # the numerator's table is keyed by rho as the dot table is: one filled
+    # under the real rho must not serve another, or a corrupted rho would
+    # reach character and euler_check unseen
+    lam = make_weight(3, 1, 4)
+    real = kostant._weyl_numerator(lam)
+    monkeypatch.setattr(root_data, "RHO", WeightTriple(2, 2, 0))
+    patched = kostant._weyl_numerator(lam)
+    assert patched == reference_numerator(lam)
+    assert patched != real
 
 
 # --- character oracles ------------------------------------------------------
@@ -189,7 +218,10 @@ def test_weyl_dimension_small_values():
 
 
 def test_character_agrees_with_freudenthal_everywhere_small():
-    for lam in dominant_grid(4):
+    # the verify grid, then a seeded sample beyond it up to k1 = 12
+    rng = random.Random(12)
+    sample = [random_dominant(rng, max_k1=12) for _ in range(15)]
+    for lam in [*dominant_grid(4), *sample, make_weight(12, 0, 12), make_weight(12, 12, 2)]:
         ch = character(lam)
         assert ch == freudenthal_character(lam)
         assert ch.mass() == weyl_dimension(lam)
@@ -400,6 +432,15 @@ def test_oracles_refuse_k1_above_the_bound():
     for m in (0, 1):
         with pytest.raises(InputBoundExceeded):
             euler_check(big, m)
+
+
+@pytest.mark.parametrize("lam", [WeightTriple(2.0, 1, 3), WeightTriple(2, 1, True)])
+def test_oracles_refuse_weights_without_int_coordinates(lam):
+    # checked once per call, before any term is built unchecked
+    euler_checks = (lambda v: euler_check(v, 0), lambda v: euler_check(v, 1))
+    for oracle in (character, freudenthal_multiplicities, freudenthal_character, *euler_checks):
+        with pytest.raises(PreconditionViolation):
+            oracle(lam)
 
 
 def test_character_accepts_k1_at_the_bound():

