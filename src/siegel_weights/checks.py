@@ -1,9 +1,10 @@
 """The verify suites, and the weight grid and Kostant closed forms the tests share.
 
-Each suite_* function returns (checks run, counterexample): None, or a
-JSON-ready dict naming the failed check.  The verify command runs the suites
-in order and stops at the first failure.  Weights and strata go in as they
-are; a type's field order is its JSON key order.
+Each suite_* function is a generator called as suite(rng, max_k1).  It yields
+one item per check: None when the check passes, else a JSON-ready dict naming
+the failed check, built only then.  SUITES lists the suites in verify's order;
+verify counts each suite's items and stops at the first counterexample.
+Weights and strata go in as they are; a type's field order is its JSON key order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .kostant import (
     nilpotent_cohomology,
     weyl_dimension,
 )
-from .root_data import KLINGEN, SIEGEL, WeightTriple, k_invariant, make_weight
+from .root_data import KLINGEN, SIEGEL, WeightTriple, is_regular, k_invariant, make_weight
 
 
 def dominant_grid(bound: int) -> list[WeightTriple]:
@@ -38,27 +39,22 @@ def sample_dominant(rng: random.Random, max_k1: int) -> WeightTriple:
 def suite_dot_action(rng: random.Random, max_k1: int):
     elems = weyl.all_elements()
     lengths = sorted(weyl.length(w) for w in elems)
-    if lengths != [0, 1, 1, 2, 2, 3, 3, 4]:
-        return 1, {"check": "length multiset", "got": lengths}
-    checks = 1
+    ok = lengths == [0, 1, 1, 2, 2, 3, 3, 4]
+    yield None if ok else {"check": "length multiset", "got": lengths}
     sample = [sample_dominant(rng, max_k1 + 5) for _ in range(8)]
     for lam in sample:
         for w in elems:
             for u in elems:
                 lhs = weyl.dot(w, weyl.dot(u, lam))
                 rhs = weyl.dot(weyl.compose(w, u), lam)
-                checks += 1
-                if lhs != rhs:
-                    return checks, {
-                        "check": "dot action group law",
-                        "lambda": lam,
-                        "w": w.word(),
-                        "u": u.word(),
-                    }
-        if weyl.dot(weyl.IDENTITY, lam) != lam:
-            return checks, {"check": "dot identity", "lambda": lam}
-        checks += 1
-    return checks, None
+                yield None if lhs == rhs else {
+                    "check": "dot action group law",
+                    "lambda": lam,
+                    "w": w.word(),
+                    "u": u.word(),
+                }
+        ok = weyl.dot(weyl.IDENTITY, lam) == lam
+        yield None if ok else {"check": "dot identity", "lambda": lam}
 
 
 # Highest weights of the Kostant modules q = 0..3.
@@ -77,40 +73,33 @@ KLINGEN_TABLE = (
 
 
 def suite_kostant_tables(rng: random.Random, max_k1: int):
-    checks = 0
     for _ in range(50):
         lam = sample_dominant(rng, max_k1 + 20)
         for m, table in ((SIEGEL, SIEGEL_TABLE), (KLINGEN, KLINGEN_TABLE)):
             mods = nilpotent_cohomology(lam, m)
             for q, mod in enumerate(mods):
                 expected = table[q](lam.k1, lam.k2, lam.r)
-                checks += 1
-                if mod.highest_weight != expected:
-                    return checks, {
-                        "check": "kostant closed form",
-                        "lambda": lam,
-                        "m": m,
-                        "q": q,
-                        "expected": expected,
-                        "actual": mod.highest_weight,
-                    }
-    return checks, None
+                yield None if mod.highest_weight == expected else {
+                    "check": "kostant closed form",
+                    "lambda": lam,
+                    "m": m,
+                    "q": q,
+                    "expected": expected,
+                    "actual": mod.highest_weight,
+                }
 
 
-def suite_euler(max_k1: int):
-    grid = [(lam, m) for lam in dominant_grid(max_k1) for m in (SIEGEL, KLINGEN)]
-    for lam, m in grid:
-        if not euler_check(lam, m):
-            return len(grid), {
+def suite_euler(rng: random.Random, max_k1: int):
+    for lam in dominant_grid(max_k1):
+        for m in (SIEGEL, KLINGEN):
+            yield None if euler_check(lam, m) else {
                 "check": "euler characteristic",
                 "lambda": lam,
                 "m": m,
             }
-    return len(grid), None
 
 
 def suite_weight_formulas(rng: random.Random, max_k1: int):
-    checks = 0
     strata = (StratumDatum(0, 3),)
     for _ in range(25):
         lam = sample_dominant(rng, max_k1 + 10)
@@ -130,40 +119,33 @@ def suite_weight_formulas(rng: random.Random, max_k1: int):
             if e.n_perverse == r + 2:
                 expected.append((e.weight, (r + 2) - k2))
         for got, want in expected:
-            checks += 1
-            if got != want:
-                return checks, {
-                    "check": "weight closed form",
-                    "lambda": lam,
-                    "got": got,
-                    "want": want,
-                }
-    return checks, None
+            yield None if got == want else {
+                "check": "weight closed form",
+                "lambda": lam,
+                "got": got,
+                "want": want,
+            }
 
 
-def suite_stratum_profiles(max_k1: int):
+def suite_stratum_profiles(rng: random.Random, max_k1: int):
     strata = [StratumDatum(0, 3), StratumDatum(1, 1), StratumDatum(2, 5)]
-    checks = 0
-    for lam in dominant_grid(max_k1):
-        if not (lam.k1 > lam.k2 > 0):
-            continue
+    for lam in filter(is_regular, dominant_grid(max_k1)):
         k1, k2, r = lam.k1, lam.k2, lam.r
         curve = intermediate_profile(lam, KLINGEN, strata)  # the same for every stratum
         for s in strata:
             for m, bound_gap in ((SIEGEL, k1 - k2), (KLINGEN, k2)):
                 profile = intermediate_profile(lam, SIEGEL, (s,)) if m == SIEGEL else curve
                 top = [e for e in profile.all_entries() if e.n_perverse == r + 2]
-                checks += 1
-                if not any(e.nonzero is True for e in top):
-                    return checks, {
+                want_top = (r + 2) - bound_gap
+                if not any(e.nonzero is True for e in top):  # one check with the next
+                    yield {
                         "check": "top perverse degree nonzero",
                         "lambda": lam,
                         "m": m,
                         "stratum": s._asdict(),
                     }
-                want_top = (r + 2) - bound_gap
-                if {e.weight for e in top} != {want_top}:
-                    return checks, {
+                else:
+                    yield None if {e.weight for e in top} == {want_top} else {
                         "check": "top perverse weight",
                         "lambda": lam,
                         "m": m,
@@ -171,20 +153,17 @@ def suite_stratum_profiles(max_k1: int):
                         "want": want_top,
                     }
                 for e in profile.all_entries():
-                    checks += 1
-                    if e.nonzero is True and e.weight > e.n_perverse - bound_gap:
-                        return checks, {
-                            "check": "weight bound below top degree",
-                            "lambda": lam,
-                            "m": m,
-                            "entry_degree": e.n_perverse,
-                            "weight": e.weight,
-                        }
-    return checks, None
+                    ok = e.nonzero is not True or e.weight <= e.n_perverse - bound_gap
+                    yield None if ok else {
+                        "check": "weight bound below top degree",
+                        "lambda": lam,
+                        "m": m,
+                        "entry_degree": e.n_perverse,
+                        "weight": e.weight,
+                    }
 
 
-def suite_rank_inequality(max_k1: int):
-    checks = 0
+def suite_rank_inequality(rng: random.Random, max_k1: int):
     strata = [
         StratumDatum(g, c)
         for g in range(0, 6)
@@ -195,40 +174,33 @@ def suite_rank_inequality(max_k1: int):
         if lam.k1 < 1:
             continue
         for s in strata:
-            checks += 1
-            if not rank_inequality_check(lam, s):
-                return checks, {
-                    "check": "rank inequality",
-                    "lambda": lam,
-                    "stratum": s._asdict(),
-                }
-    return checks, None
+            yield None if rank_inequality_check(lam, s) else {
+                "check": "rank inequality",
+                "lambda": lam,
+                "stratum": s._asdict(),
+            }
 
 
-def suite_avoided_interval(max_k1: int):
+def suite_avoided_interval(rng: random.Random, max_k1: int):
     strata_a = (StratumDatum(0, 3),)
     strata_b = (StratumDatum(1, 1), StratumDatum(2, 5))
-    checks = 0
     for lam in dominant_grid(max_k1):
         ka, _ = avoided_interval(lam, strata_a)
         kb, _ = avoided_interval(lam, strata_b)
         closed = k_invariant(lam)
-        checks += 2
-        if ka != closed or kb != closed:
-            return checks, {
+        for k in (ka, kb):  # one check per strata set
+            yield None if k == closed else {
                 "check": "avoided interval closed form / level independence",
                 "lambda": lam,
                 "got": [ka, kb],
                 "want": closed,
             }
-    return checks, None
 
 
-def suite_reference_rows():
+def suite_reference_rows(rng: random.Random, max_k1: int):
     """Frozen reference profile at lambda = (3, 1, 4) over (g, c) = (0, 3)."""
     lam = make_weight(3, 1, 4)
     s = StratumDatum(0, 3)
-    checks = 0
 
     point = intermediate_profile(lam, SIEGEL, (s,))
     got_rows = [
@@ -236,46 +208,45 @@ def suite_reference_rows():
         for e in point.entries
     ]
     want_rows = [(4, 0, 0, 0, False), (5, 0, 3, 3, True), (5, 4, 0, 0, False)]
-    checks += 1
-    if got_rows != want_rows:
-        return checks, {"check": "point stratum rows", "got": got_rows, "want": want_rows}
+    ok = got_rows == want_rows
+    yield None if ok else {"check": "point stratum rows", "got": got_rows, "want": want_rows}
     kernel = point.kernel_entry
-    checks += 1
-    if (kernel.n_perverse, kernel.weight, kernel.rank_lower, kernel.rank_upper) != (6, 4, 4, 7):
-        return checks, {
-            "check": "kernel entry",
-            "got": [kernel.n_perverse, kernel.weight, kernel.rank_lower, kernel.rank_upper],
-            "want": [6, 4, 4, 7],
-        }
+    got = [kernel.n_perverse, kernel.weight, kernel.rank_lower, kernel.rank_upper]
+    yield None if got == [6, 4, 4, 7] else {"check": "kernel entry", "got": got, "want": [6, 4, 4, 7]}
 
     curve = intermediate_profile(lam, KLINGEN, (s,))
     got_rows = [(e.n_perverse, e.weight, e.rank_lower) for e in curve.entries]
-    checks += 1
-    if got_rows != [(5, 2, 2), (6, 5, 5)]:
-        return checks, {"check": "curve stratum rows", "got": got_rows}
+    ok = got_rows == [(5, 2, 2), (6, 5, 5)]
+    yield None if ok else {"check": "curve stratum rows", "got": got_rows}
 
     wall = intermediate_profile(make_weight(2, 2, 4), SIEGEL, (s,)).kernel_entry
-    checks += 1
-    if (wall.n_perverse, wall.weight, wall.rank_lower) != (6, 6, 4):
-        return checks, {
-            "check": "wall-weight kernel",
-            "got": [wall.n_perverse, wall.weight, wall.rank_lower],
-        }
-    return checks, None
+    got = [wall.n_perverse, wall.weight, wall.rank_lower]
+    yield None if got == [6, 6, 4] else {"check": "wall-weight kernel", "got": got}
 
 
-def suite_dimension_oracle(max_k1: int):
-    checks = 0
+def suite_dimension_oracle(rng: random.Random, max_k1: int):
     for lam in dominant_grid(min(max_k1, 4)):
         ch = character(lam)
         fr = freudenthal_character(lam)
-        checks += 1
-        if ch != fr or ch.mass() != weyl_dimension(lam):
-            return checks, {
-                "check": "character oracle agreement",
-                "lambda": lam,
-                "division_mass": ch.mass(),
-                "freudenthal_mass": fr.mass(),
-                "weyl_dimension": weyl_dimension(lam),
-            }
-    return checks, None
+        ok = ch == fr and ch.mass() == weyl_dimension(lam)
+        yield None if ok else {
+            "check": "character oracle agreement",
+            "lambda": lam,
+            "division_mass": ch.mass(),
+            "freudenthal_mass": fr.mass(),
+            "weyl_dimension": weyl_dimension(lam),
+        }
+
+
+# The verify suites in the order verify runs them; the names are its output.
+SUITES = (
+    ("dot_action_laws", suite_dot_action),
+    ("kostant_tables", suite_kostant_tables),
+    ("euler_characteristic", suite_euler),
+    ("weight_formulas", suite_weight_formulas),
+    ("stratum_profiles", suite_stratum_profiles),
+    ("reference_rows", suite_reference_rows),
+    ("rank_inequality", suite_rank_inequality),
+    ("avoided_interval", suite_avoided_interval),
+    ("dimension_oracle", suite_dimension_oracle),
+)

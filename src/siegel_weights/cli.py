@@ -241,22 +241,12 @@ def _cmd_verify(args) -> int:
     max_k1 = args.max_k1
     if max_k1 < 0 or max_k1 > MAX_VERIFY_BOUND:
         raise PreconditionViolation(f"--max-k1 must satisfy 0 <= bound <= {MAX_VERIFY_BOUND}")
-    suites = [
-        ("dot_action_laws", lambda: verification.suite_dot_action(rng, max_k1)),
-        ("kostant_tables", lambda: verification.suite_kostant_tables(rng, max_k1)),
-        ("euler_characteristic", lambda: verification.suite_euler(max_k1)),
-        ("weight_formulas", lambda: verification.suite_weight_formulas(rng, max_k1)),
-        ("stratum_profiles", lambda: verification.suite_stratum_profiles(max_k1)),
-        ("reference_rows", verification.suite_reference_rows),
-        ("rank_inequality", lambda: verification.suite_rank_inequality(max_k1)),
-        ("avoided_interval", lambda: verification.suite_avoided_interval(max_k1)),
-        ("dimension_oracle", lambda: verification.suite_dimension_oracle(max_k1)),
-    ]
-    for name, run in suites:
-        checks, counterexample = run()
-        if counterexample is not None:
-            print(f"FAIL {name}: {json.dumps(counterexample, sort_keys=False)}")
-            return 1
+    for name, suite in verification.SUITES:
+        checks = 0
+        for checks, counterexample in enumerate(suite(rng, max_k1), 1):
+            if counterexample is not None:
+                print(f"FAIL {name}: {json.dumps(counterexample, sort_keys=False)}")
+                return 1
         print(f"ok   {name} ({checks} checks)")
     return 0
 

@@ -502,6 +502,50 @@ def test_verify_trivial_bound_passes():
     assert proc.returncode == 0
 
 
+def test_verify_counts_each_suite_and_stops_at_the_first_counterexample(monkeypatch, capsys):
+    ran = []
+
+    def failing(rng, max_k1):
+        yield None
+        yield {"check": "drawn", "lambda": WeightTriple(1, 0, 1)}
+        ran.append("failing resumed")
+
+    def later(rng, max_k1):
+        ran.append("later started")
+        yield None
+
+    table = (
+        ("empty", lambda rng, max_k1: iter(())),
+        ("passing", lambda rng, max_k1: iter([None, None])),
+        ("failing", failing),
+        ("later", later),
+    )
+    monkeypatch.setattr(checks, "SUITES", table)
+    assert cli.main(["verify", "--max-k1", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "ok   empty (0 checks)",
+        "ok   passing (2 checks)",
+        'FAIL failing: {"check": "drawn", "lambda": [1, 0, 1]}',
+    ]
+    assert ran == []
+
+
+def test_stratum_profiles_has_no_check_below_the_first_regular_weight(capsys):
+    assert cli.main(["verify", "--max-k1", "1"]) == 0
+    assert "ok   stratum_profiles (0 checks)" in capsys.readouterr().out.splitlines()
+
+
+def readme_suite_names():
+    """The suite names listed in the README's verify section, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("The suites run in this order")[1]
+    return [line.split()[0] for line in block.split("```")[1].strip().splitlines()]
+
+
+def test_readme_lists_the_verify_suites_in_order():
+    assert readme_suite_names() == [name for name, _ in checks.SUITES]
+
+
 def test_verify_negative_control_catches_corrupted_root_data(monkeypatch, capsys):
     # corrupting rho must break the closed-form tables and fail verification
     monkeypatch.setattr(root_data, "RHO", WeightTriple(2, 2, 0))
@@ -679,6 +723,69 @@ def _main_in_process(argv):
         except SystemExit as stop:  # --help
             code = stop.code
     return code, out.getvalue()
+
+
+# Command lines near every documented bound: each flag's value is drawn from
+# valid values or from values at and beyond the bounds.  The valid sweep and
+# verify bounds stay at 3 or below, so each drawn command runs fast; verify
+# always gets a --max-k1, and a flag given twice keeps its last value.
+def _values(valid, edge):
+    return st.sampled_from(valid) | st.sampled_from(edge)
+
+
+COORDINATES = _values(
+    ["0", "1", "2", "3", "4"],
+    ["-1000001", "-1000000", "-1", "40", "41", "200", "201", "1000000", "1000001", "x", ""],
+)
+STRATA = _values(
+    ["0,3", "1,1", "2,5", "1000000,1"], ["", "1", "1,2,3", "a,b", "0,2", "-1,3", "0,1000001"]
+)
+FORMATS = st.sampled_from(["json", "table", "xml"])
+FLAGS = {
+    "analyze": {"--k1": COORDINATES, "--k2": COORDINATES, "--r": COORDINATES,
+                "--stratum": STRATA, "--format": FORMATS},
+    "sweep": {"--max-k1": _values(["0", "1", "2", "3"], ["-1", "201", "1000001", "x"]),
+              "--stratum": STRATA, "--format": FORMATS},
+    "verify": {"--max-k1": _values(["0", "1", "2", "3"], ["-1", "41", "200", "1000000", "x"]),
+               "--seed": COORDINATES},
+}
+UNKNOWN = st.sampled_from([["--bogus"], ["--k3", "1"], ["-x"], ["--format=yaml"], ["extra"]])
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["analyze", "sweep", "verify"]))
+    flags = FLAGS[command]
+    argv = [command]
+    for flag, values in flags.items():
+        if (flag == "--max-k1" and command == "verify") or draw(st.integers(0, 7)):
+            argv += [flag, draw(values)]
+    repeated = st.sampled_from(sorted(flags)).flatmap(
+        lambda flag: flags[flag].map(lambda value: [flag, value])
+    )
+    missing = st.sampled_from(sorted(flags)).map(lambda flag: [flag])  # no value follows
+    if draw(st.integers(0, 2)) == 0:
+        for extra in draw(st.lists(repeated | missing | UNKNOWN, min_size=1, max_size=3)):
+            argv += extra
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=command_lines())
+@example(argv=["analyze", "--k1", "1000000", "--k2", "0", "--r", "1000000", "--stratum", "1000000,1"])
+@example(argv=["analyze", "--k1", "1000000", "--k2", "1000000", "--r", "2000000"])
+@example(argv=["sweep", "--max-k1", "3", "--max-k1", "201"])
+@example(argv=["verify", "--max-k1", "3", "--seed", "-1000001", "--bogus"])
+@example(argv=["analyse"])
+def test_every_command_line_exits_0_or_one_json_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2)
+    assert err.getvalue() == ""
+    if code == 2:
+        assert out.getvalue().count("\n") == 1
+        assert list(json.loads(out.getvalue())) == ["error", "message"]
 
 
 @pytest.mark.parametrize(
