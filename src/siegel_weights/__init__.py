@@ -11,7 +11,6 @@ interval [-k + 1, k] with k = min(k1 - k2, k2).
 from .boundary import StratumDatum
 from .errors import (
     BadParabolicIndex,
-    DegreeOutOfRange,
     DivisionFailure,
     EmptyStrata,
     InputBoundExceeded,
@@ -40,7 +39,6 @@ from .root_data import KLINGEN, SIEGEL, WeightTriple, k_invariant, make_weight
 
 __all__ = [
     "BadParabolicIndex",
-    "DegreeOutOfRange",
     "DivisionFailure",
     "EmptyStrata",
     "InputBoundExceeded",

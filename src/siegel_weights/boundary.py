@@ -13,8 +13,8 @@ where the inner layer is a Kostant module and the outer layer is group
 cohomology of the relevant arithmetic quotient.
 
 * m = 0: the group is a neat arithmetic subgroup of SL(2) acting through the
-  Levi; it has cohomological dimension 1, and on an irreducible module of
-  highest SL(2)-weight u the dimensions are
+  Levi; it has cohomological dimension 1, and group_cohomology_dims gives
+  the pair (H^0, H^1) on the irreducible module of highest SL(2)-weight u:
 
       H^0: 1 if u = 0 else 0        (neatness kills invariants otherwise)
       H^1: (u+1)(2g-2+c) if u >= 1, and 2g-1+c if u = 0,
@@ -39,8 +39,10 @@ w3 - w2 = 2k2 + 2, so the pieces (1, n - 1) and (0, n) of degree n differ.
 
 The entry builders _siegel_entries and _klingen_entries take Kostant modules
 built once per parabolic for all strata and check only each rank, explicitly,
-as they skip CohomologyEntry's checks; _siegel_entries reads its ranks off a
-rank table of _piece_ranks, one stratum's or a sum.  Given the perverse base
+as they skip CohomologyEntry's checks.  _piece_ranks lays one stratum's pairs
+out as a rank table, one rank per (p, q) piece; _siegel_entries builds one
+entry per rank of the table it is given: one stratum's, a sum of several, or
+a prefix of either.  Given the perverse base
 r, both build each entry in its perverse normalization; without r,
 n_perverse is None, as in analysis_report's classical boundary field.
 """
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import DegreeOutOfRange, InputBoundExceeded, InvalidStratum, PreconditionViolation
+from .errors import InputBoundExceeded, InvalidStratum, PreconditionViolation
 from .kostant import LeviModule
 from .root_data import COORDINATE_BOUND, KLINGEN, SIEGEL, shown
 
@@ -106,41 +108,37 @@ class CohomologyEntry(namedtuple("CohomologyEntry", _ENTRY_FIELDS, defaults=(Non
         return False if self.rank_upper == 0 else "unknown"
 
 
-def group_cohomology_dim(u: int, stratum: StratumDatum, p: int) -> int:
-    """dim H^p of the stratum's arithmetic group on the SL(2)-module of
-    highest weight u >= 0; p must be 0 or 1 (cohomological dimension 1)."""
-    if p not in (0, 1):
-        raise DegreeOutOfRange(f"degree p = {shown(p)} outside cohomological dimension 1")
-    if not isinstance(u, int) or u < 0:
+def group_cohomology_dims(u: int, stratum: StratumDatum) -> tuple[int, int]:
+    """(dim H^0, dim H^1) of the stratum's arithmetic group on the SL(2)-module
+    of highest weight u, an int >= 0; it has cohomological dimension 1."""
+    if type(u) is not int or u < 0:
         raise PreconditionViolation(f"restriction weight must be a nonneg integer, got {shown(u)}")
-    if p == 0:
-        return 1 if u == 0 else 0
     if u == 0:
-        return 2 * stratum.g - 1 + stratum.c
-    return (u + 1) * stratum.euler_term
+        return 1, 2 * stratum.g - 1 + stratum.c
+    return 0, (u + 1) * stratum.euler_term
 
 
-# The (p, q) pieces over a point stratum in degree order, (1, n - 1) before
-# (0, n): the first 2 * count have q < count, the first 2 * top + 1 have n <= top.
+# The (p, q) pieces over a point stratum in degree order, (1, n - 1) before (0, n),
+# so (0, q), (1, q) for each q in turn: the first 2 * count have q < count.
 SIEGEL_PIECES = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3))
 KERNEL_PIECE = SIEGEL_PIECES.index((1, 1))  # the piece whose kernel survives
 
 
 def _piece_ranks(modules: tuple[LeviModule, ...], stratum: StratumDatum) -> tuple[int, ...]:
-    """The stratum's rank table, one rank per piece of the given Siegel modules."""
-    pieces = SIEGEL_PIECES[: 2 * len(modules)]
-    return tuple(group_cohomology_dim(modules[q].restriction_weight, stratum, p) for p, q in pieces)
+    """The stratum's rank table, one rank per piece of the given Siegel modules:
+    their (H^0, H^1) pairs end to end, which is SIEGEL_PIECES order."""
+    return sum([group_cohomology_dims(mod.restriction_weight, stratum) for mod in modules], ())
 
 
 def _siegel_entries(
-    modules: tuple[LeviModule, ...], ranks: tuple[int, ...], top: int, r=None
+    modules: tuple[LeviModule, ...], ranks: tuple[int, ...], r=None
 ) -> tuple[CohomologyEntry, ...]:
-    """Point-stratum entries of classical degree n <= top, one per piece of the
-    rank table in SIEGEL_PIECES order, which is weight order as w_q rises in
-    q; nothing is checked.  Rank-0 pieces are kept (nonzero is False):
-    vanishing is asserted, not omitted.  Given r: n_perverse = n + r."""
+    """Point-stratum entries, one per piece of the rank table in SIEGEL_PIECES
+    order, which is weight order as w_q rises in q; nothing is checked.
+    Rank-0 pieces are kept (nonzero is False): vanishing is asserted, not
+    omitted.  Given r: n_perverse = n + r."""
     entries = []
-    for (p, q), rank in zip(SIEGEL_PIECES[: 2 * top + 1], ranks):
+    for (p, q), rank in zip(SIEGEL_PIECES, ranks):
         n = p + q
         if rank < 0:  # CohomologyEntry's own check, skipped by tuple.__new__
             raise PreconditionViolation(f"bad rank bounds [{shown(rank)}, {shown(rank)}]")

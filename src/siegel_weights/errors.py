@@ -21,10 +21,6 @@ class BadParabolicIndex(SiegelWeightsError):
     """Parabolic index must be 0 (Siegel) or 1 (Klingen)."""
 
 
-class DegreeOutOfRange(SiegelWeightsError):
-    """Cohomological degree outside the range supported by the group."""
-
-
 class DivisionFailure(SiegelWeightsError):
     """Exact Laurent division left a nonzero remainder."""
 

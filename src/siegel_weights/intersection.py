@@ -97,13 +97,6 @@ def kernel_map_ranks(lam: WeightTriple, strata) -> tuple[int, int]:
     return kernel.rank_upper, kernel.rank_upper - kernel.rank_lower
 
 
-def _kernel_entry(r: int, piece: LeviModule, source: int, target: int) -> CohomologyEntry:
-    """Kernel of the boundary map of ranks (source, target) out of the (1, 1)
-    piece, which it replaces over the point strata, with the weight of piece."""
-    lo = source - target
-    return CohomologyEntry(SIEGEL, 2, piece.motivic_weight, lo, source, ((1, 1),), "paper", r + 2)
-
-
 def _intermediate(lam: WeightTriple, m: int, modules, strata, tables) -> IntermediateProfile:
     """Intermediate profile of parabolic m from its Kostant modules and, for
     m = 0, the strata's rank tables, both covering q <= 1; nothing is checked.
@@ -115,8 +108,10 @@ def _intermediate(lam: WeightTriple, m: int, modules, strata, tables) -> Interme
     if m == KLINGEN:
         return IntermediateProfile(m, _klingen_entries(modules[:2], lam.r), None)
     ranks = tuple(map(sum, zip(*tables)))
-    entries = _siegel_entries(modules, ranks, 1, lam.r)  # first: it checks each rank
-    kernel = _kernel_entry(lam.r, modules[1], ranks[KERNEL_PIECE], sum(s.c for s in strata))
+    entries = _siegel_entries(modules, ranks[:KERNEL_PIECE], lam.r)  # first: it checks each rank
+    source, target = ranks[KERNEL_PIECE], sum(s.c for s in strata)  # the (1, 1) piece's map
+    kernel = CohomologyEntry(SIEGEL, 2, modules[1].motivic_weight, source - target, source,
+                             ((1, 1),), "paper", lam.r + 2)
     return IntermediateProfile(m, entries, kernel)
 
 
@@ -217,7 +212,7 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
         duality_twist=lam.r + 3,
         kostant=kostant,
         boundary={
-            SIEGEL: tuple(zip(strata, (_siegel_entries(kostant[SIEGEL], t, 4) for t in tables))),
+            SIEGEL: tuple(zip(strata, (_siegel_entries(kostant[SIEGEL], t) for t in tables))),
             KLINGEN: _klingen_entries(kostant[KLINGEN]),
         },
         intermediate=intermediate,

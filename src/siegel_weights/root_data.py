@@ -31,11 +31,12 @@ Levi; the other three positive roots are those of the unipotent radical.
 
 Weight maps.  For a character n = (n1, n2, r) of the Levi torus:
 
-* motivic_weight(n, m) is the negated exponent of the central cocharacter of
-  the Levi's reductive anchor: z |--> z^{-r+n1+n2} for m = 0 and
+* _motivic_weight(n, m) is the negated exponent of the central cocharacter
+  of the Levi's reductive anchor: z |--> z^{-r+n1+n2} for m = 0 and
   z |--> z^{-r+n1} for m = 1, giving r - n1 - n2 resp. r - n1.
-* levi_restriction_weight(n, m) is the highest weight of the restriction to
-  the embedded SL(2) of the Levi: n1 - n2 for m = 0 and n2 for m = 1.
+* _restriction_weight(n, m) is the highest weight of the restriction to the
+  embedded SL(2) of the Levi: n1 - n2 for m = 0 and n2 for m = 1.
+  Both leave m unchecked; their one caller, kostant._modules, checked it.
 """
 
 from __future__ import annotations
@@ -153,25 +154,14 @@ def k_invariant(lam: WeightTriple) -> int:
 
 
 def _motivic_weight(n: WeightTriple, m: int) -> int:
-    """motivic_weight without the check of m, for callers that checked it."""
+    """Weight of the central cocharacter of the Levi anchor on character n."""
     if m == SIEGEL:
         return n.r - n.k1 - n.k2
     return n.r - n.k1
 
 
-def motivic_weight(n: WeightTriple, m: int) -> int:
-    """Weight of the central cocharacter of the Levi anchor on character n."""
-    return _motivic_weight(n, check_parabolic(m))
-
-
 def _restriction_weight(n: WeightTriple, m: int) -> int:
-    """levi_restriction_weight without the check of m, for callers that checked it."""
+    """Highest weight of n restricted to the SL(2) inside the Levi of m."""
     if m == SIEGEL:
         return n.k1 - n.k2
     return n.k2
-
-
-def levi_restriction_weight(n: WeightTriple, m: int) -> int:
-    """Highest weight of n restricted to the SL(2) inside the Levi of m."""
-    return _restriction_weight(n, check_parabolic(m))
-

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from . import root_data
 from .errors import BadParabolicIndex
-from .root_data import WeightTriple
+from .root_data import SIMPLE_ROOT_LONG, SIMPLE_ROOT_SHORT, WeightTriple
 
 
 class WeylElement(NamedTuple):
@@ -53,9 +53,9 @@ class WeylElement(NamedTuple):
         letters: list[str] = []
         w = self
         while length(w) > 0:
-            for name, s in (("s1", S1), ("s2", S2)):
+            for name, s, root in (("s1", S1, SIMPLE_ROOT_SHORT), ("s2", S2, SIMPLE_ROOT_LONG)):
                 # s is a right descent iff w sends its simple root negative.
-                if _is_negative(w(_simple(name))):
+                if _is_negative(w(root)):
                     letters.append(name)
                     w = compose(w, s)
                     break
@@ -65,10 +65,6 @@ class WeylElement(NamedTuple):
 IDENTITY = WeylElement((0, 1), (1, 1))
 S1 = WeylElement((1, 0), (1, 1))  # swap k1 <-> k2
 S2 = WeylElement((0, 1), (1, -1))  # negate k2
-
-
-def _simple(name: str) -> WeightTriple:
-    return root_data.SIMPLE_ROOT_SHORT if name == "s1" else root_data.SIMPLE_ROOT_LONG
 
 
 def compose(w: WeylElement, u: WeylElement) -> WeylElement:

@@ -18,14 +18,15 @@ from siegel_weights import (
     make_weight,
 )
 from siegel_weights.boundary import (
+    SIEGEL_PIECES,
     CohomologyEntry,
     _klingen_entries,
     _piece_ranks,
     _siegel_entries,
-    group_cohomology_dim,
+    group_cohomology_dims,
 )
 from siegel_weights.checks import dominant_grid
-from siegel_weights.errors import DegreeOutOfRange, PreconditionViolation
+from siegel_weights.errors import PreconditionViolation
 from siegel_weights.kostant import _modules
 from siegel_weights.root_data import COORDINATE_BOUND
 from weight_strategies import strata_data, wide_weights
@@ -67,21 +68,40 @@ def test_stratum_validation():
 # --- group cohomology dimensions --------------------------------------------
 
 def test_group_cohomology_dims():
-    assert group_cohomology_dim(6, P03, 1) == 7
-    assert group_cohomology_dim(0, StratumDatum(1, 1), 1) == 2
-    assert group_cohomology_dim(2, P03, 0) == 0
-    assert group_cohomology_dim(0, P03, 0) == 1
-    assert group_cohomology_dim(0, P03, 1) == 2  # 2g - 1 + c
-    assert group_cohomology_dim(1, StratumDatum(2, 5), 1) == 14
+    assert group_cohomology_dims(6, P03) == (0, 7)
+    assert group_cohomology_dims(0, StratumDatum(1, 1)) == (1, 2)
+    assert group_cohomology_dims(2, P03) == (0, 3)
+    assert group_cohomology_dims(0, P03) == (1, 2)  # 2g - 1 + c
+    assert group_cohomology_dims(1, StratumDatum(2, 5)) == (0, 14)
 
 
-def test_group_cohomology_degree_range():
-    with pytest.raises(DegreeOutOfRange):
-        group_cohomology_dim(2, P03, 2)
-    with pytest.raises(DegreeOutOfRange):
-        group_cohomology_dim(2, P03, -1)
+@pytest.mark.parametrize("u", [True, False, 1.0, -1])
+def test_group_cohomology_refuses_a_u_that_is_not_a_nonneg_int(u):
+    # bools are ints to isinstance, and True would pass as u = 1
     with pytest.raises(PreconditionViolation):
-        group_cohomology_dim(-1, P03, 1)
+        group_cohomology_dims(u, P03)
+
+
+def reference_piece_rank(u, stratum, p):
+    """dim H^p as the formulas of the boundary module docstring state it."""
+    g, c = stratum
+    if p == 0:
+        return 1 if u == 0 else 0
+    return 2 * g - 1 + c if u == 0 else (u + 1) * (2 * g - 2 + c)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lam=wide_weights(), strata=st.lists(strata_data(), min_size=1, max_size=6))
+@example(lam=make_weight(0, 0, 0), strata=[P03])
+@example(lam=make_weight(2, 2, 4), strata=[P03, StratumDatum(1, 1)])
+def test_piece_ranks_follow_the_documented_formulas(lam, strata):
+    modules = _modules(lam, SIEGEL, 4)
+    for count in (2, 4):
+        for s in strata:
+            table = _piece_ranks(modules[:count], s)
+            assert len(table) == 2 * count
+            for (p, q), rank in zip(SIEGEL_PIECES, table):
+                assert rank == reference_piece_rank(modules[q].restriction_weight, s, p)
 
 
 # --- classical profiles ------------------------------------------------------
@@ -209,7 +229,7 @@ def merging_siegel_entries(modules, strata, top, r=None):
     for q, mod in enumerate(modules):
         for p in (0, 1):
             if p + q <= top:
-                dim = sum(group_cohomology_dim(mod.restriction_weight, s, p) for s in strata)
+                dim = sum(reference_piece_rank(mod.restriction_weight, s, p) for s in strata)
                 pieces.setdefault((p + q, mod.motivic_weight), []).append(((p, q), dim))
     return tuple(
         CohomologyEntry(
@@ -240,7 +260,7 @@ def test_siegel_entries_match_the_merging_builder(lam, strata):
     assert gaps == [2 * lam.k2 + 2, 2 * (lam.k1 - lam.k2) + 2, 2 * lam.k2 + 2]  # all >= 2
     strata = tuple(strata)
     for mods, top, r in ((modules, 4, None), (modules[:2], 1, lam.r)):
-        entries = _siegel_entries(mods, summed_table(mods, strata), top, r)
+        entries = _siegel_entries(mods, summed_table(mods, strata)[: 2 * top + 1], r)
         assert entries == merging_siegel_entries(mods, strata, top, r)
         assert all(len(e.origin) == 1 for e in entries)
 
@@ -329,7 +349,7 @@ def test_builder_entries_are_what_the_checked_constructor_builds(lam, strata):
     strata = tuple(strata)
     for r in (None, lam.r):
         modules = _modules(lam, SIEGEL, 4)
-        entries = _siegel_entries(modules, summed_table(modules, strata), 4, r)
+        entries = _siegel_entries(modules, summed_table(modules, strata), r)
         entries += _klingen_entries(_modules(lam, KLINGEN, 4), r)
         for e in entries:
             assert type(e) is CohomologyEntry
@@ -343,7 +363,7 @@ if __debug__:
 from siegel_weights import StratumDatum, analysis_report, avoided_interval, boundary, make_weight
 from siegel_weights.errors import PreconditionViolation
 
-boundary.group_cohomology_dim = lambda u, stratum, p: -1
+boundary.group_cohomology_dims = lambda u, stratum: (-1, -1)
 for build in (avoided_interval, analysis_report):
     try:
         build(make_weight(3, 1, 4), (StratumDatum(0, 3),))

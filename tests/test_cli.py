@@ -292,6 +292,17 @@ def test_analyze_rejects_non_dominant_and_bad_strata():
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"] == "PreconditionViolation"
 
+    # argparse reads "-1,3" after a space as an option, so the value is missing;
+    # with "=" it reaches the stratum check
+    proc = run_cli(*ANALYZE_3_1_4, "--stratum", "-1,3")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "error": "PreconditionViolation", "message": "argument --stratum: expected one argument"
+    }
+    proc = run_cli(*ANALYZE_3_1_4, "--stratum=-1,3")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == "InvalidStratum"
+
 
 def test_analyze_table_format():
     proc = run_cli("analyze", "--k1", "3", "--k2", "1", "--r", "4", "--format", "table")
@@ -561,13 +572,13 @@ def test_verify_negative_control_catches_corrupted_root_data(monkeypatch, capsys
 def test_verify_negative_control_catches_corrupted_cohomology(monkeypatch, capsys):
     import siegel_weights.boundary as boundary_mod
 
-    real = boundary_mod.group_cohomology_dim
+    real = boundary_mod.group_cohomology_dims
 
-    def corrupted(u, stratum, p):
-        val = real(u, stratum, p)
-        return val + 1 if (p == 1 and u >= 1) else val
+    def corrupted(u, stratum):
+        h0, h1 = real(u, stratum)
+        return (h0, h1 + 1) if u >= 1 else (h0, h1)
 
-    monkeypatch.setattr(boundary_mod, "group_cohomology_dim", corrupted)
+    monkeypatch.setattr(boundary_mod, "group_cohomology_dims", corrupted)
     code = cli.main(["verify", "--max-k1", "3", "--seed", "7"])
     captured = capsys.readouterr()
     assert code == 1

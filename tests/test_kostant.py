@@ -27,9 +27,9 @@ from siegel_weights.kostant import LeviModule, freudenthal_multiplicities
 from siegel_weights.root_data import (
     COORDINATE_BOUND,
     POSITIVE_ROOTS,
-    levi_restriction_weight,
+    _motivic_weight,
+    _restriction_weight,
     levi_root,
-    motivic_weight,
 )
 from siegel_weights.weyl import all_elements
 from laurent_reference import times
@@ -119,12 +119,12 @@ def test_table_input_validation():
 
 
 def reference_modules(lam, m, count):
-    """The Kostant modules q < count straight from weyl.dot and the checked weight rules."""
+    """The Kostant modules q < count straight from weyl.dot and the weight rules."""
     modules = []
     for q, w in enumerate(weyl._minimal_representatives(m)[:count]):
         hw = weyl.dot(w, lam)
-        u = levi_restriction_weight(hw, m)
-        modules.append(LeviModule(m, q, hw, u + 1, u, motivic_weight(hw, m)))
+        u = _restriction_weight(hw, m)
+        modules.append(LeviModule(m, q, hw, u + 1, u, _motivic_weight(hw, m)))
     return tuple(modules)
 
 
