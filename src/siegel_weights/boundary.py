@@ -37,14 +37,10 @@ a Klingen degree has one piece, and for dominant lam the Siegel weights w_q
 rise strictly in q, by w1 - w0 = 2k2 + 2, w2 - w1 = 2(k1 - k2) + 2 and
 w3 - w2 = 2k2 + 2, so the pieces (1, n - 1) and (0, n) of degree n differ.
 
-The entry builders _siegel_entries and _klingen_entries take Kostant modules
-built once per parabolic for all strata and check only each rank, explicitly,
-as they skip CohomologyEntry's checks.  _piece_ranks lays one stratum's pairs
-out as a rank table, one rank per (p, q) piece; _siegel_entries builds one
-entry per rank of the table it is given: one stratum's, a sum of several, or
-a prefix of either.  Given the perverse base
-r, both build each entry in its perverse normalization; without r,
-n_perverse is None, as in analysis_report's classical boundary field.
+The entry builders _siegel_entries and _klingen_entries skip CohomologyEntry's
+checks and check each rank explicitly.  _piece_ranks lays one stratum's pairs
+out as a rank table; _siegel_entries builds one entry per rank of the table it
+is given: one stratum's, a sum of several, or a prefix of either.
 """
 
 from __future__ import annotations

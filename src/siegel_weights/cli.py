@@ -5,10 +5,10 @@ All output is deterministic: JSON is emitted with a fixed key order and
 verification suite found a counterexample, 2 invalid input (reported as a
 one-line JSON object {"error": ..., "message": ...} on stdout).
 
-Indented JSON comes from `_dump`, byte-identical to `json.dumps(obj, indent=2)`:
-with `indent` set, CPython skips its C encoder for much slower Python generators.
-Weights and strata go out as they are; a type's field order is its JSON key order.
-`_ENTRY_KEYS` alone orders an entry's keys; `main` builds the parser once per process.
+`_dump` writes the bytes of `json.dumps(obj, indent=2)` without its slow pure-Python
+path; `_ENTRY_KEYS` alone orders an entry's keys.  Each stratum, alone or with its
+entries, is one `%` of a template made per report, in JSON and tables: `_fill` refuses
+a non-int rank and entries unlike the template's but in ranks; `%` in fixed text is escaped.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import os
 import random
 import sys
+from operator import itemgetter
 
 from . import checks as verification
 from .boundary import CohomologyEntry, StratumDatum
@@ -27,7 +28,6 @@ from .errors import SiegelWeightsError, PreconditionViolation
 from .intersection import AnalysisReport, analysis_report, avoided_interval
 from .root_data import KLINGEN, SIEGEL, k_invariant, make_weight
 
-DEFAULT_STRATUM = (0, 3)
 _PARABOLICS = (("siegel", SIEGEL), ("klingen", KLINGEN))
 MAX_SWEEP_BOUND = 200
 MAX_VERIFY_BOUND = 40
@@ -45,21 +45,21 @@ def _parse_stratum(text: str) -> StratumDatum:
 
 
 def _strata_from_args(args) -> tuple[StratumDatum, ...]:
-    if not args.stratum:
-        return (StratumDatum(*DEFAULT_STRATUM),)
-    return tuple(_parse_stratum(s) for s in args.stratum)
+    return tuple(map(_parse_stratum, args.stratum or ["0,3"]))  # the documented default
 
 
 # ---------------------------------------------------------------------------
 # JSON serialization (dicts/lists/tuples/ints/bools/strings/None only)
 
-class _Witnessed(tuple):
-    """(entry, is_witness): an intermediate profile entry, written with a "witness" key."""
+class _Text(tuple):
+    """(write, *args): `_write` writes write(nl, *args), text laid out at its indent nl."""
 
 
 def report_json(report: AnalysisReport) -> dict:
     """The report for `_dump` in the fixed key order; `json.dumps` would write entries as arrays."""
-    wit = report.witnesses
+    wit, pairs = report.witnesses, report.boundary[SIEGEL]
+    first, fixed = pairs[0][1], list(map(_FIXED, pairs[0][1]))  # the template's entries
+    model = {"stratum": _STRATUM, "entries": [_Text((_entry_shape, e)) for e in first]}
     return {
         "lambda": report.lam,
         "k": report.k,
@@ -70,18 +70,18 @@ def report_json(report: AnalysisReport) -> dict:
         "duality_twist": report.duality_twist,
         "kostant": {name: [x._asdict() for x in report.kostant[m]] for name, m in _PARABOLICS},
         "boundary": {
-            "siegel": [{"stratum": s._asdict(), "entries": es} for s, es in report.boundary[SIEGEL]],
+            "siegel": _Text((_template_list, model, [(*s, *_fill(es, _FLAGS.get, fixed=fixed)) for s, es in pairs])),
             "klingen": {"entries": report.boundary[KLINGEN]},
         },
         "intermediate": {
             name: {
-                "entries": [_Witnessed((e, e in wit)) for e in profile.entries],
-                "kernel": _Witnessed((k, k in wit)) if (k := profile.kernel_entry) else None,
+                "entries": [_Text((_entry_text, e, e in wit)) for e in profile.entries],
+                "kernel": _Text((_entry_text, k, k in wit)) if (k := profile.kernel_entry) else None,
             }
             for name, m in _PARABOLICS
             for profile in [report.intermediate[m]]
         },
-        "strata": [s._asdict() for s in report.strata],
+        "strata": _Text((_template_list, _STRATUM, report.strata)),
     }
 
 
@@ -98,12 +98,12 @@ def _dump(obj, nl: str = "\n") -> str:
 
 
 def _write(v, nl: str, out: list[str]) -> None:
-    """Append v to out, its scalar items inline; nl is the newline and indent of v's last line."""
+    """Append v to out; nl is the newline and indent of v's last line."""
     kind = type(v)
     if kind is CohomologyEntry:
         out.append(_entry_text(nl, v))
-    elif kind is _Witnessed:
-        out.append(_entry_text(nl, *v))
+    elif kind is _Text:
+        out.append(v[0](nl, *v[1:]))
     elif kind in _SCALARS:
         out.append(_SCALARS[kind](v))
     elif kind is dict:
@@ -112,20 +112,16 @@ def _write(v, nl: str, out: list[str]) -> None:
         for key, item in v.items():
             if type(key) is not str:
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            scalar = _SCALARS.get(type(item))
-            out.append(sep + _ESCAPE(key) + ": " + (scalar(item) if scalar else ""))
-            if scalar is None:
-                _write(item, inner, out)
+            out.append(sep + _ESCAPE(key) + ": ")
+            _write(item, inner, out)
             sep = "," + inner
         out.append(nl + "}" if v else "{}")
     elif kind is list or isinstance(v, tuple):
         inner = nl + "  "
         sep = "[" + inner
         for item in v:
-            scalar = _SCALARS.get(type(item))
-            out.append(sep + (scalar(item) if scalar else ""))
-            if scalar is None:
-                _write(item, inner, out)
+            out.append(sep)
+            _write(item, inner, out)
             sep = "," + inner
         out.append(nl + "]" if v else "[]")
     else:
@@ -134,41 +130,67 @@ def _write(v, nl: str, out: list[str]) -> None:
 
 _ENTRY_KEYS = ("m", "n_classical", "n_perverse", "weight", "rank_lower", "rank_upper",
                "nonzero", "origin", "provenance", "witness")
+_FIXED = itemgetter(0, 1, 2, 5, 6, 7)  # the fields of an entry but its ranks
+_HOLE = _Text((lambda nl: "%s",))  # a `%s` in a template that `_dump` makes
+_STRATUM = dict.fromkeys(StratumDatum._fields, _HOLE)  # {"g": %s, "c": %s}
+_SWEEP_ROW = {"lambda": [_HOLE] * 3, "k": _HOLE, "closed_form": _HOLE, "agree": _HOLE}
 _origin_text = functools.cache(_dump)  # keyed by value, and True == 1: give it exact ints only
 
 
-@functools.cache  # a dict of the first size `_ENTRY_KEYS` as `_write` writes it, values `%s`
+@functools.cache  # a dict of the first size `_ENTRY_KEYS`, values `%s`
 def _entry_template(nl: str, size: int) -> str:
-    return "{" + ",".join(f'{nl}  "{key}": %s' for key in _ENTRY_KEYS[:size]) + nl + "}"
+    return _dump(dict.fromkeys(_ENTRY_KEYS[:size], _HOLE), nl)
 
 
-def _entry_text(nl: str, e: CohomologyEntry, *witness: bool) -> str:
-    """`_write` of e as a dict keyed by `_ENTRY_KEYS`, "witness" if given; only ints as numbers."""
-    m, n, weight, lo, hi, origin, provenance, npv = e
-    npv_type = int if npv is None else type(npv)
-    if not int is type(m) is type(n) is type(weight) is type(lo) is type(hi) is npv_type:
+def _entry_shape(nl: str, e: CohomologyEntry, *witness: bool) -> str:
+    """`_write` of e as a dict keyed by `_ENTRY_KEYS`, "witness" if given, ranks left to `_fill`."""
+    m, n, weight, _, _, origin, provenance, npv = e
+    if not int is type(m) is type(n) is type(weight) is (int if npv is None else type(npv)):
         raise TypeError(f"profile entry numbers must be ints, got {e!r}")
     for p, q in origin:
         if not int is type(p) is type(q):
             raise TypeError(f"origin must hold pairs of ints, got {origin!r}")
-    values = (m, n, "null" if npv is None else npv, weight, lo, hi, _FLAGS[e.nonzero],
-              _origin_text(origin, nl + "  "), _ESCAPE(provenance), *map(_FLAGS.get, witness))
+    values = (m, n, "null" if npv is None else npv, weight, "%s", "%s", "%s",
+              _origin_text(origin, nl + "  "), _ESCAPE(provenance).replace("%", "%%"),
+              *map(_FLAGS.get, witness))
     return _entry_template(nl, len(values)) % values
+
+
+def _entry_text(nl: str, e: CohomologyEntry, *witness: bool) -> str:
+    return _entry_shape(nl, e, *witness) % tuple(_fill((e,), _FLAGS.get))
+
+
+def _template_list(nl: str, model, fills) -> str:
+    """`_write` of a list of `template % fill` for each fill, the template `_dump(model)`."""
+    template, inner = _dump(model, nl + "  "), nl + "  "
+    return "[" + inner + ("," + inner).join([template % f for f in fills]) + nl + "]" if fills else "[]"
+
+
+def _fill(entries, flag, *head, fixed=None) -> list:
+    """Per entry: head, rank_lower, rank_upper, flag(nonzero); given fixed, entries off it raise."""
+    if fixed is not None and list(map(_FIXED, entries)) != fixed:
+        raise PreconditionViolation(f"internal: entries {entries!r} do not fit their template")
+    values = []
+    for e in entries:
+        if not int is type(e[3]) is type(e[4]):
+            raise TypeError(f"profile entry ranks must be ints, got {e!r}")
+        values += (*head, e[3], e[4], flag(e.nonzero))
+    return values
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
-_ENTRY_HEADER = f"{'sec':<9} {'m':>2} {'n':>3} {'npv':>4} {'weight':>7} {'rk_lo':>6} {'rk_hi':>6} {'nonzero':>8} {'origin':<12} {'prov':<8}"
+_ROW = (("sec", -9), ("m", 2), ("n", 3), ("npv", 4), ("weight", 7), ("rk_lo", 6), ("rk_hi", 6),
+        ("nonzero", 8), ("origin", -12), ("prov", -8))  # name and printf width, < 0 to the left
 
 
-def _entry_row(section: str, e: CohomologyEntry) -> str:
-    npv = "-" if e.n_perverse is None else str(e.n_perverse)
-    origin = ";".join(f"{p}{q}" for p, q in e.origin)
-    return (
-        f"{section:<9} {e.m:>2} {e.n_classical:>3} {npv:>4} {e.weight:>7} "
-        f"{e.rank_lower:>6} {e.rank_upper:>6} {str(e.nonzero):>8} {origin:<12} {e.provenance:<8}"
-    )
+def _row_shape(e: CohomologyEntry) -> str:
+    """e's table row, `%s` for its section and for what `_fill` gives; a `%` escaped."""
+    cells = (None, e.m, e.n_classical, "-" if e.n_perverse is None else e.n_perverse, e.weight,
+             None, None, None, ";".join(f"{p}{q}" for p, q in e.origin), e.provenance)
+    return " ".join(f"%{w}s" if v is None else ("%*s" % (w, v)).replace("%", "%%")
+                    for v, (_, w) in zip(cells, _ROW))
 
 
 def _report_table(report: AnalysisReport) -> str:
@@ -189,12 +211,14 @@ def _report_table(report: AnalysisReport) -> str:
         f"{mod.levi_dim:>5} {mod.restriction_weight:>6} {mod.motivic_weight:>6}"
         for _, m in _PARABOLICS for mod in report.kostant[m]
     ]
-    lines += ["", _ENTRY_HEADER]
-    lines += [_entry_row(f"bd(g{s.g}c{s.c})", e) for s, es in report.boundary[SIEGEL] for e in es]
-    lines += [_entry_row("bd", e) for e in report.boundary[KLINGEN]]
-    for _, m in _PARABOLICS:
-        for e in report.intermediate[m].all_entries():
-            lines.append(_entry_row("ic*" if e in report.witnesses else "ic", e))
+    lines += ["", " ".join("%*s" % (w, name) for name, w in _ROW)]
+    pairs = report.boundary[SIEGEL]
+    template, fixed = "\n".join(map(_row_shape, pairs[0][1])), list(map(_FIXED, pairs[0][1]))
+    lines += [template % tuple(_fill(es, str, f"bd(g{s.g}c{s.c})", fixed=fixed)) for s, es in pairs]
+    rows = [("bd", e) for e in report.boundary[KLINGEN]] + [
+        ("ic*" if e in report.witnesses else "ic", e)
+        for _, m in _PARABOLICS for e in report.intermediate[m].all_entries()]
+    lines += [_row_shape(e) % tuple(_fill((e,), str, section)) for section, e in rows]
     return "\n".join(lines)
 
 
@@ -219,11 +243,8 @@ def _cmd_sweep(args) -> int:
     if args.format == "json":
         payload = {
             "bound": bound,
-            "strata": [s._asdict() for s in strata],
-            "rows": [
-                {"lambda": [k1, k2, r], "k": k, "closed_form": closed, "agree": k == closed}
-                for k1, k2, r, k, closed in rows
-            ],
+            "strata": _Text((_template_list, _STRATUM, strata)),
+            "rows": _Text((_template_list, _SWEEP_ROW, [(*row, _FLAGS[row[3] == row[4]]) for row in rows])),
         }
         print(_dump(payload))
     else:

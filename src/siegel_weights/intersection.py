@@ -75,8 +75,8 @@ def _require_strata(strata) -> tuple[StratumDatum, ...]:
 
 
 def rank_inequality_check(lam: WeightTriple, stratum: StratumDatum) -> bool:
-    """(k1 + k2 + 3) * (2g - 2 + c) > c, the kernel nonvanishing inequality,
-    as printed: an oracle kept apart from the rank tables the profiles use.
+    """(k1 + k2 + 3) * (2g - 2 + c) > c, the kernel nonvanishing inequality, as
+    printed from g and c: an oracle kept apart from the rank tables and euler_term.
 
     Requires dominant lam with k1 >= 1 (the chain of estimates behind the
     inequality starts from k1 + k2 + 3 >= 4); k1 = 0 raises
@@ -87,7 +87,7 @@ def rank_inequality_check(lam: WeightTriple, stratum: StratumDatum) -> bool:
         raise PreconditionViolation("kernel nonvanishing argument needs k1 >= 1")
     if not isinstance(stratum, StratumDatum):
         raise InvalidStratum("each stratum must be a StratumDatum")
-    return (lam.k1 + lam.k2 + 3) * stratum.euler_term > stratum.c
+    return (lam.k1 + lam.k2 + 3) * (2 * stratum.g - 2 + stratum.c) > stratum.c
 
 
 def kernel_map_ranks(lam: WeightTriple, strata) -> tuple[int, int]:

@@ -9,14 +9,11 @@ where w_q runs over the four minimal coset representatives (length q = 0..3)
 and . is the dot action.  nilpotent_cohomology tabulates the four modules
 with their Levi dimension, SL(2)-restriction weight and motivic weight.  It
 validates lam and m once and hands them to the private builder _modules,
-which checks nothing and builds only the modules q < count.  The profile
-pipeline calls _modules on inputs it has already checked: the boundary
-truncations need only q <= 1, the full report all four.  The dot action is
-affine in lam: w . lam = (a lam[i] + c1, b lam[j] + c2, r) for w(v) =
-(a v[i], b v[j], v.r), with (c1, c2) = w . 0 from weyl.dot, the one home of
-the rho shift.  One table, _affine_maps(elements, rho), holds these numbers
-and sign(w), keyed by root_data.RHO: _modules reads the rows of the minimal
-representatives through _dot_table(m, rho), _weyl_numerator all eight.
+which checks nothing and builds only the modules q < count; the profile
+pipeline, whose boundary truncations need only q <= 1, calls it directly.  The
+dot action is affine in lam: _affine_maps, keyed by root_data.RHO and built from
+weyl.dot (the one home of the rho shift), tabulates it for _modules, which reads
+the minimal representatives' rows through _dot_table, and _weyl_numerator.
 
 Two independent character oracles guard the tables:
 
@@ -193,7 +190,6 @@ def freudenthal_multiplicities(lam: WeightTriple) -> dict[tuple[int, int], int]:
     candidates.sort(key=lambda t: t[0])
 
     lam_norm = (k1 + rho1) ** 2 + (k2 + rho2) ** 2
-    lam_len = k1 * k1 + k2 * k2
     mult: dict[tuple[int, int], int] = {}
 
     for height, a, b in candidates:
@@ -206,13 +202,9 @@ def freudenthal_multiplicities(lam: WeightTriple) -> dict[tuple[int, int], int]:
                 n1, n2 = a + j * b1, b + j * b2
                 x, y = abs(n1), abs(n2)  # the dominant conjugate of (n1, n2)
                 m_nu = mult.get((x, y) if x >= y else (y, x), 0)
-                along = n1 * b1 + n2 * b2
-                if m_nu:
-                    numer += 2 * m_nu * along
-                # stop once on the growing branch of |mu + j beta|^2 and
-                # already past the weight-norm bound |lam|^2
-                elif (n1 * n1 + n2 * n2 > lam_len and along > 0) or j > 2 * (k1 + k2 + 4):
+                if not m_nu:  # root strings are unbroken (Humphreys, GTM 9, 21.3): the rest is 0
                     break
+                numer += 2 * m_nu * (n1 * b1 + n2 * b2)
         denom = lam_norm - (a + rho1) ** 2 - (b + rho2) ** 2
         if denom <= 0 or numer % denom:
             raise PreconditionViolation(

@@ -4,7 +4,7 @@ A polynomial is a finitely supported Z-valued function on Z^3; terms are kept
 in a dict keyed by exponent triples, zero coefficients never stored.  The
 class holds what the character oracles use: building from a dict of tuples
 of three ints, a WeightTriple of ints being one, to ints (PreconditionViolation
-on anything else, a float in a WeightTriple too), comparing, reading items and
+on anything else, a float in a WeightTriple too), comparing, reading the
 mass, and exact division by (1 - x^{-beta}) for a lattice vector beta, done
 line by line along the direction beta with suffix sums; a nonzero remainder
 raises DivisionFailure.
@@ -13,7 +13,7 @@ raises DivisionFailure.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import DivisionFailure, PreconditionViolation
 from .root_data import shown
@@ -52,9 +52,6 @@ class LaurentPolynomial:
         poly = cls.__new__(cls)
         poly._terms = terms
         return poly
-
-    def items(self) -> Iterator[tuple[Exponent, int]]:
-        return iter(sorted(self._terms.items()))
 
     def mass(self) -> int:
         """Sum of all coefficients, i.e. evaluation at x = (1, 1, 1)."""

@@ -66,17 +66,11 @@ def shown(v) -> str:
 
 
 class WeightTriple(NamedTuple):
-    """Point (k1, k2, r) of the ambient weight lattice Z^3, as a tuple."""
+    """Point (k1, k2, r) of the ambient weight lattice Z^3, as a tuple (+ concatenates)."""
 
     k1: int
     k2: int
     r: int
-
-    def __add__(self, other: "WeightTriple") -> "WeightTriple":
-        return WeightTriple(self.k1 + other.k1, self.k2 + other.k2, self.r + other.r)
-
-    def __sub__(self, other: "WeightTriple") -> "WeightTriple":
-        return WeightTriple(self.k1 - other.k1, self.k2 - other.k2, self.r - other.r)
 
 
 def make_weight(k1: int, k2: int, r: int) -> WeightTriple:

@@ -13,8 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siegel_weights import checks, cli, intersection, kostant, root_data, weyl
-from siegel_weights.boundary import KERNEL_PIECE, CohomologyEntry
+from siegel_weights.boundary import KERNEL_PIECE, CohomologyEntry, StratumDatum
+from siegel_weights.errors import PreconditionViolation
 from siegel_weights.root_data import WeightTriple
+from weight_strategies import plus
 
 TOP_LEVEL_KEYS = [
     "lambda",
@@ -147,6 +149,9 @@ def wall_strata_40():
 
 
 STRATA_3 = ["--stratum", "0,3", "--stratum", "1,1", "--stratum", "2,5"]
+# 40 strata whose last two labels, bd(g10c100) and bd(g0c1000), are wider than the
+# 9-character section column of the table
+WIDE_STRATA_40 = [*wall_strata_40()[:-4], "--stratum", "10,100", "--stratum", "0,1000"]
 
 
 def test_analyze_json_round_trips_with_40_strata_on_a_wall():
@@ -208,11 +213,36 @@ def test_analyze_json_round_trips_with_40_strata_on_a_wall():
              "--stratum", "0,3", "--stratum", "1,1", "--stratum", "2,5"],
             "c6045925379d1901384d6e4df0f2f3febc6e0238c646858a2891b485dc630621",
         ),
+        (
+            ["analyze", "--k1", "12", "--k2", "5", "--r", "-3", *WIDE_STRATA_40, "--format", "table"],
+            "5b7f6fd486dcf3ad3fa26a118f9ffe70ef103dc78cd1da6e11034d0524add39f",
+        ),
+        (
+            ["analyze", "--k1", "12", "--k2", "5", "--r", "-3", *WIDE_STRATA_40],
+            "4ec4fc4cfb625ff03e1d8450e4eacea68b8b3a2edfdbd65f5fcf238327f34a18",
+        ),
+        (  # the tight stratum twice among two with slack, as a table
+            ["analyze", "--k1", "0", "--k2", "0", "--r", "0", "--stratum", "0,3",
+             "--stratum", "1,1", "--stratum", "0,3", "--stratum", "2,5", "--format", "table"],
+            "aafa4120ac62b1c8de62c4f37a8735bd0feeadf9df5c0a5322ff4433dc2c97a9",
+        ),
+        (  # three tight strata: the summed kernel's lower bound is 0, nonzero "unknown"
+            ["analyze", "--k1", "0", "--k2", "0", "--r", "0", *["--stratum", "0,3"] * 3],
+            "8a9c9b2b1d663ca3f800bf35c9e34ec24b64f74fd746684810bebf841e95ba8f",
+        ),
+        (
+            ["analyze", "--k1", "0", "--k2", "0", "--r", "0", *["--stratum", "0,3"] * 3,
+             "--format", "table"],
+            "d514414834e77c8947fe3002f404e1520545e684b0a89d7dcf8ccc1567e68ea9",
+        ),
     ],
     ids=[
         "analyze-3-strata", "analyze-3-strata-table", "analyze-trivial", "analyze-40-wall",
         "sweep-30", "verify-8", "sweep-20-table", "analyze-unknown-kernel",
         "analyze-unknown-kernel-table", "sweep-200", "analyze-mixed-strata-k1-0",
+        "analyze-40-wide-labels-table", "analyze-40-wide-labels",
+        "analyze-mixed-strata-k1-0-table", "analyze-unknown-kernel-3-strata",
+        "analyze-unknown-kernel-3-strata-table",
     ],
 )
 def test_output_bytes_are_pinned(argv, digest):
@@ -421,10 +451,10 @@ def test_dump_rejects_unsupported_types_under_python_O():
         "from siegel_weights import cli\n"
         "from siegel_weights.boundary import CohomologyEntry\n"
         "good = CohomologyEntry(0, 1, 2, 1, 1, ((1, 0),), 'paper', 3)\n"
-        "cli._dump([good, cli._Witnessed((good, True))])\n"
+        "cli._dump([good, cli._Text((cli._entry_text, good, True))])\n"
         "bad = [good._replace(weight=1.5), good._replace(rank_lower=True),\n"
         "       good._replace(provenance=b'paper'), good._replace(origin=((True, 0),))]\n"
-        "for value in (1.5, {1, 2}, {1: 'a'}, *bad, cli._Witnessed((bad[-1], False))):\n"
+        "for value in (1.5, {1, 2}, {1: 'a'}, *bad, cli._Text((cli._entry_text, bad[-1], False))):\n"
         "    try:\n"
         "        cli._dump(value)\n"
         "    except TypeError:\n"
@@ -470,7 +500,7 @@ def profile_entries(draw):
 @given(drawn=profile_entries())
 def test_entry_writer_matches_the_dict_form(drawn):
     e, witness = drawn
-    written = cli._Witnessed((e, *witness)) if witness else e
+    written = cli._Text((cli._entry_text, e, *witness)) if witness else e
     for wrap in (lambda x: x, lambda x: {"entries": [x]}):
         assert cli._dump(wrap(written)) == json.dumps(wrap(entry_dict(e, *witness)), indent=2)
 
@@ -492,10 +522,128 @@ def test_entry_writer_matches_the_dict_form(drawn):
 def test_entry_writer_rejects_non_json_field_types(bad):
     # ENTRY is written first at both indents: the origin text of ((1, 0),) is then
     # cached, and ((True, 0),), equal to it and of equal hash, must still be refused
-    assert cli._dump([ENTRY, {"e": cli._Witnessed((ENTRY, True))}])
-    for value in (bad, [bad], {"e": cli._Witnessed((bad, False))}):
+    assert cli._dump([ENTRY, {"e": cli._Text((cli._entry_text, ENTRY, True))}])
+    for value in (bad, [bad], {"e": cli._Text((cli._entry_text, bad, False))}):
         with pytest.raises(TypeError):
             cli._dump(value)
+
+
+# --- per-report templates ----------------------------------------------------------
+
+def entry_row(section, e):
+    """A table row written field by field, the layout the templates must reproduce."""
+    npv = "-" if e.n_perverse is None else str(e.n_perverse)
+    origin = ";".join(f"{p}{q}" for p, q in e.origin)
+    return (
+        f"{section:<9} {e.m:>2} {e.n_classical:>3} {npv:>4} {e.weight:>7} "
+        f"{e.rank_lower:>6} {e.rank_upper:>6} {str(e.nonzero):>8} {origin:<12} {e.provenance:<8}"
+    )
+
+
+def entry_rows(report):
+    """The entry part of the analyze table, one entry_row per entry."""
+    rows = [entry_row(f"bd(g{s.g}c{s.c})", e) for s, es in report.boundary[0] for e in es]
+    rows += [entry_row("bd", e) for e in report.boundary[1]]
+    return rows + [
+        entry_row("ic*" if e in report.witnesses else "ic", e)
+        for m in (0, 1) for e in report.intermediate[m].all_entries()
+    ]
+
+
+@st.composite
+def report_inputs(draw):
+    """A weight inside the cone, on a wall or at the origin, and 1-40 strata with
+    labels up to bd(g12c1000)."""
+    k1 = draw(st.integers(0, 1000))
+    k2 = draw(st.sampled_from([0, k1, k1 // 2]))
+    r = k1 + k2 + 2 * draw(st.integers(-500, 500))
+    g = st.integers(0, 12)
+    strata = st.lists(g.flatmap(lambda g: st.tuples(st.just(g), st.integers(3 if g == 0 else 1, 1000))),
+                      min_size=1, max_size=40)
+    return root_data.make_weight(k1, k2, r), [StratumDatum(g, c) for g, c in draw(strata)]
+
+
+@settings(derandomize=True, deadline=None)
+@given(drawn=report_inputs())
+@example(drawn=(root_data.make_weight(0, 0, 0), [StratumDatum(0, 3)] * 40))
+def test_templates_match_the_per_entry_writers(drawn):
+    lam, strata = drawn
+    argv = ["analyze", "--k1", str(lam.k1), "--k2", str(lam.k2), "--r", str(lam.r)]
+    argv += [f"--stratum={s.g},{s.c}" for s in strata]
+    outs = []
+    for fmt in ("json", "table"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main([*argv, "--format", fmt]) == 0
+        outs.append(out.getvalue())
+    payload = json.loads(outs[0])
+    assert json.dumps(payload, indent=2) + "\n" == outs[0]
+    report = intersection.analysis_report(lam, strata)
+    expected = [{"stratum": s._asdict(), "entries": [entry_dict(e) for e in es]}
+                for s, es in report.boundary[0]]
+    assert payload["boundary"]["siegel"] == json.loads(json.dumps(expected))
+    assert payload["strata"] == [s._asdict() for s in strata]
+    rows = entry_rows(report)
+    assert outs[1].splitlines()[-len(rows):] == rows
+
+
+def shifted_report(change):
+    """A three-stratum report whose last stratum's first entry is change(entry)."""
+    report = intersection.analysis_report(root_data.make_weight(5, 2, 7), [StratumDatum(0, 3),
+                                          StratumDatum(1, 2), StratumDatum(2, 1)])
+    *pairs, (s, es) = report.boundary[0]
+    boundary = {0: (*pairs, (s, (change(es[0]), *es[1:]))), 1: report.boundary[1]}
+    return report._replace(boundary=boundary)
+
+
+TEMPLATE_MUTANTS = {  # name: (change, error)
+    "float-rank": (lambda e: e._replace(rank_lower=1.0, rank_upper=1.0), TypeError),
+    "bool-rank": (lambda e: e._replace(rank_lower=True, rank_upper=True), TypeError),
+    "weight-shifted": (lambda e: e._replace(weight=e.weight + 1), PreconditionViolation),
+}
+
+
+@pytest.mark.parametrize("name", list(TEMPLATE_MUTANTS))
+def test_templates_refuse_a_stratum_that_does_not_fit(name):
+    change, error = TEMPLATE_MUTANTS[name]
+    report = shifted_report(change)
+    with pytest.raises(error):
+        cli._dump(cli.report_json(report))
+    with pytest.raises(error):
+        cli._report_table(report)
+
+
+def test_templates_refuse_a_stratum_that_does_not_fit_under_python_O():
+    code = (
+        "import sys\n"
+        "if __debug__: sys.exit(3)\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import test_cli\n"
+        "from siegel_weights import cli\n"
+        "for change, error in test_cli.TEMPLATE_MUTANTS.values():\n"
+        "    report = test_cli.shifted_report(change)\n"
+        "    for write in (lambda: cli._dump(cli.report_json(report)), lambda: cli._report_table(report)):\n"
+        "        try:\n"
+        "            write()\n"
+        "        except error:\n"
+        "            continue\n"
+        "        sys.exit(4)\n"
+    )
+    tests = str(Path(__file__).resolve().parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", code, tests], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_templates_escape_a_percent_in_fixed_text():
+    # every entry of every stratum gets the same provenance, so the template fits
+    report = intersection.analysis_report(root_data.make_weight(5, 2, 7), [StratumDatum(0, 3)] * 2)
+    marked = {0: tuple((s, tuple(e._replace(provenance="%s %d%%") for e in es))
+                       for s, es in report.boundary[0]), 1: report.boundary[1]}
+    report = report._replace(boundary=marked)
+    payload = json.loads(cli._dump(cli.report_json(report)))
+    assert {e["provenance"] for b in payload["boundary"]["siegel"] for e in b["entries"]} == {"%s %d%%"}
+    rows = entry_rows(report)
+    assert cli._report_table(report).splitlines()[-len(rows):] == rows
 
 
 # --- verify ---------------------------------------------------------------------
@@ -593,7 +741,7 @@ def test_verify_negative_control_catches_corrupted_cohomology(monkeypatch, capsy
 def _third_module_shifted(real):
     def shifted(lam, m):
         mods = list(real(lam, m))
-        mods[2] = mods[2]._replace(highest_weight=mods[2].highest_weight + WeightTriple(0, 0, 2))
+        mods[2] = mods[2]._replace(highest_weight=plus(mods[2].highest_weight, (0, 0, 2)))
         return tuple(mods)
 
     return shifted
@@ -622,7 +770,7 @@ def _gap_without_kernel_entries(real):
 def _s1_dot_shifted(real):
     # s1 . (s1 . lam) is then lam + (2, 2, 0)
     def dot(w, lam):
-        return real(w, lam) + WeightTriple(2, 0, 0) if w == weyl.S1 else real(w, lam)
+        return plus(real(w, lam), (2, 0, 0)) if w == weyl.S1 else real(w, lam)
 
     return dot
 

@@ -203,6 +203,18 @@ def test_rank_inequality_examples():
     assert rank_inequality_check(REFERENCE, StratumDatum(1, 1))
 
 
+def test_rank_inequality_does_not_read_euler_term(monkeypatch):
+    # the oracle computes 2g - 2 + c itself: an euler_term of 0 empties the H^1
+    # ranks the profiles read, and leaves every verdict of the oracle (True) as it was
+    cases = [(lam, s) for lam in dominant_grid(4) if lam.k1 >= 1
+             for s in (P03, StratumDatum(1, 1), StratumDatum(2, 5))]
+    tables = [_piece_ranks(_modules(lam, SIEGEL, 4), s) for lam, s in cases]
+    verdicts = [rank_inequality_check(lam, s) for lam, s in cases]
+    monkeypatch.setattr(StratumDatum, "euler_term", property(lambda s: 0))
+    assert [_piece_ranks(_modules(lam, SIEGEL, 4), s) for lam, s in cases] != tables
+    assert [rank_inequality_check(lam, s) for lam, s in cases] == verdicts
+
+
 def test_rank_inequality_needs_positive_k1():
     with pytest.raises(PreconditionViolation):
         rank_inequality_check(make_weight(0, 0, 0), P03)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from siegel_weights import DivisionFailure, LaurentPolynomial, PreconditionViolation
 from siegel_weights.root_data import POSITIVE_ROOTS, WeightTriple
-from laurent_reference import times
+from laurent_reference import sorted_terms, times
 
 
 ONE = LaurentPolynomial({(0, 0, 0): 1})
@@ -27,7 +27,7 @@ def random_poly(rng, n_terms=12, box=8):
 def test_basic_arithmetic():
     x = LaurentPolynomial({(1, 0, 0): 1})
     y = LaurentPolynomial({(0, 1, 0): 3})
-    assert list(times(x, y).items()) == [((1, 1, 0), 3)]
+    assert sorted_terms(times(x, y)) == [((1, 1, 0), 3)]
     assert times(x, y).mass() == 3
     assert ONE.mass() == 1
     assert times(x, ONE) == x
@@ -37,9 +37,9 @@ def test_basic_arithmetic():
 
 def test_zero_coefficients_are_never_stored():
     p = LaurentPolynomial({(0, 0, 0): 1, (1, 1, 1): 0})
-    assert list(p.items()) == [((0, 0, 0), 1)]
+    assert sorted_terms(p) == [((0, 0, 0), 1)]
     q = LaurentPolynomial({(1, 0, 0): 1, (-1, 0, 0): 1})
-    assert list(times(q, one_minus_inverse(WeightTriple(2, 0, 0))).items()) == [
+    assert sorted_terms(times(q, one_minus_inverse(WeightTriple(2, 0, 0)))) == [
         ((-3, 0, 0), -1),
         ((1, 0, 0), 1),
     ]
@@ -80,7 +80,7 @@ def test_division_rejects_non_int_directions(beta):
 def test_multiplication_adds_exponents_with_multiplicity():
     p = LaurentPolynomial({(1, 0, 0): 1, (-1, 0, 0): 1})
     sq = times(p, p)
-    assert dict(sq.items()) == {(-2, 0, 0): 1, (0, 0, 0): 2, (2, 0, 0): 1}
+    assert dict(sorted_terms(sq)) == {(-2, 0, 0): 1, (0, 0, 0): 2, (2, 0, 0): 1}
     assert sq.mass() == 4
 
 
@@ -141,7 +141,7 @@ def test_arithmetic_results_are_normalised(p, beta):
     # quotients skip the normalising constructor; they must still be what
     # that constructor would build
     result = times(p, one_minus_inverse(WeightTriple(*beta))).divide_one_minus_inverse(beta)
-    terms = dict(result.items())
+    terms = dict(sorted_terms(result))
     assert all(c != 0 for c in terms.values())
     assert all(type(x) is int for e in terms for x in e)
     assert result == LaurentPolynomial(terms)

@@ -2,7 +2,7 @@
 
 Lower the bounds when a change makes either smaller.  The public API is also
 the list in the README's "Python API" section.  No top-level function or
-class of the package may go unused.
+class of the package, and no method or property of its classes, may go unused.
 """
 
 import ast
@@ -12,6 +12,18 @@ import siegel_weights
 
 MAX_PUBLIC_NAMES = 26
 MAX_SOURCE_LINES = 1705
+
+# The dunder methods the package defines.  An AST walk cannot see a dunder used
+# through an operator, a call or a constructor, so any dunder not listed here fails.
+NEEDED_DUNDERS = {
+    "boundary.StratumDatum.__new__",
+    "boundary.CohomologyEntry.__new__",
+    "laurent.LaurentPolynomial.__init__",
+    "laurent.LaurentPolynomial.__eq__",
+    "weyl.WeylElement.__call__",
+}
+# Methods that only code outside the package calls: argparse calls error.
+OVERRIDES = {"cli._Parser.error"}
 
 
 def readme_api_names():
@@ -38,13 +50,19 @@ def test_source_does_not_grow():
     assert lines <= MAX_SOURCE_LINES
 
 
-def unused_definitions(package):
+def unused_definitions(package, dunders=NEEDED_DUNDERS, overrides=OVERRIDES):
     """Top-level functions and classes of the package's modules that are
     neither in __all__ nor referenced in the package: by a loaded name, by
     an attribute of a sibling module imported as one, or by a relative
-    import outside __init__.py."""
+    import outside __init__.py.  Then the methods and properties of the
+    top-level classes, by qualified name: a dunder not in dunders, and any
+    other method not in overrides whose name no attribute read in the package
+    uses.  That read may be of another object, so a method that shares its
+    name with one of, say, dict (items) is not caught."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
     used = set()  # (module, name)
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     for stem, tree in trees.items():
         siblings = {}  # local name -> sibling module, from `from . import x as y`
         for node in ast.walk(tree):
@@ -61,7 +79,7 @@ def unused_definitions(package):
                   and node.value.id in siblings):
                 used.add((siblings[node.value.id], node.attr))
     public = set(siegel_weights.__all__)
-    return [
+    unused = [
         f"{stem}.{node.name}"
         for stem, tree in trees.items()
         for node in tree.body
@@ -69,6 +87,16 @@ def unused_definitions(package):
         and node.name not in public
         and (stem, node.name) not in used
     ]
+    for stem, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for method in (node for node in cls.body if isinstance(node, ast.FunctionDef)):
+                name = f"{stem}.{cls.name}.{method.name}"
+                if method.name.startswith("__") and method.name.endswith("__"):
+                    if name not in dunders:
+                        unused.append(name)
+                elif name not in overrides and method.name not in attributes:
+                    unused.append(name)
+    return unused
 
 
 def test_every_definition_is_public_or_used():
@@ -80,3 +108,13 @@ def test_unused_definitions_finds_a_dead_function(tmp_path):
     (tmp_path / "a.py").write_text("def used():\n    pass\n\n\ndef dead():\n    pass\n")
     (tmp_path / "b.py").write_text("from . import a as alias\n\n\ndef caller():\n    alias.used()\n")
     assert unused_definitions(tmp_path) == ["a.dead", "b.caller"]
+
+
+def test_unused_definitions_finds_dead_methods_and_unlisted_dunders(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import Point\n")
+    methods = ["__init__", "__add__", "norm", "dead", "area", "hook"]
+    body = "".join(f"    def {name}(self):\n        pass\n\n" for name in methods)
+    (tmp_path / "a.py").write_text(f"class Point:\n{body}\n\ndef caller(p):\n    return p.norm\n")
+    (tmp_path / "b.py").write_text("from .a import Point, caller\n\n\nV = caller(Point()).area\n")
+    found = unused_definitions(tmp_path, dunders={"a.Point.__init__"}, overrides={"a.Point.hook"})
+    assert found == ["a.Point.__add__", "a.Point.dead"]

@@ -22,6 +22,7 @@ from siegel_weights.weyl import (
     length,
     sign,
 )
+from weight_strategies import minus, plus
 
 LONGEST = WeylElement((0, 1), (-1, -1))  # -id
 
@@ -123,7 +124,7 @@ coordinate = st.integers(-COORDINATE_BOUND, COORDINATE_BOUND)
 def test_dot_is_the_shifted_action_over_the_whole_range(v):
     rho = root_data.RHO
     for w in all_elements():
-        assert dot(w, v) == w(v + rho) - rho
+        assert dot(w, v) == minus(w(plus(v, rho)), rho)
 
 
 def test_dot_action_preserves_the_character_lattice():

@@ -1,9 +1,20 @@
-"""Hypothesis strategies for weights and strata that several test modules draw from."""
+"""Hypothesis strategies for weights and strata that several test modules draw
+from, and the lattice sum and difference of weights, which the package never needs."""
 
 from hypothesis import strategies as st
 
 from siegel_weights import StratumDatum, make_weight
-from siegel_weights.root_data import COORDINATE_BOUND
+from siegel_weights.root_data import COORDINATE_BOUND, WeightTriple
+
+
+def plus(a, b) -> WeightTriple:
+    """a + b in Z^3, coordinate by coordinate (a tuple's + would concatenate)."""
+    return WeightTriple(a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def minus(a, b) -> WeightTriple:
+    """a - b in Z^3, coordinate by coordinate."""
+    return WeightTriple(a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
 @st.composite
