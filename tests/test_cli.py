@@ -1007,7 +1007,20 @@ def test_closed_stdout_exits_141_without_a_traceback(args, lines):
     assert "Traceback" not in stderr and "Error" not in stderr
 
 
-def test_help_still_exits_0():
-    proc = run_cli("--help")
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("usage: siegel-weights")
+# sha256 of the help text at COLUMNS=80 (it wraps at the terminal width); argparse
+# builds it from the command table, so a change to a flag, metavar or help string shows here
+HELP_DIGESTS = {
+    (): "db45a2973ce2044b0c2c838ed9857a2bc3c053c997162cee74628d4c3a905de3",
+    ("analyze",): "69007c4cd7f82b820c18db212fb71f6348e44657c30f11b474a3c7b6192432bc",
+    ("sweep",): "8ff08188376b05551bc599c054490c4fed080b3de687f56682515ed71569c5b3",
+    ("verify",): "cac4ede8917a3dd99ef73a01670d39cebe46cba3d2d4e85b60983e7a2cc36f0f",
+}
+
+
+def test_help_still_exits_0(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, digest in HELP_DIGESTS.items():
+        proc = run_cli(*command, "--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: siegel-weights")
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, command
