@@ -36,11 +36,6 @@ extend it by the same weight map.  No two pieces share a degree and a weight:
 a Klingen degree has one piece, and for dominant lam the Siegel weights w_q
 rise strictly in q, by w1 - w0 = 2k2 + 2, w2 - w1 = 2(k1 - k2) + 2 and
 w3 - w2 = 2k2 + 2, so the pieces (1, n - 1) and (0, n) of degree n differ.
-
-The entry builders _siegel_entries and _klingen_entries skip CohomologyEntry's
-checks and check each rank explicitly.  _piece_ranks lays one stratum's pairs
-out as a rank table; _siegel_entries builds one entry per rank of the table it
-is given: one stratum's, a sum of several, or a prefix of either.
 """
 
 from __future__ import annotations

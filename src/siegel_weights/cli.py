@@ -4,22 +4,18 @@ All output is deterministic: JSON is emitted with a fixed key order and
 2-space indentation, tables are fixed-width.  Exit codes: 0 success, 1 a
 verification suite found a counterexample, 2 invalid input (reported as a
 one-line JSON object {"error": ..., "message": ...} on stdout).
-
-`_dump` writes the bytes of `json.dumps(obj, indent=2)` without its slow pure-Python
-path; `_ENTRY_KEYS` alone orders an entry's keys.  Each stratum, alone or with its
-entries, is one `%` of a template made per report, in JSON and tables: `_fill` refuses
-a non-int rank and entries unlike the template's but in ranks; `%` in fixed text is escaped.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import random
+import re
 import sys
 from operator import itemgetter
+from types import SimpleNamespace
 
 from . import checks as verification
 from .boundary import CohomologyEntry, StratumDatum
@@ -273,46 +269,80 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The one grammar: each command's function, help and flags, each flag with its
+# argparse keywords.  `_read_args` reads the canonical lines; argparse the rest.
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise PreconditionViolation(message)
+_FORMATS = ("json", "table")
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "full weight analysis of one highest weight", {
+        "--k1": {"type": int, "required": True},
+        "--k2": {"type": int, "required": True},
+        "--r": {"type": int, "required": True},
+        "--stratum": {"action": "append", "metavar": "G,C", "help": "repeatable; default 0,3"},
+        "--format": {"choices": _FORMATS, "default": "json"},
+    }),
+    "sweep": (_cmd_sweep, "avoided-interval table over all dominant weights", {
+        "--max-k1": {"type": int, "required": True, "metavar": "BOUND"},
+        "--stratum": {"action": "append", "metavar": "G,C"},
+        "--format": {"choices": _FORMATS, "default": "table"},
+    }),
+    "verify": (_cmd_verify, "run the self-verification suites", {
+        "--max-k1": {"type": int, "default": 6},
+        "--seed": {"type": int, "default": 0},
+    }),
+}
+_VALUE = re.compile(r"(?!-)|-[0-9]+\Z").match  # argparse reads these as values too, not flags
 
 
-@functools.cache  # reusable: _Parser.error raises, parse_args makes a fresh Namespace
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse reads from argv if argv is `command (--flag value)...` with exact flag
+    names, each value a `_VALUE` its type and choices take, and every required flag; else None."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    fn, _, flags = _COMMANDS[argv[0]]
+    args = {flag: kw.get("default") for flag, kw in flags.items()}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        kw = flags.get(flag)
+        if kw is None or not _VALUE(value) or value not in kw.get("choices", (value,)):
+            return None
+        try:
+            value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        args[flag] = [*(args[flag] or ()), value] if kw.get("action") == "append" else value
+    if any(kw.get("required") and args[flag] is None for flag, kw in flags.items()):
+        return None
+    return SimpleNamespace(command=argv[0], fn=fn,  # argparse's dest of --max-k1 is max_k1
+                           **{flag[2:].replace("-", "_"): v for flag, v in args.items()})
+
+
+@functools.cache  # reusable: error raises, parse_args makes a fresh Namespace
+def _build_parser():
+    """The argparse parser of `_COMMANDS`: help, error messages and the other spellings."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise PreconditionViolation(message)
+
+    parser = Parser(
         prog="siegel-weights",
         description="Exact boundary weight profiles for degree-two Siegel modular threefolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_an = sub.add_parser("analyze", help="full weight analysis of one highest weight")
-    p_an.add_argument("--k1", type=int, required=True)
-    p_an.add_argument("--k2", type=int, required=True)
-    p_an.add_argument("--r", type=int, required=True)
-    p_an.add_argument("--stratum", action="append", metavar="G,C", help="repeatable; default 0,3")
-    p_an.add_argument("--format", choices=("json", "table"), default="json")
-    p_an.set_defaults(fn=_cmd_analyze)
-
-    p_sw = sub.add_parser("sweep", help="avoided-interval table over all dominant weights")
-    p_sw.add_argument("--max-k1", type=int, required=True, metavar="BOUND")
-    p_sw.add_argument("--stratum", action="append", metavar="G,C")
-    p_sw.add_argument("--format", choices=("json", "table"), default="table")
-    p_sw.set_defaults(fn=_cmd_sweep)
-
-    p_ve = sub.add_parser("verify", help="run the self-verification suites")
-    p_ve.add_argument("--max-k1", type=int, default=6)
-    p_ve.add_argument("--seed", type=int, default=0)
-    p_ve.set_defaults(fn=_cmd_verify)
-
+    for command, (fn, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, kw in flags.items():
+            p.add_argument(flag, **kw)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _read_args(argv) or _build_parser().parse_args(argv)
             code = args.fn(args)
         except SiegelWeightsError as err:
             print(json.dumps({"error": type(err).__name__, "message": str(err)}))

@@ -7,13 +7,8 @@ parabolic P_m with unipotent radical W_m, Kostant's theorem gives
 
 where w_q runs over the four minimal coset representatives (length q = 0..3)
 and . is the dot action.  nilpotent_cohomology tabulates the four modules
-with their Levi dimension, SL(2)-restriction weight and motivic weight.  It
-validates lam and m once and hands them to the private builder _modules,
-which checks nothing and builds only the modules q < count; the profile
-pipeline, whose boundary truncations need only q <= 1, calls it directly.  The
-dot action is affine in lam: _affine_maps, keyed by root_data.RHO and built from
-weyl.dot (the one home of the rho shift), tabulates it for _modules, which reads
-the minimal representatives' rows through _dot_table, and _weyl_numerator.
+with their Levi dimension, SL(2)-restriction weight and motivic weight; the
+dot action is affine in lam, so _affine_maps tabulates it once from weyl.dot.
 
 Two independent character oracles guard the tables:
 
@@ -22,9 +17,6 @@ Two independent character oracles guard the tables:
   prod (1 - x^{-beta}) over the positive roots;
 * freudenthal_multiplicities(lam) runs Freudenthal's recursion on dominant
   weights and expands Weyl orbits.
-
-The oracles check lam once per call, then build their terms on plain ints
-and hand them to LaurentPolynomial._trusted unchecked.
 
 euler_check(lam, m) verifies the Euler characteristic identity
 
@@ -228,9 +220,7 @@ def freudenthal_character(lam: WeightTriple) -> LaurentPolynomial:
 def euler_check(lam: WeightTriple, m: int) -> bool:
     """Exact Euler characteristic identity for the Kostant tables of (lam, m).
 
-    Tests sum_q (-1)^q (x^{nu_q} - x^{nu_q - (u_q+1) gamma_m}) == N(lam), the
-    identity sum_q (-1)^q ch H^q == ch V * prod_{beta in W_m} (1 - x^{-beta})
-    times 1 - x^{-gamma_m}; see the module docstring.  Raises
+    Tests the telescoped 8-term form derived in the module docstring.  Raises
     InputBoundExceeded for k1 > ORACLE_MAX_K1.
     """
     require_dominant(lam)

@@ -2,12 +2,9 @@
 
 A polynomial is a finitely supported Z-valued function on Z^3; terms are kept
 in a dict keyed by exponent triples, zero coefficients never stored.  The
-class holds what the character oracles use: building from a dict of tuples
-of three ints, a WeightTriple of ints being one, to ints (PreconditionViolation
-on anything else, a float in a WeightTriple too), comparing, reading the
-mass, and exact division by (1 - x^{-beta}) for a lattice vector beta, done
-line by line along the direction beta with suffix sums; a nonzero remainder
-raises DivisionFailure.
+class holds what the character oracles use: building from a dict of int triples
+(a WeightTriple of ints is one) to ints, PreconditionViolation on anything else;
+comparing, reading the mass, and exact division by (1 - x^{-beta}).
 """
 
 from __future__ import annotations
@@ -44,11 +41,7 @@ class LaurentPolynomial:
 
     @classmethod
     def _trusted(cls, terms: dict[Exponent, int]) -> "LaurentPolynomial":
-        """Take over terms as they are: keys are int triples, values nonzero.
-
-        For the result of divide_one_minus_inverse, which builds such a dict
-        already; __init__ would only copy and re-check every term.
-        """
+        """Take over terms, int triples to nonzero ints, without __init__'s copy and checks."""
         poly = cls.__new__(cls)
         poly._terms = terms
         return poly

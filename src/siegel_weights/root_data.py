@@ -138,24 +138,18 @@ def require_dominant(lam: WeightTriple) -> WeightTriple:
 
 
 def k_invariant(lam: WeightTriple) -> int:
-    """min(k1 - k2, k2) for dominant lam; the corank-style avoidance index.
-
-    Vanishes exactly on the walls of the dominant cone, i.e. k >= 1 iff lam is
-    regular.
-    """
+    """min(k1 - k2, k2) for dominant lam: 0 on the walls, so k >= 1 iff lam is regular."""
     require_dominant(lam)
     return min(lam.k1 - lam.k2, lam.k2)
 
 
 def _motivic_weight(n: WeightTriple, m: int) -> int:
-    """Weight of the central cocharacter of the Levi anchor on character n."""
     if m == SIEGEL:
         return n.r - n.k1 - n.k2
     return n.r - n.k1
 
 
 def _restriction_weight(n: WeightTriple, m: int) -> int:
-    """Highest weight of n restricted to the SL(2) inside the Levi of m."""
     if m == SIEGEL:
         return n.k1 - n.k2
     return n.k2

@@ -12,14 +12,6 @@ equals the determinant of w on the plane.  The dot action
 
 shifts by rho = (2, 1, 0), so it preserves the character sublattice even
 though rho itself is outside it.
-
-_minimal_representatives(m) lists the four minimal-length representatives
-of the quotient by the Levi Weyl group of parabolic m, in length order 0, 1,
-2, 3; callers pass a checked m (kostant.nilpotent_cohomology validates it).
-The criterion is the usual one: w represents its coset minimally iff w^{-1}
-keeps the Levi's positive root positive.  all_elements and the
-representatives are built once and cached; neither depends on rho, which
-dot reads at call time and which keys kostant's cached table of dot.
 """
 
 from __future__ import annotations
@@ -117,7 +109,8 @@ def all_elements() -> tuple[WeylElement, ...]:
 
 @lru_cache(maxsize=2)
 def _minimal_representatives(m: int) -> tuple[WeylElement, ...]:
-    """Minimal-length coset representatives for parabolic m, lengths 0..3."""
+    """The minimal-length representatives of the cosets of the Levi Weyl group of a
+    checked m, lengths 0..3: the w whose inverse keeps the Levi's positive root positive."""
     gamma = root_data.levi_root(m)
     reps = tuple(
         w for w in all_elements() if not _is_negative(w.inverse()(gamma))

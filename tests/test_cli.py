@@ -271,12 +271,20 @@ def test_verify_bytes_are_pinned_under_python_O():
         ([*ANALYZE_3_1_4, "--stratum", "1_0,3"], [*ANALYZE_3_1_4, "--stratum", "10,3"]),
         ([*ANALYZE_3_1_4, "--stratum", " 1 , 3"], [*ANALYZE_3_1_4, "--stratum", "1,3"]),
         (["analyze", "--k1", "\u0663", "--k2", "1", "--r", "4"], ANALYZE_3_1_4),
+        (["analyze", "--k1=3", "--k2", "1", "--r", "4"], ANALYZE_3_1_4),
+        ([*ANALYZE_3_1_4, "--str", "0,3"], [*ANALYZE_3_1_4, "--stratum", "0,3"]),
+        (["analyze", "--r", "4", "--stratum", "1,1", "--k2", "1", "--k1", "3"],
+         [*ANALYZE_3_1_4, "--stratum", "1,1"]),
+        (["analyze", "--k1", "3", "--k2", "1", "--r=-4"], ["analyze", "--k1", "3", "--k2", "1", "--r", "-4"]),
     ],
-    ids=["underscore-in-g", "spaces-around-g-and-c", "arabic-indic-digit-k1"],
+    ids=["underscore-in-g", "spaces-around-g-and-c", "arabic-indic-digit-k1", "equals-sign",
+         "abbreviated-flag", "flags-in-another-order", "equals-sign-negative-r"],
 )
 def test_numbers_are_read_with_python_int(argv, canonical):
     # the documented integer grammar: int() accepts digit separators, surrounding
-    # whitespace and any Unicode decimal digit; refusing them would change the CLI
+    # whitespace and any Unicode decimal digit; refusing them would change the CLI.
+    # The other spellings argparse takes (`=`, abbreviations, any flag order) print
+    # what the canonical line prints, whichever of the reader and argparse reads them
     got = _main_in_process(argv)
     assert got == _main_in_process(canonical)
     assert got[0] == 0
@@ -1024,3 +1032,88 @@ def test_help_still_exits_0(monkeypatch):
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: siegel-weights")
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, command
+
+
+# --- the command reader against argparse -------------------------------------------
+
+# Tokens that argparse reads in ways a value check can get wrong: negative numbers
+# in ASCII and other digits, a lone dash, the end of options, a number with a
+# newline after it, `=` spellings, help and abbreviations.
+ODD_TOKENS = ["-4", "-0", "-\u0663", "-1,3", "-", "--", "-4\n", "--k1=3", "-h", "--st", "--max", ""]
+
+
+@st.composite
+def spliced_command_lines(draw):
+    argv = draw(command_lines())
+    for token in draw(st.lists(st.sampled_from(ODD_TOKENS), max_size=3)):
+        if len(argv) > 2 and draw(st.booleans()):
+            argv[draw(st.sampled_from(range(2, len(argv), 2)))] = token  # a flag's value
+        else:
+            i = draw(st.integers(1, len(argv)))
+            argv[i:i + draw(st.integers(0, 1))] = [token]  # insert, or replace argv[i]
+    return argv
+
+
+def argparse_reads(argv):
+    try:
+        return vars(cli._build_parser().parse_args(argv))
+    except (PreconditionViolation, SystemExit) as err:
+        return f"refused: {err!r}"
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(argv=spliced_command_lines())
+@example(argv=[*ANALYZE_3_1_4, "--stratum", "-1,3"])
+@example(argv=["analyze", "--k1", "3", "--k2", "1", "--r", "-\u0663"])
+@example(argv=["verify", "--seed", "-4\n"])
+@example(argv=["sweep", "--max-k1", "2", "--format", "--"])
+def test_reader_reads_what_argparse_reads(argv):
+    # the reader may decline any line; a line it reads, argparse reads the same way
+    read = cli._read_args(argv)
+    if read is not None:
+        assert vars(read) == argparse_reads(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*ANALYZE_3_1_4, *wall_strata_40()],
+        ["analyze", "--k1", "3", "--k2", "1", "--r", "-4", "--format", "table"],
+        ["sweep", "--max-k1", "20", "--format", "json", "--stratum", "0,3"],
+        ["verify", "--max-k1", "8", "--seed", "-1"],
+        ["verify"],
+    ],
+    ids=["analyze-40-strata", "negative-r-table", "sweep", "verify", "verify-defaults"],
+)
+def test_reader_reads_the_canonical_lines(argv):
+    read = cli._read_args(argv)
+    assert read is not None
+    assert vars(read) == argparse_reads(argv)
+
+
+def test_negative_control_a_reader_that_takes_any_dash_value_fails(monkeypatch):
+    monkeypatch.setattr(cli, "_VALUE", lambda text: True)
+    with pytest.raises(AssertionError):
+        test_reader_reads_what_argparse_reads()
+
+
+@pytest.mark.parametrize(
+    "fallback",
+    [["--help"], ["verify", "--bogus"], ["analyze", "--k1=3", "--k2", "1", "--r", "4"]],
+    ids=["help", "bad-flag", "equals-sign"],
+)
+def test_argparse_is_imported_only_for_the_fallback(fallback):
+    # a canonical line never loads argparse (nor the gettext and locale it imports)
+    code = (
+        "import contextlib, io, sys\n"
+        "from siegel_weights import cli\n"
+        "seen = ['argparse' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        f"    cli.main({[*ANALYZE_3_1_4, '--stratum', '1,1']!r})\n"
+        "    seen.append('argparse' in sys.modules)\n"
+        f"    cli.main({fallback!r})\n"
+        "print(seen + ['argparse' in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, True]\n"

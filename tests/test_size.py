@@ -11,7 +11,7 @@ from pathlib import Path
 import siegel_weights
 
 MAX_PUBLIC_NAMES = 26
-MAX_SOURCE_LINES = 1705
+MAX_SOURCE_LINES = 1700
 
 # The dunder methods the package defines.  An AST walk cannot see a dunder used
 # through an operator, a call or a constructor, so any dunder not listed here fails.
@@ -22,8 +22,14 @@ NEEDED_DUNDERS = {
     "laurent.LaurentPolynomial.__eq__",
     "weyl.WeylElement.__call__",
 }
-# Methods that only code outside the package calls: argparse calls error.
-OVERRIDES = {"cli._Parser.error"}
+# Methods that only code outside the package calls, and methods named like one of
+# BUILTIN_METHODS that the package does use.  None today: cli's argparse subclass,
+# whose error only argparse calls, is local to the function that builds the parser.
+OVERRIDES = set()
+# A read of x.items may be of any dict, so an attribute read cannot show that a
+# method of one of these names is used: such a method must be in OVERRIDES.
+BUILTIN_METHODS = {name for kind in (dict, list, tuple, str, set, int) for name in dir(kind)
+                   if not name.startswith("__")}
 
 
 def readme_api_names():
@@ -57,8 +63,7 @@ def unused_definitions(package, dunders=NEEDED_DUNDERS, overrides=OVERRIDES):
     import outside __init__.py.  Then the methods and properties of the
     top-level classes, by qualified name: a dunder not in dunders, and any
     other method not in overrides whose name no attribute read in the package
-    uses.  That read may be of another object, so a method that shares its
-    name with one of, say, dict (items) is not caught."""
+    uses or is in BUILTIN_METHODS."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
     used = set()  # (module, name)
     attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
@@ -87,20 +92,37 @@ def unused_definitions(package, dunders=NEEDED_DUNDERS, overrides=OVERRIDES):
         and node.name not in public
         and (stem, node.name) not in used
     ]
-    for stem, tree in trees.items():
-        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
-            for method in (node for node in cls.body if isinstance(node, ast.FunctionDef)):
-                name = f"{stem}.{cls.name}.{method.name}"
-                if method.name.startswith("__") and method.name.endswith("__"):
-                    if name not in dunders:
-                        unused.append(name)
-                elif name not in overrides and method.name not in attributes:
-                    unused.append(name)
+    for name, method in methods(trees):
+        if method.startswith("__") and method.endswith("__"):
+            if name not in dunders:
+                unused.append(name)
+        elif name not in overrides and (method not in attributes or method in BUILTIN_METHODS):
+            unused.append(name)
     return unused
+
+
+def methods(trees):
+    """(qualified name, name) of each method and property of the top-level classes."""
+    return [
+        (f"{stem}.{cls.name}.{node.name}", node.name)
+        for stem, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+    ]
+
+
+def stale_entries(package, dunders=NEEDED_DUNDERS, overrides=OVERRIDES):
+    """The entries of dunders and overrides that name no method of the package."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    return sorted((dunders | overrides) - {name for name, _ in methods(trees)})
 
 
 def test_every_definition_is_public_or_used():
     assert unused_definitions(Path(siegel_weights.__file__).parent) == []
+
+
+def test_every_listed_method_exists():
+    assert stale_entries(Path(siegel_weights.__file__).parent) == []
 
 
 def test_unused_definitions_finds_a_dead_function(tmp_path):
@@ -118,3 +140,23 @@ def test_unused_definitions_finds_dead_methods_and_unlisted_dunders(tmp_path):
     (tmp_path / "b.py").write_text("from .a import Point, caller\n\n\nV = caller(Point()).area\n")
     found = unused_definitions(tmp_path, dunders={"a.Point.__init__"}, overrides={"a.Point.hook"})
     assert found == ["a.Point.__add__", "a.Point.dead"]
+
+
+def test_unused_definitions_refuses_a_method_named_like_a_builtin_one(tmp_path):
+    # a dead `items` is read nowhere as a method of Table, but every dict.items()
+    # read matches its name; only OVERRIDES can vouch for such a method
+    (tmp_path / "__init__.py").write_text("from .a import Table\n")
+    (tmp_path / "a.py").write_text(
+        "class Table:\n    def items(self):\n        pass\n\n    def count(self):\n        pass\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import Table\n\n\nV = {}.items(), Table().count()\n")
+    assert unused_definitions(tmp_path, dunders=set(), overrides=set()) == ["a.Table.items", "a.Table.count"]
+    assert unused_definitions(tmp_path, dunders=set(), overrides={"a.Table.count"}) == ["a.Table.items"]
+
+
+def test_unused_definitions_refuses_stale_list_entries(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import Point\n")
+    (tmp_path / "a.py").write_text("class Point:\n    def __init__(self):\n        pass\n")
+    found = stale_entries(tmp_path, dunders={"a.Point.__init__", "a.Point.__eq__"},
+                          overrides={"a.Parser.error"})
+    assert found == ["a.Parser.error", "a.Point.__eq__"]
