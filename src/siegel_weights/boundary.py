@@ -13,15 +13,15 @@ where the inner layer is a Kostant module and the outer layer is group
 cohomology of the relevant arithmetic quotient.
 
 * m = 0: the group is a neat arithmetic subgroup of SL(2) acting through the
-  Levi; it has cohomological dimension 1, and group_cohomology_dims gives
-  the pair (H^0, H^1) on the irreducible module of highest SL(2)-weight u:
+  Levi; it has cohomological dimension 1.  Summed over n strata whose curves
+  have genus g and c cusps (c >= 1, and c >= 3 when g = 0; StratumDatum
+  validates this), group_cohomology_dims gives the pair (H^0, H^1) on the
+  irreducible module of highest SL(2)-weight u, with E = sum(2g - 2 + c):
 
-      H^0: 1 if u = 0 else 0        (neatness kills invariants otherwise)
-      H^1: (u+1)(2g-2+c) if u >= 1, and 2g-1+c if u = 0,
+      H^0: n if u = 0 else 0        (neatness kills invariants otherwise)
+      H^1: (u + 1)E if u >= 1, and E + n if u = 0.
 
-  where (g, c) are the genus and cusp count of the associated curve, c >= 1
-  and c >= 3 when g = 0 (StratumDatum validates this).  Classical degrees run
-  n = 0..4.
+  One stratum is the case n = 1.  Classical degrees run 0..4.
 
 * m = 1: the stratum is itself the arithmetic quotient and carries each
   Kostant module as a local system whose fiber dimension is the Levi
@@ -99,14 +99,14 @@ class CohomologyEntry(namedtuple("CohomologyEntry", _ENTRY_FIELDS, defaults=(Non
         return False if self.rank_upper == 0 else "unknown"
 
 
-def group_cohomology_dims(u: int, stratum: StratumDatum) -> tuple[int, int]:
-    """(dim H^0, dim H^1) of the stratum's arithmetic group on the SL(2)-module
-    of highest weight u, an int >= 0; it has cohomological dimension 1."""
+def group_cohomology_dims(u: int, n: int, euler: int) -> tuple[int, int]:
+    """(dim H^0, dim H^1) on the SL(2)-module of highest weight u, an int >= 0,
+    summed over n point strata whose values of 2g - 2 + c sum to euler."""
     if type(u) is not int or u < 0:
         raise PreconditionViolation(f"restriction weight must be a nonneg integer, got {shown(u)}")
     if u == 0:
-        return 1, 2 * stratum.g - 1 + stratum.c
-    return 0, (u + 1) * stratum.euler_term
+        return n, euler + n
+    return 0, (u + 1) * euler
 
 
 # The (p, q) pieces over a point stratum in degree order, (1, n - 1) before (0, n),
@@ -115,10 +115,10 @@ SIEGEL_PIECES = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3))
 KERNEL_PIECE = SIEGEL_PIECES.index((1, 1))  # the piece whose kernel survives
 
 
-def _piece_ranks(modules: tuple[LeviModule, ...], stratum: StratumDatum) -> tuple[int, ...]:
-    """The stratum's rank table, one rank per piece of the given Siegel modules:
-    their (H^0, H^1) pairs end to end, which is SIEGEL_PIECES order."""
-    return sum([group_cohomology_dims(mod.restriction_weight, stratum) for mod in modules], ())
+def _piece_ranks(modules: tuple[LeviModule, ...], n: int, euler: int) -> tuple[int, ...]:
+    """The rank table of n strata with sum(2g - 2 + c) = euler: the (H^0, H^1)
+    pairs of the given Siegel modules end to end, in SIEGEL_PIECES order."""
+    return sum([group_cohomology_dims(mod.restriction_weight, n, euler) for mod in modules], ())
 
 
 def _siegel_entries(

@@ -219,9 +219,12 @@ def suite_reference_rows(rng: random.Random, max_k1: int):
     ok = got_rows == [(5, 2, 2), (6, 5, 5)]
     yield None if ok else {"check": "curve stratum rows", "got": got_rows}
 
-    wall = intermediate_profile(make_weight(2, 2, 4), SIEGEL, (s,)).kernel_entry
-    got = [wall.n_perverse, wall.weight, wall.rank_lower]
-    yield None if got == [6, 6, 4] else {"check": "wall-weight kernel", "got": got}
+    strata = (StratumDatum(1, 1), StratumDatum(2, 5))
+    wall = intermediate_profile(make_weight(2, 2, 4), SIEGEL, strata)  # q = 0 has u = 0 here
+    (h0, h1, _), kernel = [e.rank_lower for e in wall.entries], wall.kernel_entry
+    got = [kernel.n_perverse, kernel.weight, kernel.rank_lower, h0, h0 - h1]
+    want = [6, 6, 50, len(strata), sum(2 - 2 * g - c for g, c in strata)]  # n, Euler characteristic
+    yield None if got == want else {"check": "wall-weight kernel", "got": got, "want": want}
 
 
 def suite_dimension_oracle(rng: random.Random, max_k1: int):

@@ -10,11 +10,12 @@ normalization:
 
 * point strata (m = 0): degrees n_perverse <= r + 1 survive unchanged, and at
   n_perverse = r + 2 the full degree is replaced by the kernel of a boundary
-  map out of the (1, 1) piece, of weight (r + 2) - (k1 - k2).  Summed over
-  the supplied strata its source rank is that piece's and its target rank
-  sum(c); the kernel rank lies in [source - target, source].  Per stratum,
-  source - target = (k1+k2+3)(2g-2+c) - c is at least 8g - 8 + 3c >= 1 once
-  k1 >= 1 (the rank inequality) and 6g - 6 + 2c >= 0 at k1 = 0.
+  map out of the (1, 1) piece, of weight (r + 2) - (k1 - k2).  Over n strata
+  with E = sum(2g - 2 + c) and C = sum(c), its source rank is that piece's,
+  (k1 + k2 + 3)E, and its target rank C; the kernel rank lies in
+  [source - target, source].  source - target = (k1 + k2 + 3)E - C >= n once
+  k1 >= 1 (the rank inequality), and at the vertex 3E - C = sum(6g - 6 + 2c)
+  >= 0, which is 0 exactly when every stratum is (0, 3).
 
 The avoided interval: over all nonzero entries of both intermediate profiles,
 
@@ -65,13 +66,13 @@ class IntermediateProfile(NamedTuple):
         return self.entries + (self.kernel_entry,)
 
 
-def _require_strata(strata) -> tuple[StratumDatum, ...]:
+def _require_strata(strata) -> tuple[tuple[StratumDatum, ...], tuple[int, int, int]]:
     strata = tuple(strata)
     if not strata:
         raise EmptyStrata("at least one boundary stratum is required")
     if not all(isinstance(s, StratumDatum) for s in strata):
         raise InvalidStratum("each stratum must be a StratumDatum")
-    return strata
+    return strata, (len(strata), sum(s.euler_term for s in strata), sum(s.c for s in strata))
 
 
 def rank_inequality_check(lam: WeightTriple, stratum: StratumDatum) -> bool:
@@ -97,19 +98,19 @@ def kernel_map_ranks(lam: WeightTriple, strata) -> tuple[int, int]:
     return kernel.rank_upper, kernel.rank_upper - kernel.rank_lower
 
 
-def _intermediate(lam: WeightTriple, m: int, modules, strata, tables) -> IntermediateProfile:
-    """Intermediate profile of parabolic m from its Kostant modules and, for
-    m = 0, the strata's rank tables, both covering q <= 1; nothing is checked.
-    Both truncations (n_perverse <= r + 2 on curves, <= r + 1 on points)
-    keep exactly the classical degrees n <= 1, ranks summed over the strata,
-    which form a disjoint union; boundary's builders, given r, normalize each
-    survivor as they build it.
+def _intermediate(lam: WeightTriple, m: int, modules, n, euler, target) -> IntermediateProfile:
+    """Intermediate profile of parabolic m from its Kostant modules q <= 1 and,
+    for m = 0, the strata's sums (n, E, C) as (n, euler, target); nothing is
+    checked.  Both truncations (n_perverse <= r + 2 on curves, <= r + 1 on
+    points) keep exactly the classical degrees 0 and 1, ranks summed over the
+    strata, which form a disjoint union; boundary's builders, given r,
+    normalize each survivor as they build it.
     """
     if m == KLINGEN:
         return IntermediateProfile(m, _klingen_entries(modules[:2], lam.r), None)
-    ranks = tuple(map(sum, zip(*tables)))
+    ranks = _piece_ranks(modules[:2], n, euler)
     entries = _siegel_entries(modules, ranks[:KERNEL_PIECE], lam.r)  # first: it checks each rank
-    source, target = ranks[KERNEL_PIECE], sum(s.c for s in strata)  # the (1, 1) piece's map
+    source = ranks[KERNEL_PIECE]  # the (1, 1) piece's map, onto the target
     kernel = CohomologyEntry(SIEGEL, 2, modules[1].motivic_weight, source - target, source,
                              ((1, 1),), "paper", lam.r + 2)
     return IntermediateProfile(m, entries, kernel)
@@ -125,10 +126,8 @@ def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfi
     """
     require_dominant(lam)
     check_parabolic(m)
-    strata = _require_strata(strata)
-    modules = _modules(lam, m, 2)
-    tables = [_piece_ranks(modules, s) for s in strata] if m == SIEGEL else ()
-    return _intermediate(lam, m, modules, strata, tables)
+    _, sums = _require_strata(strata)
+    return _intermediate(lam, m, _modules(lam, m, 2), *sums)
 
 
 def _minimal_gap(profiles) -> tuple[int, tuple[CohomologyEntry, ...]]:
@@ -153,10 +152,8 @@ def avoided_interval(lam: WeightTriple, strata) -> tuple[int, tuple[CohomologyEn
     exactly when the entry of some stratum is.
     """
     require_dominant(lam)
-    strata = _require_strata(strata)
-    modules = {m: _modules(lam, m, 2) for m in (SIEGEL, KLINGEN)}
-    tables = [_piece_ranks(modules[SIEGEL], s) for s in strata]
-    return _minimal_gap(_intermediate(lam, m, modules[m], strata, tables) for m in modules)
+    _, sums = _require_strata(strata)
+    return _minimal_gap(_intermediate(lam, m, _modules(lam, m, 2), *sums) for m in (SIEGEL, KLINGEN))
 
 
 class AnalysisReport(NamedTuple):
@@ -184,16 +181,15 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
     occurring_weights = (-k, k + 1) whenever k >= 1.  For k = 0 the boundary
     weight structure is not decided here and occurring_weights is None.
 
-    The four Kostant modules of each parabolic and each point stratum's rank
-    table are built once and serve the kostant field, the full classical
-    profiles of the boundary field (one per point stratum) and the
+    The four Kostant modules of each parabolic are built once and serve the
+    kostant field, the full classical profiles of the boundary field (one per
+    point stratum, from the rank table of its case n = 1) and the
     intermediate profiles, from which k and the witnesses come.
     """
     require_dominant(lam)
-    strata = _require_strata(strata)
+    strata, sums = _require_strata(strata)
     kostant = {m: _modules(lam, m, 4) for m in (SIEGEL, KLINGEN)}
-    tables = [_piece_ranks(kostant[SIEGEL], s) for s in strata]
-    intermediate = {m: _intermediate(lam, m, kostant[m], strata, tables) for m in kostant}
+    intermediate = {m: _intermediate(lam, m, kostant[m], *sums) for m in kostant}
     k, witnesses = _minimal_gap(intermediate.values())
     regular = is_regular(lam)
     if k != k_invariant(lam) or (k >= 1) != regular:
@@ -212,7 +208,8 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
         duality_twist=lam.r + 3,
         kostant=kostant,
         boundary={
-            SIEGEL: tuple(zip(strata, (_siegel_entries(kostant[SIEGEL], t) for t in tables))),
+            SIEGEL: tuple((s, _siegel_entries(kostant[SIEGEL], _piece_ranks(kostant[SIEGEL], 1, s.euler_term)))
+                          for s in strata),
             KLINGEN: _klingen_entries(kostant[KLINGEN]),
         },
         intermediate=intermediate,

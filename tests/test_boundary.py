@@ -68,18 +68,21 @@ def test_stratum_validation():
 # --- group cohomology dimensions --------------------------------------------
 
 def test_group_cohomology_dims():
-    assert group_cohomology_dims(6, P03) == (0, 7)
-    assert group_cohomology_dims(0, StratumDatum(1, 1)) == (1, 2)
-    assert group_cohomology_dims(2, P03) == (0, 3)
-    assert group_cohomology_dims(0, P03) == (1, 2)  # 2g - 1 + c
-    assert group_cohomology_dims(1, StratumDatum(2, 5)) == (0, 14)
+    # (u, n, E): one stratum (0, 3) or (1, 1) has E = 1, (2, 5) has E = 7
+    assert group_cohomology_dims(6, 1, 1) == (0, 7)
+    assert group_cohomology_dims(2, 1, 1) == (0, 3)
+    assert group_cohomology_dims(0, 1, 1) == (1, 2)  # (n, E + n)
+    assert group_cohomology_dims(1, 1, 7) == (0, 14)
+    # summed over (1, 1) and (2, 5): n = 2, E = 8
+    assert group_cohomology_dims(0, 2, 8) == (2, 10)
+    assert group_cohomology_dims(1, 2, 8) == (0, 16)
 
 
 @pytest.mark.parametrize("u", [True, False, 1.0, -1])
 def test_group_cohomology_refuses_a_u_that_is_not_a_nonneg_int(u):
     # bools are ints to isinstance, and True would pass as u = 1
     with pytest.raises(PreconditionViolation):
-        group_cohomology_dims(u, P03)
+        group_cohomology_dims(u, 1, 1)
 
 
 def reference_piece_rank(u, stratum, p):
@@ -95,13 +98,15 @@ def reference_piece_rank(u, stratum, p):
 @example(lam=make_weight(0, 0, 0), strata=[P03])
 @example(lam=make_weight(2, 2, 4), strata=[P03, StratumDatum(1, 1)])
 def test_piece_ranks_follow_the_documented_formulas(lam, strata):
+    # the table of the sums is the per-stratum formulas summed piece by piece
     modules = _modules(lam, SIEGEL, 4)
+    n, euler = len(strata), sum(2 * g - 2 + c for g, c in strata)
     for count in (2, 4):
-        for s in strata:
-            table = _piece_ranks(modules[:count], s)
-            assert len(table) == 2 * count
-            for (p, q), rank in zip(SIEGEL_PIECES, table):
-                assert rank == reference_piece_rank(modules[q].restriction_weight, s, p)
+        table = _piece_ranks(modules[:count], n, euler)
+        assert len(table) == 2 * count
+        for (p, q), rank in zip(SIEGEL_PIECES, table):
+            u = modules[q].restriction_weight
+            assert rank == sum(reference_piece_rank(u, s, p) for s in strata)
 
 
 # --- classical profiles ------------------------------------------------------
@@ -218,8 +223,8 @@ def test_perverse_reindex_keeps_everything_else():
 # --- one entry per (p, q) piece ----------------------------------------------
 
 def summed_table(modules, strata):
-    """The rank tables of the strata, summed piece by piece."""
-    return tuple(map(sum, zip(*(_piece_ranks(modules, s) for s in strata))))
+    """The rank table of the strata's sums (n, E)."""
+    return _piece_ranks(modules, len(strata), sum(s.euler_term for s in strata))
 
 
 def merging_siegel_entries(modules, strata, top, r=None):
@@ -363,7 +368,7 @@ if __debug__:
 from siegel_weights import StratumDatum, analysis_report, avoided_interval, boundary, make_weight
 from siegel_weights.errors import PreconditionViolation
 
-boundary.group_cohomology_dims = lambda u, stratum: (-1, -1)
+boundary.group_cohomology_dims = lambda u, n, euler: (-1, -1)
 for build in (avoided_interval, analysis_report):
     try:
         build(make_weight(3, 1, 4), (StratumDatum(0, 3),))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siegel_weights import checks, cli, intersection, kostant, root_data, weyl
+from siegel_weights import boundary, checks, cli, intersection, kostant, root_data, weyl
 from siegel_weights.boundary import KERNEL_PIECE, CohomologyEntry, StratumDatum
 from siegel_weights.errors import PreconditionViolation
 from siegel_weights.root_data import WeightTriple
@@ -726,19 +726,37 @@ def test_verify_negative_control_catches_corrupted_root_data(monkeypatch, capsys
 
 
 def test_verify_negative_control_catches_corrupted_cohomology(monkeypatch, capsys):
-    import siegel_weights.boundary as boundary_mod
+    real = boundary.group_cohomology_dims
 
-    real = boundary_mod.group_cohomology_dims
+    def corrupted(u, n, euler):  # one H^1 too many per stratum when u >= 1
+        h0, h1 = real(u, n, euler)
+        return (h0, h1 + n) if u >= 1 else (h0, h1)
 
-    def corrupted(u, stratum):
-        h0, h1 = real(u, stratum)
-        return (h0, h1 + 1) if u >= 1 else (h0, h1)
-
-    monkeypatch.setattr(boundary_mod, "group_cohomology_dims", corrupted)
+    monkeypatch.setattr(boundary, "group_cohomology_dims", corrupted)
     code = cli.main(["verify", "--max-k1", "3", "--seed", "7"])
     captured = capsys.readouterr()
     assert code == 1
     assert "FAIL" in captured.out
+
+
+# Faults in the u = 0 branch of group_cohomology_dims, which only wall weights
+# reach: H^0 not summed over the strata, and H^1 one too large.
+WALL_MUTANTS = {
+    "h0_not_summed": lambda real: lambda u, n, euler: (1, euler + 1) if u == 0 else real(u, n, euler),
+    "h1_one_high": lambda real: lambda u, n, euler: (n, euler + n + 1) if u == 0 else real(u, n, euler),
+}
+
+
+@pytest.mark.parametrize("mutant", list(WALL_MUTANTS))
+def test_verify_negative_control_catches_wrong_wall_cohomology(mutant, monkeypatch, capsys):
+    monkeypatch.setattr(boundary, "group_cohomology_dims",
+                        WALL_MUTANTS[mutant](boundary.group_cohomology_dims))
+    code = cli.main(["verify", "--max-k1", "3", "--seed", "7"])
+    *passed, last = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert all(line.startswith("ok   ") for line in passed)
+    assert last.startswith("FAIL reference_rows: ")
+    assert json.loads(last.split(": ", 1)[1])["check"] == "wall-weight kernel"
 
 
 # One mutant per verify suite, each wrong only in what its own suite checks, so
@@ -798,9 +816,9 @@ SUITE_MUTANTS = {
     "reference_rows": (  # k1 + k2 + 2 for k1 + k2 + 3 in the kernel's source rank
         intersection,
         "_piece_ranks",
-        lambda real: lambda modules, s: tuple(
-            rank - s.euler_term if i == KERNEL_PIECE else rank
-            for i, rank in enumerate(real(modules, s))
+        lambda real: lambda modules, n, euler: tuple(
+            rank - euler if i == KERNEL_PIECE else rank
+            for i, rank in enumerate(real(modules, n, euler))
         ),
     ),
     "rank_inequality": (  # 2g - 2 for 2g - 2 + c

@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siegel_weights import (
+    KLINGEN,
     SIEGEL,
     EmptyStrata,
     InvalidStratum,
@@ -18,10 +19,10 @@ from siegel_weights import (
     rank_inequality_check,
 )
 from siegel_weights import boundary
-from siegel_weights.boundary import KERNEL_PIECE, _piece_ranks
+from siegel_weights.boundary import _piece_ranks
 from siegel_weights.checks import dominant_grid
 from siegel_weights.errors import PreconditionViolation
-from siegel_weights.intersection import IntermediateProfile, _minimal_gap
+from siegel_weights.intersection import IntermediateProfile, _minimal_gap, _require_strata
 from siegel_weights.kostant import _modules
 from siegel_weights.root_data import COORDINATE_BOUND
 from weight_strategies import strata_data, wide_weights
@@ -109,8 +110,8 @@ def test_kernel_entry_at_k1_zero_is_honest_about_unknowns():
 # --- one home for every rank ---------------------------------------------------
 
 def kernel_piece_rank(lam, stratum):
-    """The (1, 1) rank in the stratum's rank table."""
-    return _piece_ranks(_modules(lam, SIEGEL, 2), stratum)[KERNEL_PIECE]
+    """The (1, 1) rank over the one stratum, the kernel map's source rank."""
+    return kernel_map_ranks(lam, [stratum])[0]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -145,20 +146,64 @@ def test_rank_inequality_is_the_rank_table_inequality(lam, stratum):
 
 @pytest.mark.parametrize("lam", [REFERENCE, make_weight(0, 0, 0), make_weight(2, 2, 4)])
 def test_each_piece_rank_is_computed_once(lam, monkeypatch):
-    # one (H^0, H^1) pair per Siegel Kostant module and stratum
+    # one (H^0, H^1) pair per Siegel Kostant module q <= 1 of the strata's sums,
+    # however many strata; analysis_report adds one per module q <= 3 and stratum
+    # for the full profiles of its boundary field
     real = boundary.group_cohomology_dims
     calls = []
 
-    def counted(u, stratum):
-        calls.append((u, stratum))
-        return real(u, stratum)
+    def counted(u, n, euler):
+        calls.append((u, n, euler))
+        return real(u, n, euler)
 
     monkeypatch.setattr(boundary, "group_cohomology_dims", counted)
     for strata in ([P03], [P03, StratumDatum(1, 1), StratumDatum(2, 5)]):
-        for build, modules in ((analysis_report, 4), (avoided_interval, 2)):
+        builds = (
+            (analysis_report, 4 * len(strata) + 2),
+            (avoided_interval, 2),
+            (lambda lam, strata: intermediate_profile(lam, SIEGEL, strata), 2),
+        )
+        for build, count in builds:
             calls.clear()
             build(lam, strata)
-            assert len(calls) == modules * len(strata)
+            assert len(calls) == count
+
+
+@st.composite
+def regrouped_strata(draw):
+    """Two lists of strata with equal (n, E, C): the second pairs the genera of the
+    first, permuted, with cusp counts of the same sum."""
+    first = draw(st.lists(strata_data(), min_size=1, max_size=5))
+    genera = draw(st.permutations([s.g for s in first]))
+    floors = [3 if g == 0 else 1 for g in genera]
+    spare = sum(s.c for s in first) - sum(floors)  # >= 0: the floors are first's, permuted
+    cuts = sorted(draw(st.lists(st.integers(0, spare), min_size=len(first) - 1,
+                                max_size=len(first) - 1)))
+    extras = [b - a for a, b in zip([0, *cuts], [*cuts, spare])]
+    return first, [StratumDatum(g, f + e) for g, f, e in zip(genera, floors, extras)]
+
+
+EQUAL_SUMS_PAIR = ([StratumDatum(1, 2), StratumDatum(0, 4)], [StratumDatum(0, 3), StratumDatum(1, 3)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lam=wide_weights(), pair=regrouped_strata())
+@example(lam=make_weight(0, 0, 0), pair=EQUAL_SUMS_PAIR)
+@example(lam=make_weight(2, 2, 4), pair=EQUAL_SUMS_PAIR)
+@example(lam=REFERENCE, pair=EQUAL_SUMS_PAIR)
+def test_strata_enter_only_through_their_sums(lam, pair):
+    first, second = pair
+    sums = [(len(x), sum(2 * g - 2 + c for g, c in x), sum(c for _, c in x)) for x in pair]
+    assert sums[0] == sums[1]
+    for m in (SIEGEL, KLINGEN):
+        assert intermediate_profile(lam, m, first) == intermediate_profile(lam, m, second)
+    assert kernel_map_ranks(lam, first) == kernel_map_ranks(lam, second)
+    assert avoided_interval(lam, first) == avoided_interval(lam, second)
+    # C alone moves: (g, c) -> (g - 1, c + 2) or (g + 1, c - 2) keeps n and 2g - 2 + c
+    g, c = first[0]
+    moved = [StratumDatum(g - 1, c + 2) if g else StratumDatum(1, c - 2), *first[1:]]
+    kernel = intermediate_profile(lam, SIEGEL, first).kernel_entry
+    assert intermediate_profile(lam, SIEGEL, moved).kernel_entry != kernel
 
 
 def test_empty_strata_rejected():
@@ -208,10 +253,15 @@ def test_rank_inequality_does_not_read_euler_term(monkeypatch):
     # ranks the profiles read, and leaves every verdict of the oracle (True) as it was
     cases = [(lam, s) for lam in dominant_grid(4) if lam.k1 >= 1
              for s in (P03, StratumDatum(1, 1), StratumDatum(2, 5))]
-    tables = [_piece_ranks(_modules(lam, SIEGEL, 4), s) for lam, s in cases]
+
+    def table(lam, s):  # the rank table of the sums the profiles read
+        n, euler, _ = _require_strata([s])[1]
+        return _piece_ranks(_modules(lam, SIEGEL, 4), n, euler)
+
+    tables = [table(lam, s) for lam, s in cases]
     verdicts = [rank_inequality_check(lam, s) for lam, s in cases]
     monkeypatch.setattr(StratumDatum, "euler_term", property(lambda s: 0))
-    assert [_piece_ranks(_modules(lam, SIEGEL, 4), s) for lam, s in cases] != tables
+    assert [table(lam, s) for lam, s in cases] != tables
     assert [rank_inequality_check(lam, s) for lam, s in cases] == verdicts
 
 

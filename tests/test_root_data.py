@@ -6,7 +6,6 @@ from siegel_weights import (
     DivisionFailure,
     InputBoundExceeded,
     LaurentPolynomial,
-    StratumDatum,
     NotDominant,
     ParityViolation,
     PreconditionViolation,
@@ -188,7 +187,7 @@ HUGE = 10**5000  # past Python's 4300-digit limit for int-to-str conversion
         (lambda: make_weight(HUGE, 0, 0), InputBoundExceeded),
         (lambda: check_parabolic(HUGE), BadParabolicIndex),
         (lambda: nilpotent_cohomology(make_weight(1, 1, 0), HUGE), BadParabolicIndex),
-        (lambda: group_cohomology_dims(-HUGE, StratumDatum(0, 3)), PreconditionViolation),
+        (lambda: group_cohomology_dims(-HUGE, 1, 1), PreconditionViolation),
         (lambda: k_invariant(WeightTriple(-HUGE, 0, 0)), NotDominant),
         (lambda: LaurentPolynomial({(HUGE, 0.5, 0): 1}), PreconditionViolation),
         (
