@@ -25,7 +25,7 @@ cohomology of the relevant arithmetic quotient.
 
 * m = 1: the stratum is itself the arithmetic quotient and carries each
   Kostant module as a local system whose fiber dimension is the Levi
-  dimension; entry n is the degree-n Kostant module, n = 0..3.
+  dimension: the piece (0, q) in degree q, q = 0..3, of rank that dimension.
 
 Each CohomologyEntry records one graded piece: classical degree, Frobenius
 weight (the motivic weight of the contributing Kostant module), rank bounds
@@ -44,7 +44,7 @@ from collections import namedtuple
 
 from .errors import InputBoundExceeded, InvalidStratum, PreconditionViolation
 from .kostant import LeviModule
-from .root_data import COORDINATE_BOUND, KLINGEN, SIEGEL, shown
+from .root_data import COORDINATE_BOUND, shown
 
 
 class StratumDatum(namedtuple("StratumDatum", "g c")):
@@ -113,6 +113,8 @@ def group_cohomology_dims(u: int, n: int, euler: int) -> tuple[int, int]:
 # so (0, q), (1, q) for each q in turn: the first 2 * count have q < count.
 SIEGEL_PIECES = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3))
 KERNEL_PIECE = SIEGEL_PIECES.index((1, 1))  # the piece whose kernel survives
+# The pieces of parabolic m: a curve stratum carries Kostant module q in degree q.
+_PIECES = (SIEGEL_PIECES, ((0, 0), (0, 1), (0, 2), (0, 3)))
 
 
 def _piece_ranks(modules: tuple[LeviModule, ...], n: int, euler: int) -> tuple[int, ...]:
@@ -121,33 +123,19 @@ def _piece_ranks(modules: tuple[LeviModule, ...], n: int, euler: int) -> tuple[i
     return sum([group_cohomology_dims(mod.restriction_weight, n, euler) for mod in modules], ())
 
 
-def _siegel_entries(
-    modules: tuple[LeviModule, ...], ranks: tuple[int, ...], r=None
-) -> tuple[CohomologyEntry, ...]:
-    """Point-stratum entries, one per piece of the rank table in SIEGEL_PIECES
-    order, which is weight order as w_q rises in q; nothing is checked.
+def _entries(m: int, modules: tuple[LeviModule, ...], ranks, r=None) -> tuple[CohomologyEntry, ...]:
+    """Entries of parabolic m, one per given rank, for the pieces of _PIECES[m]
+    in order, which is weight order as w_q rises in q; nothing is checked.
     Rank-0 pieces are kept (nonzero is False): vanishing is asserted, not
-    omitted.  Given r: n_perverse = n + r."""
+    omitted.  Given r, the perverse normalization on a stratum of dimension m
+    raises the degree to n_perverse = n + r + m and the weight by m (BBD 1982)."""
+    shift = 0 if r is None else m
     entries = []
-    for (p, q), rank in zip(SIEGEL_PIECES, ranks):
+    for (p, q), rank in zip(_PIECES[m], ranks):
         n = p + q
         if rank < 0:  # CohomologyEntry's own check, skipped by tuple.__new__
             raise PreconditionViolation(f"bad rank bounds [{shown(rank)}, {shown(rank)}]")
-        fields = (SIEGEL, n, modules[q].motivic_weight, rank, rank, ((p, q),),
-                  "paper" if n <= 2 else "derived", None if r is None else n + r)
-        entries.append(tuple.__new__(CohomologyEntry, fields))
-    return tuple(entries)
-
-
-def _klingen_entries(modules: tuple[LeviModule, ...], r=None) -> tuple[CohomologyEntry, ...]:
-    """Curve-stratum entries, one per given Klingen Kostant module, in order.
-    Given r: n_perverse = q + r + 1, and the weight rises by one."""
-    shift = 0 if r is None else 1
-    entries = []
-    for _, q, _, d, _, w in modules:  # d: levi_dim, w: motivic_weight
-        if d < 0:  # CohomologyEntry's own check, skipped by tuple.__new__
-            raise PreconditionViolation(f"bad rank bounds [{shown(d)}, {shown(d)}]")
-        fields = (KLINGEN, q, w + shift, d, d, ((0, q),), "paper" if q <= 1 else "derived",
-                  None if r is None else q + r + 1)
+        fields = (m, n, modules[q].motivic_weight + shift, rank, rank, ((p, q),),
+                  "paper" if n + m <= 2 else "derived", None if r is None else n + r + m)
         entries.append(tuple.__new__(CohomologyEntry, fields))
     return tuple(entries)

@@ -13,7 +13,7 @@ import random
 
 from . import weyl
 from .boundary import StratumDatum
-from .intersection import avoided_interval, intermediate_profile, rank_inequality_check
+from .intersection import analysis_report, avoided_interval, intermediate_profile, rank_inequality_check
 from .kostant import (
     character,
     euler_check,
@@ -208,6 +208,9 @@ def suite_reference_rows(rng: random.Random, max_k1: int):
         for e in point.entries
     ]
     want_rows = [(4, 0, 0, 0, False), (5, 0, 3, 3, True), (5, 4, 0, 0, False)]
+    boundary = analysis_report(lam, (s,)).boundary  # "paper": the printed degrees, n + m <= 2
+    got_rows += [[e.provenance for e in es] for es in (boundary[SIEGEL][0][1], boundary[KLINGEN])]
+    want_rows += [["paper"] * 5 + ["derived"] * 3, ["paper"] * 2 + ["derived"] * 2]
     ok = got_rows == want_rows
     yield None if ok else {"check": "point stratum rows", "got": got_rows, "want": want_rows}
     kernel = point.kernel_entry
@@ -215,8 +218,8 @@ def suite_reference_rows(rng: random.Random, max_k1: int):
     yield None if got == [6, 4, 4, 7] else {"check": "kernel entry", "got": got, "want": [6, 4, 4, 7]}
 
     curve = intermediate_profile(lam, KLINGEN, (s,))
-    got_rows = [(e.n_perverse, e.weight, e.rank_lower) for e in curve.entries]
-    ok = got_rows == [(5, 2, 2), (6, 5, 5)]
+    got_rows = [(e.n_perverse, e.weight, e.rank_lower, e.provenance) for e in curve.entries]
+    ok = got_rows == [(5, 2, 2, "paper"), (6, 5, 5, "paper")]
     yield None if ok else {"check": "curve stratum rows", "got": got_rows}
 
     strata = (StratumDatum(1, 1), StratumDatum(2, 5))

@@ -2,13 +2,13 @@
 
 The intersection complex of the minimal compactification restricts to a
 boundary stratum as a truncation of the full direct image, in the perverse
-normalization:
+normalization: on a stratum of dimension m, classical degree n moves to
+n_perverse = n + r + m and the weight of a pure lisse piece rises by m.
 
 * curve strata (m = 1): sharp truncation in degrees n_perverse <= r + 2; the
-  survivors are the Klingen rows reindexed to n_perverse in {r + 1, r + 2},
-  their weight raised by one as a lisse sheaf's is when put in degree -1.
+  survivors are the Klingen rows n <= 1, at n_perverse in {r + 1, r + 2}.
 
-* point strata (m = 0): degrees n_perverse <= r + 1 survive unchanged, and at
+* point strata (m = 0): degrees n_perverse <= r + 1 survive, and at
   n_perverse = r + 2 the full degree is replaced by the kernel of a boundary
   map out of the (1, 1) piece, of weight (r + 2) - (k1 - k2).  Over n strata
   with E = sum(2g - 2 + c) and C = sum(c), its source rank is that piece's,
@@ -36,9 +36,8 @@ from .boundary import (
     KERNEL_PIECE,
     CohomologyEntry,
     StratumDatum,
-    _klingen_entries,
+    _entries,
     _piece_ranks,
-    _siegel_entries,
 )
 from .errors import EmptyStrata, InvalidStratum, PreconditionViolation
 from .kostant import LeviModule, _modules
@@ -103,13 +102,13 @@ def _intermediate(lam: WeightTriple, m: int, modules, n, euler, target) -> Inter
     for m = 0, the strata's sums (n, E, C) as (n, euler, target); nothing is
     checked.  Both truncations (n_perverse <= r + 2 on curves, <= r + 1 on
     points) keep exactly the classical degrees 0 and 1, ranks summed over the
-    strata, which form a disjoint union; boundary's builders, given r,
-    normalize each survivor as they build it.
+    strata, which form a disjoint union; boundary's entry builder, given r,
+    normalizes each survivor as it builds it.
     """
     if m == KLINGEN:
-        return IntermediateProfile(m, _klingen_entries(modules[:2], lam.r), None)
+        return IntermediateProfile(m, _entries(m, modules, (modules[0].levi_dim, modules[1].levi_dim), lam.r), None)
     ranks = _piece_ranks(modules[:2], n, euler)
-    entries = _siegel_entries(modules, ranks[:KERNEL_PIECE], lam.r)  # first: it checks each rank
+    entries = _entries(m, modules, ranks[:KERNEL_PIECE], lam.r)  # first: it checks each rank
     source = ranks[KERNEL_PIECE]  # the (1, 1) piece's map, onto the target
     kernel = CohomologyEntry(SIEGEL, 2, modules[1].motivic_weight, source - target, source,
                              ((1, 1),), "paper", lam.r + 2)
@@ -208,9 +207,9 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
         duality_twist=lam.r + 3,
         kostant=kostant,
         boundary={
-            SIEGEL: tuple((s, _siegel_entries(kostant[SIEGEL], _piece_ranks(kostant[SIEGEL], 1, s.euler_term)))
+            SIEGEL: tuple((s, _entries(SIEGEL, kostant[SIEGEL], _piece_ranks(kostant[SIEGEL], 1, s.euler_term)))
                           for s in strata),
-            KLINGEN: _klingen_entries(kostant[KLINGEN]),
+            KLINGEN: _entries(KLINGEN, kostant[KLINGEN], [mod.levi_dim for mod in kostant[KLINGEN]]),
         },
         intermediate=intermediate,
         witnesses=witnesses,

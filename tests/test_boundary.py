@@ -20,9 +20,8 @@ from siegel_weights import (
 from siegel_weights.boundary import (
     SIEGEL_PIECES,
     CohomologyEntry,
-    _klingen_entries,
+    _entries,
     _piece_ranks,
-    _siegel_entries,
     group_cohomology_dims,
 )
 from siegel_weights.checks import dominant_grid
@@ -265,9 +264,64 @@ def test_siegel_entries_match_the_merging_builder(lam, strata):
     assert gaps == [2 * lam.k2 + 2, 2 * (lam.k1 - lam.k2) + 2, 2 * lam.k2 + 2]  # all >= 2
     strata = tuple(strata)
     for mods, top, r in ((modules, 4, None), (modules[:2], 1, lam.r)):
-        entries = _siegel_entries(mods, summed_table(mods, strata)[: 2 * top + 1], r)
+        entries = _entries(SIEGEL, mods, summed_table(mods, strata)[: 2 * top + 1], r)
         assert entries == merging_siegel_entries(mods, strata, top, r)
         assert all(len(e.origin) == 1 for e in entries)
+
+
+def klingen_table(lam):
+    """The four Klingen Kostant modules and their Levi dimensions, the ranks of
+    a curve stratum's pieces."""
+    modules = _modules(lam, KLINGEN, 4)
+    return modules, [mod.levi_dim for mod in modules]
+
+
+def reference_klingen_entries(modules, r=None):
+    """The curve-stratum rule as its own builder stated it: entry q is the
+    degree-q Kostant module in degree q, of rank its Levi dimension, "paper" for
+    q <= 1; given r, n_perverse = q + r + 1 and the weight rises by one."""
+    return tuple(
+        CohomologyEntry(
+            m=KLINGEN,
+            n_classical=mod.q,
+            weight=mod.motivic_weight if r is None else mod.motivic_weight + 1,
+            rank_lower=mod.levi_dim,
+            rank_upper=mod.levi_dim,
+            origin=((0, mod.q),),
+            provenance="paper" if mod.q <= 1 else "derived",
+            n_perverse=None if r is None else mod.q + r + 1,
+        )
+        for mod in modules
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lam=wide_weights())
+@example(lam=make_weight(0, 0, 0))
+@example(lam=make_weight(3, 1, 4))
+def test_klingen_entries_match_the_reference_rule(lam):
+    modules, dims = klingen_table(lam)
+    for count, r in ((4, None), (2, lam.r)):  # the full profile, and what the truncation keeps
+        entries = _entries(KLINGEN, modules, dims[:count], r)
+        assert entries == reference_klingen_entries(modules[:count], r)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lam=wide_weights())
+@example(lam=make_weight(0, 0, 0))
+@example(lam=make_weight(2, 2, 4))
+def test_perverse_normalization_shifts_degree_and_weight_by_the_stratum_dimension(lam):
+    # on a stratum of dimension m, perverse degree n + r + m and weight + m
+    # (Beilinson-Bernstein-Deligne); every other field is the classical one
+    siegel = _modules(lam, SIEGEL, 4)
+    tables = ((SIEGEL, siegel, summed_table(siegel, (P03,))), (KLINGEN, *klingen_table(lam)))
+    for m, modules, ranks in tables:
+        classical = _entries(m, modules, ranks)
+        perverse = _entries(m, modules, ranks, lam.r)
+        assert len(classical) == len(perverse) == len(ranks)
+        for c, p in zip(classical, perverse):
+            assert c.n_perverse is None
+            assert p == c._replace(weight=c.weight + m, n_perverse=c.n_classical + lam.r + m)
 
 
 # --- weight bound of the full direct image profile ---------------------------
@@ -354,8 +408,8 @@ def test_builder_entries_are_what_the_checked_constructor_builds(lam, strata):
     strata = tuple(strata)
     for r in (None, lam.r):
         modules = _modules(lam, SIEGEL, 4)
-        entries = _siegel_entries(modules, summed_table(modules, strata), r)
-        entries += _klingen_entries(_modules(lam, KLINGEN, 4), r)
+        entries = _entries(SIEGEL, modules, summed_table(modules, strata), r)
+        entries += _entries(KLINGEN, *klingen_table(lam), r)
         for e in entries:
             assert type(e) is CohomologyEntry
             assert e == CohomologyEntry._make(e)

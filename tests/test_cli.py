@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from siegel_weights import boundary, checks, cli, intersection, kostant, root_data, weyl
 from siegel_weights.boundary import KERNEL_PIECE, CohomologyEntry, StratumDatum
 from siegel_weights.errors import PreconditionViolation
-from siegel_weights.root_data import WeightTriple
+from siegel_weights.root_data import KLINGEN, WeightTriple
 from weight_strategies import plus
 
 TOP_LEVEL_KEYS = [
@@ -757,6 +757,35 @@ def test_verify_negative_control_catches_wrong_wall_cohomology(mutant, monkeypat
     assert all(line.startswith("ok   ") for line in passed)
     assert last.startswith("FAIL reference_rows: ")
     assert json.loads(last.split(": ", 1)[1])["check"] == "wall-weight kernel"
+
+
+def _relabelled(real, wrong, tag):
+    """The entry builder, with the provenance of each entry that wrong picks set to tag."""
+    def entries(m, modules, ranks, r=None):
+        return tuple(e._replace(provenance=tag) if wrong(e, r) else e for e in real(m, modules, ranks, r))
+
+    return entries
+
+
+# Faults in the provenance cut-off n + m <= 2: the degree-2 pieces of either
+# parabolic marked "derived", and the classical Klingen q = 2 piece marked "paper".
+PROVENANCE_MUTANTS = {
+    "printed_top_derived": lambda real: _relabelled(
+        real, lambda e, r: e.n_classical + e.m == 2, "derived"),
+    "klingen_q2_paper": lambda real: _relabelled(
+        real, lambda e, r: e.m == KLINGEN and r is None and e.n_classical == 2, "paper"),
+}
+
+
+@pytest.mark.parametrize("mutant", list(PROVENANCE_MUTANTS))
+def test_verify_negative_control_catches_wrong_provenance(mutant, monkeypatch, capsys):
+    monkeypatch.setattr(intersection, "_entries", PROVENANCE_MUTANTS[mutant](intersection._entries))
+    code = cli.main(["verify", "--max-k1", "3", "--seed", "7"])
+    *passed, last = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert all(line.startswith("ok   ") for line in passed)
+    assert last.startswith("FAIL reference_rows: ")
+    assert json.loads(last.split(": ", 1)[1])["check"] == "point stratum rows"
 
 
 # One mutant per verify suite, each wrong only in what its own suite checks, so
