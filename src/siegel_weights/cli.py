@@ -14,7 +14,7 @@ import os
 import random
 import re
 import sys
-from operator import itemgetter
+from operator import iadd, itemgetter
 from types import SimpleNamespace
 
 from . import checks as verification
@@ -30,11 +30,8 @@ MAX_VERIFY_BOUND = 40
 
 
 def _parse_stratum(text: str) -> StratumDatum:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise PreconditionViolation(f"stratum must be 'g,c', got {text!r}")
     try:
-        g, c = int(parts[0]), int(parts[1])
+        g, c = map(int, text.split(","))
     except ValueError:
         raise PreconditionViolation(f"stratum must be two integers 'g,c', got {text!r}")
     return StratumDatum(g=g, c=c)
@@ -53,9 +50,6 @@ class _Text(tuple):
 
 def report_json(report: AnalysisReport) -> dict:
     """The report for `_dump` in the fixed key order; `json.dumps` would write entries as arrays."""
-    wit, pairs = report.witnesses, report.boundary[SIEGEL]
-    first, fixed = pairs[0][1], list(map(_FIXED, pairs[0][1]))  # the template's entries
-    model = {"stratum": _STRATUM, "entries": [_Text((_entry_shape, e)) for e in first]}
     return {
         "lambda": report.lam,
         "k": report.k,
@@ -66,13 +60,13 @@ def report_json(report: AnalysisReport) -> dict:
         "duality_twist": report.duality_twist,
         "kostant": {name: [x._asdict() for x in report.kostant[m]] for name, m in _PARABOLICS},
         "boundary": {
-            "siegel": _Text((_template_list, model, [(*s, *_fill(es, _FLAGS.get, fixed=fixed)) for s, es in pairs])),
+            "siegel": _Text((_siegel_list, report.boundary[SIEGEL])),
             "klingen": {"entries": report.boundary[KLINGEN]},
         },
         "intermediate": {
             name: {
-                "entries": [_Text((_entry_text, e, e in wit)) for e in profile.entries],
-                "kernel": _Text((_entry_text, k, k in wit)) if (k := profile.kernel_entry) else None,
+                "entries": [_Text((_entry_text, e, e in report.witnesses)) for e in profile.entries],
+                "kernel": _Text((_entry_text, k, k in report.witnesses)) if (k := profile.kernel_entry) else None,
             }
             for name, m in _PARABOLICS
             for profile in [report.intermediate[m]]
@@ -143,9 +137,8 @@ def _entry_shape(nl: str, e: CohomologyEntry, *witness: bool) -> str:
     m, n, weight, _, _, origin, provenance, npv = e
     if not int is type(m) is type(n) is type(weight) is (int if npv is None else type(npv)):
         raise TypeError(f"profile entry numbers must be ints, got {e!r}")
-    for p, q in origin:
-        if not int is type(p) is type(q):
-            raise TypeError(f"origin must hold pairs of ints, got {origin!r}")
+    if not all(int is type(p) is type(q) for p, q in origin):
+        raise TypeError(f"origin must hold pairs of ints, got {origin!r}")
     values = (m, n, "null" if npv is None else npv, weight, "%s", "%s", "%s",
               _origin_text(origin, nl + "  "), _ESCAPE(provenance).replace("%", "%%"),
               *map(_FLAGS.get, witness))
@@ -153,25 +146,37 @@ def _entry_shape(nl: str, e: CohomologyEntry, *witness: bool) -> str:
 
 
 def _entry_text(nl: str, e: CohomologyEntry, *witness: bool) -> str:
-    return _entry_shape(nl, e, *witness) % tuple(_fill((e,), _FLAGS.get))
+    return _entry_shape(nl, e, *witness) % _fill(e, _FLAGS.get)
+
+
+def _siegel_list(nl: str, pairs) -> str:
+    """`_write` of boundary.siegel: the entries of each stratum type are written once."""
+    body = _dump([_Text((_entry_shape, e)) for e in pairs[0][1]], nl + "    ")
+    fills = _per_type(pairs, lambda es: body % sum([_fill(e, _FLAGS.get) for e in es], ()))
+    return _template_list(nl, {"stratum": _STRATUM, "entries": _HOLE}, fills)
 
 
 def _template_list(nl: str, model, fills) -> str:
-    """`_write` of a list of `template % fill` for each fill, the template `_dump(model)`."""
-    template, inner = _dump(model, nl + "  "), nl + "  "
-    return "[" + inner + ("," + inner).join([template % f for f in fills]) + nl + "]" if fills else "[]"
+    """`_write` of a list of `template % fill` (template `_dump(model)`), a fill's last value its own chunk."""
+    head, tail = _dump(model, nl + "  ").rsplit("%s", 1)
+    chunks = [c for *f, last in fills for c in (",", nl + "  " + head % tuple(f), str(last), tail)]
+    return "".join(["[", *chunks[1:], nl, "]"]) if fills else "[]"  # one copy of the chunks
 
 
-def _fill(entries, flag, *head, fixed=None) -> list:
-    """Per entry: head, rank_lower, rank_upper, flag(nonzero); given fixed, entries off it raise."""
-    if fixed is not None and list(map(_FIXED, entries)) != fixed:
-        raise PreconditionViolation(f"internal: entries {entries!r} do not fit their template")
-    values = []
-    for e in entries:
-        if not int is type(e[3]) is type(e[4]):
-            raise TypeError(f"profile entry ranks must be ints, got {e!r}")
-        values += (*head, e[3], e[4], flag(e.nonzero))
-    return values
+def _fill(e: CohomologyEntry, flag) -> tuple:
+    """rank_lower, rank_upper, flag(nonzero): the values e's template leaves out."""
+    if not int is type(e[3]) is type(e[4]):
+        raise TypeError(f"profile entry ranks must be ints, got {e!r}")
+    return e[3], e[4], flag(e.nonzero)
+
+
+def _per_type(pairs, write) -> list:
+    """(g, c, write(es)) per (stratum, es) pair; write runs once per distinct es, by identity as 1 == True."""
+    fixed, distinct = list(map(_FIXED, pairs[0][1])), {id(es): es for _, es in pairs}
+    if any(list(map(_FIXED, es)) != fixed for es in distinct.values()):
+        raise PreconditionViolation("internal: a stratum's entries do not fit the first one's template")
+    texts = {key: write(es) for key, es in distinct.items()}
+    return [(*s, texts[id(es)]) for s, es in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +187,11 @@ _ROW = (("sec", -9), ("m", 2), ("n", 3), ("npv", 4), ("weight", 7), ("rk_lo", 6)
 
 
 def _row_shape(e: CohomologyEntry) -> str:
-    """e's table row, `%s` for its section and for what `_fill` gives; a `%` escaped."""
-    cells = (None, e.m, e.n_classical, "-" if e.n_perverse is None else e.n_perverse, e.weight,
+    """e's table row after its section cell, `%s` for what `_fill` gives; a `%` escaped."""
+    cells = (e.m, e.n_classical, "-" if e.n_perverse is None else e.n_perverse, e.weight,
              None, None, None, ";".join(f"{p}{q}" for p, q in e.origin), e.provenance)
     return " ".join(f"%{w}s" if v is None else ("%*s" % (w, v)).replace("%", "%%")
-                    for v, (_, w) in zip(cells, _ROW))
+                    for v, (_, w) in zip(cells, _ROW[1:]))
 
 
 def _report_table(report: AnalysisReport) -> str:
@@ -209,12 +214,14 @@ def _report_table(report: AnalysisReport) -> str:
     ]
     lines += ["", " ".join("%*s" % (w, name) for name, w in _ROW)]
     pairs = report.boundary[SIEGEL]
-    template, fixed = "\n".join(map(_row_shape, pairs[0][1])), list(map(_FIXED, pairs[0][1]))
-    lines += [template % tuple(_fill(es, str, f"bd(g{s.g}c{s.c})", fixed=fixed)) for s, es in pairs]
+    shapes = list(map(_row_shape, pairs[0][1]))
+    for g, c, texts in _per_type(pairs, lambda es: [shape % _fill(e, str) for shape, e in zip(shapes, es)]):
+        cell = "%-9s " % f"bd(g{g}c{c})"  # each of the stratum's rows starts with its section cell
+        lines.append(cell + ("\n" + cell).join(texts))
     rows = [("bd", e) for e in report.boundary[KLINGEN]] + [
         ("ic*" if e in report.witnesses else "ic", e)
         for _, m in _PARABOLICS for e in report.intermediate[m].all_entries()]
-    lines += [_row_shape(e) % tuple(_fill((e,), str, section)) for section, e in rows]
+    lines += ["%-9s %s" % (section, _row_shape(e) % _fill(e, str)) for section, e in rows]
     return "\n".join(lines)
 
 
@@ -237,12 +244,11 @@ def _cmd_sweep(args) -> int:
         for lam in dominant_grid(bound)
     ]
     if args.format == "json":
-        payload = {
+        print(_dump({
             "bound": bound,
             "strata": _Text((_template_list, _STRATUM, strata)),
             "rows": _Text((_template_list, _SWEEP_ROW, [(*row, _FLAGS[row[3] == row[4]]) for row in rows])),
-        }
-        print(_dump(payload))
+        }))
     else:
         print(f"{'k1':>4} {'k2':>4} {'r':>6} {'k':>4} {'closed':>7} {'agree':>6}")
         for k1, k2, r, k, closed in rows:
@@ -309,7 +315,7 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
             value = kw.get("type", str)(value)
         except ValueError:
             return None
-        args[flag] = [*(args[flag] or ()), value] if kw.get("action") == "append" else value
+        args[flag] = iadd(args[flag] or [], [value]) if kw.get("action") == "append" else value  # in place
     if any(kw.get("required") and args[flag] is None for flag, kw in flags.items()):
         return None
     return SimpleNamespace(command=argv[0], fn=fn,  # argparse's dest of --max-k1 is max_k1

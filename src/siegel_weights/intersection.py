@@ -100,11 +100,9 @@ def kernel_map_ranks(lam: WeightTriple, strata) -> tuple[int, int]:
 def _intermediate(lam: WeightTriple, m: int, modules, n, euler, target) -> IntermediateProfile:
     """Intermediate profile of parabolic m from its Kostant modules q <= 1 and,
     for m = 0, the strata's sums (n, E, C) as (n, euler, target); nothing is
-    checked.  Both truncations (n_perverse <= r + 2 on curves, <= r + 1 on
-    points) keep exactly the classical degrees 0 and 1, ranks summed over the
-    strata, which form a disjoint union; boundary's entry builder, given r,
-    normalizes each survivor as it builds it.
-    """
+    checked.  Both truncations keep exactly the classical degrees 0 and 1,
+    ranks summed over the disjoint strata; boundary's entry builder, given r,
+    normalizes each survivor as it builds it."""
     if m == KLINGEN:
         return IntermediateProfile(m, _entries(m, modules, (modules[0].levi_dim, modules[1].levi_dim), lam.r), None)
     ranks = _piece_ranks(modules[:2], n, euler)
@@ -144,12 +142,11 @@ def avoided_interval(lam: WeightTriple, strata) -> tuple[int, tuple[CohomologyEn
     """(k, witnesses): k = min(n_perverse - weight) over nonzero entries
     of both intermediate profiles, witnesses the entries attaining it.
 
-    Computed in one pass over the profiles aggregated over all strata.  This
-    is also the minimum of the per-stratum values of k: the strata's profiles
+    Computed in one pass over the profiles aggregated over all strata, it is
+    also the minimum of the per-stratum values of k: the strata's profiles
     agree in every field but the ranks, ranks and the kernel's lower bounds
-    are non-negative and summed, and so an aggregated entry is nonzero
-    exactly when the entry of some stratum is.
-    """
+    are non-negative and summed, so an aggregated entry is nonzero exactly
+    when the entry of some stratum is."""
     require_dominant(lam)
     _, sums = _require_strata(strata)
     return _minimal_gap(_intermediate(lam, m, _modules(lam, m, 2), *sums) for m in (SIEGEL, KLINGEN))
@@ -175,19 +172,18 @@ class AnalysisReport(NamedTuple):
 def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
     """Full analysis of V_lam over the given point strata (>= 1 required).
 
-    The avoided interval is [-k + 1, k], empty (None) when k = 0; weights -k
-    and k + 1 occur, the upper one by duality with twist s = r + 3, so
-    occurring_weights = (-k, k + 1) whenever k >= 1.  For k = 0 the boundary
-    weight structure is not decided here and occurring_weights is None.
-
-    The four Kostant modules of each parabolic are built once and serve the
-    kostant field, the full classical profiles of the boundary field (one per
-    point stratum, from the rank table of its case n = 1) and the
-    intermediate profiles, from which k and the witnesses come.
-    """
+    For k >= 1 the avoided interval is [-k + 1, k] and occurring_weights
+    (-k, k + 1), as the module docstring derives; for k = 0 the boundary
+    weight structure is not decided here and both are None.  The four Kostant
+    modules of each parabolic serve the kostant, boundary and intermediate
+    fields.  A point stratum's classical profile, the rank table of n = 1,
+    depends on it only through E = 2g - 2 + c: one entries tuple is built per
+    distinct E, and strata with equal E share it."""
     require_dominant(lam)
     strata, sums = _require_strata(strata)
     kostant = {m: _modules(lam, m, 4) for m in (SIEGEL, KLINGEN)}
+    points = {e: _entries(SIEGEL, kostant[SIEGEL], _piece_ranks(kostant[SIEGEL], 1, e))
+              for e in {s.euler_term for s in strata}}
     intermediate = {m: _intermediate(lam, m, kostant[m], *sums) for m in kostant}
     k, witnesses = _minimal_gap(intermediate.values())
     regular = is_regular(lam)
@@ -207,8 +203,7 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
         duality_twist=lam.r + 3,
         kostant=kostant,
         boundary={
-            SIEGEL: tuple((s, _entries(SIEGEL, kostant[SIEGEL], _piece_ranks(kostant[SIEGEL], 1, s.euler_term)))
-                          for s in strata),
+            SIEGEL: tuple((s, points[s.euler_term]) for s in strata),
             KLINGEN: _entries(KLINGEN, kostant[KLINGEN], [mod.levi_dim for mod in kostant[KLINGEN]]),
         },
         intermediate=intermediate,

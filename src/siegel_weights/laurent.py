@@ -31,13 +31,12 @@ class LaurentPolynomial:
 
     def __init__(self, terms: Mapping[Exponent, int] | None = None):
         self._terms: dict[Exponent, int] = {}
-        if terms:
-            for e, c in terms.items():
-                e = _as_exponent(e)
-                if type(c) is not int:
-                    raise PreconditionViolation(f"coefficients must be ints, got {shown(c)}")
-                if c:
-                    self._terms[e] = c
+        for e, c in (terms or {}).items():
+            e = _as_exponent(e)
+            if type(c) is not int:
+                raise PreconditionViolation(f"coefficients must be ints, got {shown(c)}")
+            if c:
+                self._terms[e] = c
 
     @classmethod
     def _trusted(cls, terms: dict[Exponent, int]) -> "LaurentPolynomial":
