@@ -9,8 +9,6 @@ Weights and strata go in as they are; a type's field order is its JSON key order
 
 from __future__ import annotations
 
-import random
-
 from . import weyl
 from .boundary import StratumDatum
 from .intersection import analysis_report, avoided_interval, intermediate_profile, rank_inequality_check

@@ -14,14 +14,16 @@ import os
 import random
 import re
 import sys
-from operator import iadd, itemgetter
+from itertools import chain, compress
+from operator import attrgetter, iadd, is_not
 from types import SimpleNamespace
 
 from . import checks as verification
-from .boundary import CohomologyEntry, StratumDatum
+from .boundary import StratumDatum
 from .checks import dominant_grid
 from .errors import SiegelWeightsError, PreconditionViolation
 from .intersection import AnalysisReport, analysis_report, avoided_interval
+from .kostant import LeviModule
 from .root_data import KLINGEN, SIEGEL, k_invariant, make_weight
 
 _PARABOLICS = (("siegel", SIEGEL), ("klingen", KLINGEN))
@@ -44,190 +46,202 @@ def _strata_from_args(args) -> tuple[StratumDatum, ...]:
 # ---------------------------------------------------------------------------
 # JSON serialization (dicts/lists/tuples/ints/bools/strings/None only)
 
-class _Text(tuple):
-    """(write, *args): `_write` writes write(nl, *args), text laid out at its indent nl."""
-
-
-def report_json(report: AnalysisReport) -> dict:
-    """The report for `_dump` in the fixed key order; `json.dumps` would write entries as arrays."""
-    return {
-        "lambda": report.lam,
-        "k": report.k,
-        "avoided_interval": report.avoided_interval or (),
-        "occurring_weights": report.occurring_weights,
-        "regular": report.regular,
-        "in_avoidance_category": report.in_avoidance_category,
-        "duality_twist": report.duality_twist,
-        "kostant": {name: [x._asdict() for x in report.kostant[m]] for name, m in _PARABOLICS},
-        "boundary": {
-            "siegel": _Text((_siegel_list, report.boundary[SIEGEL])),
-            "klingen": {"entries": report.boundary[KLINGEN]},
-        },
-        "intermediate": {
-            name: {
-                "entries": [_Text((_entry_text, e, e in report.witnesses)) for e in profile.entries],
-                "kernel": _Text((_entry_text, k, k in report.witnesses)) if (k := profile.kernel_entry) else None,
-            }
-            for name, m in _PARABOLICS
-            for profile in [report.intermediate[m]]
-        },
-        "strata": _Text((_template_list, _STRATUM, report.strata)),
-    }
+class _Raw(str):
+    """Text that `_dump` writes as it is: a template's holes, and lists written ahead."""
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
 _FLAGS = {True: "true", False: "false", "unknown": '"unknown"'}  # bools, and an entry's nonzero
-_SCALARS = {str: _ESCAPE, int: int.__repr__, bool: _FLAGS.get, type(None): lambda _: "null"}
+_SCALARS = {str: _ESCAPE, int: int.__repr__, bool: _FLAGS.get, type(None): lambda _: "null", _Raw: lambda v: v}
 
 
-def _dump(obj, nl: str = "\n") -> str:
-    """json.dumps(obj, indent=2) of dicts, lists, tuples, str, int, bool, None; nl as in _write."""
-    out: list[str] = []
-    _write(obj, nl, out)
-    return "".join(out)
-
-
-def _write(v, nl: str, out: list[str]) -> None:
-    """Append v to out; nl is the newline and indent of v's last line."""
+def _dump(v, nl: str = "\n") -> str:
+    """json.dumps(v, indent=2) of dicts, lists, tuples, strs, ints, bools, None; nl: its last line's indent."""
     kind = type(v)
-    if kind is CohomologyEntry:
-        out.append(_entry_text(nl, v))
-    elif kind is _Text:
-        out.append(v[0](nl, *v[1:]))
-    elif kind in _SCALARS:
-        out.append(_SCALARS[kind](v))
-    elif kind is dict:
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, item in v.items():
-            if type(key) is not str:
-                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            out.append(sep + _ESCAPE(key) + ": ")
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(nl + "}" if v else "{}")
+    if kind in _SCALARS:
+        return _SCALARS[kind](v)
+    inner = nl + "  "
+    if kind is dict:  # `_ESCAPE` refuses a key that is not a str
+        items, brackets = [_ESCAPE(key) + ": " + _dump(item, inner) for key, item in v.items()], "{}"
     elif kind is list or isinstance(v, tuple):
-        inner = nl + "  "
-        sep = "[" + inner
-        for item in v:
-            out.append(sep)
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(nl + "]" if v else "[]")
+        items, brackets = [_dump(item, inner) for item in v], "[]"
     else:
         raise TypeError(f"cannot write {kind.__name__} as JSON")
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1] if items else brackets
 
 
-_ENTRY_KEYS = ("m", "n_classical", "n_perverse", "weight", "rank_lower", "rank_upper",
-               "nonzero", "origin", "provenance", "witness")
-_FIXED = itemgetter(0, 1, 2, 5, 6, 7)  # the fields of an entry but its ranks
-_HOLE = _Text((lambda nl: "%s",))  # a `%s` in a template that `_dump` makes
+_HOLE, _LATER = _Raw("\0"), _Raw("\1")  # `_template`'s `%s`s; `_ESCAPE` writes them in a str as \u0000, \u0001
 _STRATUM = dict.fromkeys(StratumDatum._fields, _HOLE)  # {"g": %s, "c": %s}
 _SWEEP_ROW = {"lambda": [_HOLE] * 3, "k": _HOLE, "closed_form": _HOLE, "agree": _HOLE}
-_origin_text = functools.cache(_dump)  # keyed by value, and True == 1: give it exact ints only
 
 
-@functools.cache  # a dict of the first size `_ENTRY_KEYS`, values `%s`
-def _entry_template(nl: str, size: int) -> str:
-    return _dump(dict.fromkeys(_ENTRY_KEYS[:size], _HOLE), nl)
-
-
-def _entry_shape(nl: str, e: CohomologyEntry, *witness: bool) -> str:
-    """`_write` of e as a dict keyed by `_ENTRY_KEYS`, "witness" if given, ranks left to `_fill`."""
-    m, n, weight, _, _, origin, provenance, npv = e
-    if not int is type(m) is type(n) is type(weight) is (int if npv is None else type(npv)):
-        raise TypeError(f"profile entry numbers must be ints, got {e!r}")
-    if not all(int is type(p) is type(q) for p, q in origin):
-        raise TypeError(f"origin must hold pairs of ints, got {origin!r}")
-    values = (m, n, "null" if npv is None else npv, weight, "%s", "%s", "%s",
-              _origin_text(origin, nl + "  "), _ESCAPE(provenance).replace("%", "%%"),
-              *map(_FLAGS.get, witness))
-    return _entry_template(nl, len(values)) % values
-
-
-def _entry_text(nl: str, e: CohomologyEntry, *witness: bool) -> str:
-    return _entry_shape(nl, e, *witness) % _fill(e, _FLAGS.get)
-
-
-def _siegel_list(nl: str, pairs) -> str:
-    """`_write` of boundary.siegel: the entries of each stratum type are written once."""
-    body = _dump([_Text((_entry_shape, e)) for e in pairs[0][1]], nl + "    ")
-    fills = _per_type(pairs, lambda es: body % sum([_fill(e, _FLAGS.get) for e in es], ()))
-    return _template_list(nl, {"stratum": _STRATUM, "entries": _HOLE}, fills)
+def _template(model, nl: str = "\n") -> str:
+    """`_dump(model, nl)` as a `%` template: a `%s` per `_HOLE`, and per `_LATER` once a `%` filled those."""
+    text = _dump(model, nl)
+    if _LATER in text:
+        text = text.replace("%", "%%").replace(_LATER, "%s")
+    return text.replace("%", "%%").replace(_HOLE, "%s")
 
 
 def _template_list(nl: str, model, fills) -> str:
-    """`_write` of a list of `template % fill` (template `_dump(model)`), a fill's last value its own chunk."""
-    head, tail = _dump(model, nl + "  ").rsplit("%s", 1)
-    chunks = [c for *f, last in fills for c in (",", nl + "  " + head % tuple(f), str(last), tail)]
-    return "".join(["[", *chunks[1:], nl, "]"]) if fills else "[]"  # one copy of the chunks
-
-
-def _fill(e: CohomologyEntry, flag) -> tuple:
-    """rank_lower, rank_upper, flag(nonzero): the values e's template leaves out."""
-    if not int is type(e[3]) is type(e[4]):
-        raise TypeError(f"profile entry ranks must be ints, got {e!r}")
-    return e[3], e[4], flag(e.nonzero)
-
-
-def _per_type(pairs, write) -> list:
-    """(g, c, write(es)) per (stratum, es) pair; write runs once per distinct es, by identity as 1 == True."""
-    fixed, distinct = list(map(_FIXED, pairs[0][1])), {id(es): es for _, es in pairs}
-    if any(list(map(_FIXED, es)) != fixed for es in distinct.values()):
-        raise PreconditionViolation("internal: a stratum's entries do not fit the first one's template")
-    texts = {key: write(es) for key, es in distinct.items()}
-    return [(*s, texts[id(es)]) for s, es in pairs]
+    """`_dump` at indent nl of a list of `_template(model) % fill`, a fill's last value its own chunk."""
+    head, tail = ("," + nl + "  " + _template(model, nl + "  ")).rsplit("%s", 1)
+    chunks = [c for fill in fills for c in (head % fill[:-1], str(fill[-1]), tail)]
+    return "".join(["[", chunks[0][1:], *chunks[1:], nl, "]"]) if fills else "[]"  # one copy of the chunks
 
 
 # ---------------------------------------------------------------------------
-# analyze
+# analyze: each report is written from the templates of its shape, made on first use
 
+_ENTRY_KEYS = ("m", "n_classical", "n_perverse", "weight", "rank_lower", "rank_upper",
+               "nonzero", "origin", "provenance", "witness")
 _ROW = (("sec", -9), ("m", 2), ("n", 3), ("npv", 4), ("weight", 7), ("rk_lo", 6), ("rk_hi", 6),
         ("nonzero", 8), ("origin", -12), ("prov", -8))  # name and printf width, < 0 to the left
 
 
-def _row_shape(e: CohomologyEntry) -> str:
-    """e's table row after its section cell, `%s` for what `_fill` gives; a `%` escaped."""
-    cells = (e.m, e.n_classical, "-" if e.n_perverse is None else e.n_perverse, e.weight,
-             None, None, None, ";".join(f"{p}{q}" for p, q in e.origin), e.provenance)
-    return " ".join(f"%{w}s" if v is None else ("%*s" % (w, v)).replace("%", "%%")
-                    for v, (_, w) in zip(cells, _ROW[1:]))
+def _entries(entries, flag, null) -> tuple:
+    """The keys (fixed fields) and fills (n_perverse or null, weight, ranks, nonzero) of entries of ints."""
+    m, n, weight, lo, hi, origin, provenance, npv = zip(*entries)
+    if ({*map(type, chain(m, n, weight, lo, hi, chain.from_iterable(chain.from_iterable(origin))))} != {int}
+            or {*map(type, provenance)} != {str} or not {*map(type, npv)} <= {int, type(None)}):
+        raise TypeError("profile entries must hold int numbers, int origin pairs and a str provenance")
+    fills = zip(map({None: null}.get, npv, npv), weight, lo, hi, map(flag, map(attrgetter("nonzero"), entries)))
+    return tuple(zip(m, n, origin, provenance)), [*fills]
+
+
+def _entry_model(key, ranks=_HOLE, *witness) -> dict:
+    """The dict form of an entry of this key: `_HOLE`s for n_perverse and weight, ranks for the rest."""
+    m, n, origin, provenance = key
+    return dict(zip(_ENTRY_KEYS, (m, n, _HOLE, _HOLE, ranks, ranks, ranks, origin, provenance, *witness)))
+
+
+def _row(key, ranks: str = "%") -> str:
+    """The table row of an entry of this key but its section cell, with the holes of `_entry_model`."""
+    m, n, origin, provenance = key
+    if "\n" in provenance:
+        raise ValueError(f"a table row is one line, got provenance {provenance!r}")
+    cells = (m, n, "%", "%", ranks, ranks, ranks, ";".join(f"{p}{q}" for p, q in origin), provenance)
+    return " ".join(f"{v}{w}s" if 2 <= i <= 6 else ("%*s" % (w, v)).replace("%", "%%" * len(ranks))
+                    for i, (v, (_, w)) in enumerate(zip(cells, _ROW[1:])))
+
+
+@functools.cache
+def _stratum(keys, table: bool) -> str:
+    """A stratum type's table rows or JSON entries, to fill with n_perverse and weight, then ranks."""
+    if table:
+        return "\n".join(_row(key, "%%") for key in keys)
+    return _template([_entry_model(key, _LATER) for key in keys], "\n        ")
+
+
+def _per_type(pairs, flag, null, table: bool) -> list:
+    """(g, c, text) per (stratum, es) pair, each distinct es (by identity, as 1 == True) written once."""
+    first, distinct = pairs[0][1], [*{id(es): es for _, es in pairs}.values()]
+    keys, fills = _entries(first, flag, null)
+    fields = [*chain.from_iterable(chain.from_iterable(distinct))]  # 8 per entry
+    size, count, types = 8 * len(first), len(distinct), [*map(type, fields)]
+    lo, hi, origins = fields[3::8], fields[4::8], fields[5::8]
+    fields[3::8] = fields[4::8] = [None] * len(lo)  # what the strata share: all but the ranks
+    if fields != fields[:size] * count:
+        raise PreconditionViolation("internal: a stratum's entries do not fit the first one's template")
+    others = compress(origins, map(is_not, origins, origins[:len(first)] * count))  # the first's are checked
+    if types != types[:size] * count or {*map(type, chain.from_iterable(chain.from_iterable(others)))} - {int}:
+        raise TypeError("a stratum's entries must hold fields of the first one's types")
+    write, width = (_stratum(keys, table) % sum((fill[:2] for fill in fills), ())).__mod__, 3 * len(first)
+    ranks = [*chain.from_iterable(zip(lo, hi, map(flag, map(attrgetter("nonzero"), chain.from_iterable(distinct)))))]
+    texts = {id(es): write(tuple(ranks[width * i:width * i + width])) for i, es in enumerate(distinct)}
+    return [(*s, texts[id(es)]) for s, es in pairs]
+
+
+def _report_parts(report: AnalysisReport, flag, null) -> tuple:
+    """Shape, head and Kostant numbers, Kostant modules, Klingen and intermediate fills of report."""
+    iv, ow = report.avoided_interval or (), report.occurring_weights
+    head = (*report.lam, report.k, *iv, *(ow or ()))
+    modules = [mod for m in (SIEGEL, KLINGEN) for mod in report.kostant[m]]
+    numbers = [*chain.from_iterable(mod[:2] + mod.highest_weight + mod[3:] for mod in modules)]
+    if ({*map(type, head), *map(type, numbers), type(report.duality_twist)} != {int}
+            or not bool is type(report.regular) is type(report.in_avoidance_category)):
+        raise TypeError("report numbers must be ints, and regular and in_avoidance_category bools")
+    bd, profiles = report.boundary[KLINGEN], [report.intermediate[m] for m in (SIEGEL, KLINGEN)]
+    ic = [e for p in profiles for e in p.all_entries()]
+    keys, fills = _entries((*bd, *ic), flag, null)
+    shape = (len(report.lam), len(iv), None if ow is None else len(ow),
+             tuple(tuple(len(mod.highest_weight) for mod in report.kostant[m]) for m in (SIEGEL, KLINGEN)),
+             keys, len(bd), tuple((len(p.entries), p.kernel_entry is not None) for p in profiles))
+    witnesses = [e in report.witnesses for e in ic]
+    return shape, head, modules, numbers, fills[:len(bd)], [*zip(fills[len(bd):], witnesses)]
+
+
+@functools.cache
+def _json_template(shape) -> str:
+    """The analyze JSON of a report of this shape, a `%s` for each value `report_json` fills in."""
+    n_lam, n_iv, n_ow, kostant, keys, n_bd, profiles = shape
+    intermediate = iter(keys[n_bd:])
+    return _template({
+        "lambda": [_HOLE] * n_lam,
+        "k": _HOLE,
+        "avoided_interval": [_HOLE] * n_iv,
+        "occurring_weights": None if n_ow is None else [_HOLE] * n_ow,
+        "regular": _HOLE,
+        "in_avoidance_category": _HOLE,
+        "duality_twist": _HOLE,
+        "kostant": {name: [dict(zip(LeviModule._fields, [_HOLE, _HOLE, [_HOLE] * n, _HOLE, _HOLE, _HOLE]))
+                           for n in lengths] for (name, _), lengths in zip(_PARABOLICS, kostant)},
+        "boundary": {"siegel": _HOLE, "klingen": {"entries": [_entry_model(key) for key in keys[:n_bd]]}},
+        "intermediate": {name: {"entries": [_entry_model(next(intermediate), _HOLE, _HOLE) for _ in range(n)],
+                                "kernel": _entry_model(next(intermediate), _HOLE, _HOLE) if kernel else None}
+                         for (name, _), (n, kernel) in zip(_PARABOLICS, profiles)},
+        "strata": _HOLE,
+    })
+
+
+def report_json(report: AnalysisReport) -> str:
+    """The analyze JSON of report, `json.dumps(indent=2)` of its dict form, from its shape's template."""
+    shape, head, _, numbers, bd, ic = _report_parts(report, _FLAGS.get, "null")
+    siegel = _per_type(report.boundary[SIEGEL], _FLAGS.get, "null", False)
+    return _json_template(shape) % (
+        *head, _FLAGS[report.regular], _FLAGS[report.in_avoidance_category], report.duality_twist, *numbers,
+        _template_list("\n    ", {"stratum": _STRATUM, "entries": _HOLE}, siegel), *chain.from_iterable(bd),
+        *chain.from_iterable((*fill, _FLAGS[witness]) for fill, witness in ic),
+        _template_list("\n  ", _STRATUM, report.strata))
+
+
+@functools.cache
+def _table_template(shape) -> str:
+    """The analyze table of a report of this shape, a `%s` for each value `_report_table` fills in."""
+    n_lam, n_iv, n_ow, kostant, keys, n_bd, _ = shape
+    return "\n".join([
+        f"lambda = ({', '.join(['%s'] * n_lam)})   k = %s",
+        "avoided_interval = " + (f"[{', '.join(['%s'] * n_iv)}]" if n_iv else "[] (empty)"),
+        "occurring_weights = " + (" and ".join(["%s"] * n_ow) + " (upper by duality)" if n_ow else "undetermined"),
+        "regular = %s   in_avoidance_category = %s   duality_twist = %s",
+        "strata = %s",
+        "",
+        f"{'sec':<9} {'m':>2} {'q':>3} {'highest_weight':<16} {'dim':>5} {'restr':>6} {'motw':>6}",
+        *["%-9s " % "kostant" + "%2s %3s %-16s %5s %6s %6s"] * sum(map(len, kostant)),
+        "",
+        " ".join("%*s" % (w, name) for name, w in _ROW),
+        "%s",  # the rows of the point strata
+        *("%-9s " % "bd" + _row(key) for key in keys[:n_bd]),
+        *("%-9s " + _row(key) for key in keys[n_bd:]),
+    ])
 
 
 def _report_table(report: AnalysisReport) -> str:
-    lam, iv, ow = report.lam, report.avoided_interval, report.occurring_weights
-    lines = [
-        f"lambda = ({lam.k1}, {lam.k2}, {lam.r})   k = {report.k}",
-        f"avoided_interval = {'[] (empty)' if iv is None else f'[{iv[0]}, {iv[1]}]'}",
-        "occurring_weights = "
-        + ("undetermined" if ow is None else f"{ow[0]} and {ow[1]} (upper by duality)"),
-        f"regular = {report.regular}   in_avoidance_category = {report.in_avoidance_category}"
-        f"   duality_twist = {report.duality_twist}",
-        f"strata = {', '.join(f'(g={s.g}, c={s.c})' for s in report.strata)}",
-        "",
-        f"{'sec':<9} {'m':>2} {'q':>3} {'highest_weight':<16} {'dim':>5} {'restr':>6} {'motw':>6}",
-    ]
-    lines += [
-        f"{'kostant':<9} {m:>2} {mod.q:>3} {str(tuple(mod.highest_weight)):<16} "
-        f"{mod.levi_dim:>5} {mod.restriction_weight:>6} {mod.motivic_weight:>6}"
-        for _, m in _PARABOLICS for mod in report.kostant[m]
-    ]
-    lines += ["", " ".join("%*s" % (w, name) for name, w in _ROW)]
-    pairs = report.boundary[SIEGEL]
-    shapes = list(map(_row_shape, pairs[0][1]))
-    for g, c, texts in _per_type(pairs, lambda es: [shape % _fill(e, str) for shape, e in zip(shapes, es)]):
-        cell = "%-9s " % f"bd(g{g}c{c})"  # each of the stratum's rows starts with its section cell
-        lines.append(cell + ("\n" + cell).join(texts))
-    rows = [("bd", e) for e in report.boundary[KLINGEN]] + [
-        ("ic*" if e in report.witnesses else "ic", e)
-        for _, m in _PARABOLICS for e in report.intermediate[m].all_entries()]
-    lines += ["%-9s %s" % (section, _row_shape(e) % _fill(e, str)) for section, e in rows]
-    return "\n".join(lines)
+    shape, head, modules, _, bd, ic = _report_parts(report, str, "-")
+    points = [cell + text.replace("\n", "\n" + cell)  # each of a stratum's rows starts with its section cell
+              for g, c, text in _per_type(report.boundary[SIEGEL], str, "-", True)
+              for cell in ["%-9s " % f"bd(g{g}c{c})"]]
+    return _table_template(shape) % (
+        *head, report.regular, report.in_avoidance_category, report.duality_twist,
+        ", ".join([f"(g={s.g}, c={s.c})" for s in report.strata]),
+        *chain.from_iterable((*mod[:2], str(tuple(mod.highest_weight)), *mod[3:]) for mod in modules),
+        "\n".join(points), *chain.from_iterable(bd),
+        *chain.from_iterable(("ic*" if witness else "ic", *fill) for fill, witness in ic))
 
 
 def _cmd_analyze(args) -> int:
     report = analysis_report(make_weight(args.k1, args.k2, args.r), _strata_from_args(args))
-    print(_dump(report_json(report)) if args.format == "json" else _report_table(report))
+    print(report_json(report) if args.format == "json" else _report_table(report))
     return 0
 
 
@@ -239,15 +253,12 @@ def _cmd_sweep(args) -> int:
     if bound < 0 or bound > MAX_SWEEP_BOUND:
         raise PreconditionViolation(f"sweep bound must satisfy 0 <= bound <= {MAX_SWEEP_BOUND}")
     strata = _strata_from_args(args)
-    rows = [
-        (lam.k1, lam.k2, lam.r, avoided_interval(lam, strata)[0], k_invariant(lam))
-        for lam in dominant_grid(bound)
-    ]
+    rows = [(*lam, avoided_interval(lam, strata)[0], k_invariant(lam)) for lam in dominant_grid(bound)]
     if args.format == "json":
         print(_dump({
             "bound": bound,
-            "strata": _Text((_template_list, _STRATUM, strata)),
-            "rows": _Text((_template_list, _SWEEP_ROW, [(*row, _FLAGS[row[3] == row[4]]) for row in rows])),
+            "strata": _Raw(_template_list("\n  ", _STRATUM, strata)),
+            "rows": _Raw(_template_list("\n  ", _SWEEP_ROW, [(*row, _FLAGS[row[3] == row[4]]) for row in rows])),
         }))
     else:
         print(f"{'k1':>4} {'k2':>4} {'r':>6} {'k':>4} {'closed':>7} {'agree':>6}")
@@ -331,6 +342,10 @@ def _build_parser():
         def error(self, message):
             raise PreconditionViolation(message)
 
+    class Append(argparse.Action):  # appends in place, where argparse's own copies the list per flag
+        def __call__(self, parser, namespace, value, option_string=None):
+            setattr(namespace, self.dest, iadd(getattr(namespace, self.dest) or [], [value]))
+
     parser = Parser(
         prog="siegel-weights",
         description="Exact boundary weight profiles for degree-two Siegel modular threefolds.",
@@ -338,6 +353,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (fn, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
+        p.register("action", "append", Append)
         for flag, kw in flags.items():
             p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)

@@ -30,7 +30,7 @@ complex with twist s = r + 3.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .boundary import (
     KERNEL_PIECE,
@@ -40,7 +40,7 @@ from .boundary import (
     _piece_ranks,
 )
 from .errors import EmptyStrata, InvalidStratum, PreconditionViolation
-from .kostant import LeviModule, _modules
+from .kostant import _modules
 from .root_data import (
     KLINGEN,
     SIEGEL,
@@ -52,12 +52,10 @@ from .root_data import (
 )
 
 
-class IntermediateProfile(NamedTuple):
-    """Perverse-normalized boundary profile of the intermediate extension."""
+class IntermediateProfile(namedtuple("IntermediateProfile", "m entries kernel_entry")):
+    """Perverse-normalized boundary profile on parabolic m: CohomologyEntry tuple, kernel entry or None."""
 
-    m: int
-    entries: tuple[CohomologyEntry, ...]
-    kernel_entry: CohomologyEntry | None
+    __slots__ = ()
 
     def all_entries(self) -> tuple[CohomologyEntry, ...]:
         if self.kernel_entry is None:
@@ -152,21 +150,15 @@ def avoided_interval(lam: WeightTriple, strata) -> tuple[int, tuple[CohomologyEn
     return _minimal_gap(_intermediate(lam, m, _modules(lam, m, 2), *sums) for m in (SIEGEL, KLINGEN))
 
 
-class AnalysisReport(NamedTuple):
-    """Everything the weight analysis of one module produces."""
+_REPORT_FIELDS = ("lam strata k avoided_interval occurring_weights regular in_avoidance_category"
+                  " duality_twist kostant boundary intermediate witnesses")
 
-    lam: WeightTriple
-    strata: tuple[StratumDatum, ...]
-    k: int
-    avoided_interval: tuple[int, int] | None
-    occurring_weights: tuple[int, int] | None
-    regular: bool
-    in_avoidance_category: bool
-    duality_twist: int
-    kostant: dict[int, tuple[LeviModule, ...]]
-    boundary: dict[int, tuple]
-    intermediate: dict[int, IntermediateProfile]
-    witnesses: tuple[CohomologyEntry, ...]
+
+class AnalysisReport(namedtuple("AnalysisReport", _REPORT_FIELDS)):
+    """Everything the weight analysis of one module produces: lam a WeightTriple, strata and witnesses
+    tuples, k and duality_twist ints, the intervals int pairs or None, two bools, three dicts by parabolic."""
+
+    __slots__ = ()
 
 
 def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:

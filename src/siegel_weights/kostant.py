@@ -46,9 +46,9 @@ InputBoundExceeded.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 from itertools import count
-from typing import NamedTuple
 
 from . import root_data, weyl
 from .errors import InputBoundExceeded, PreconditionViolation
@@ -65,15 +65,10 @@ from .root_data import (
 ORACLE_MAX_K1 = 100
 
 
-class LeviModule(NamedTuple):
-    """One cohomology degree of H^*(Lie W_m, V_lam) as a Levi module."""
+class LeviModule(namedtuple("LeviModule", "m q highest_weight levi_dim restriction_weight motivic_weight")):
+    """One cohomology degree of H^*(Lie W_m, V_lam) as a Levi module; ints but the highest weight."""
 
-    m: int
-    q: int
-    highest_weight: WeightTriple
-    levi_dim: int
-    restriction_weight: int
-    motivic_weight: int
+    __slots__ = ()
 
 
 def nilpotent_cohomology(lam: WeightTriple, m: int) -> tuple[LeviModule, ...]:

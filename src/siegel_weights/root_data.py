@@ -41,7 +41,7 @@ Weight maps.  For a character n = (n1, n2, r) of the Levi torus:
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import (
     BadParabolicIndex,
@@ -65,12 +65,10 @@ def shown(v) -> str:
     return repr(v)
 
 
-class WeightTriple(NamedTuple):
-    """Point (k1, k2, r) of the ambient weight lattice Z^3, as a tuple (+ concatenates)."""
+class WeightTriple(namedtuple("WeightTriple", "k1 k2 r")):
+    """Point (k1, k2, r), three ints, of the ambient weight lattice Z^3, as a tuple (+ concatenates)."""
 
-    k1: int
-    k2: int
-    r: int
+    __slots__ = ()
 
 
 def make_weight(k1: int, k2: int, r: int) -> WeightTriple:

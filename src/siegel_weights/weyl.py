@@ -16,19 +16,18 @@ though rho itself is outside it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import root_data
 from .errors import BadParabolicIndex
 from .root_data import SIMPLE_ROOT_LONG, SIMPLE_ROOT_SHORT, WeightTriple
 
 
-class WeylElement(NamedTuple):
-    """Signed permutation: w(v)[i] = signs[i] * v[source[i]]."""
+class WeylElement(namedtuple("WeylElement", "source signs")):
+    """Signed permutation: w(v)[i] = signs[i] * v[source[i]], source and signs pairs of ints."""
 
-    source: tuple[int, int]
-    signs: tuple[int, int]
+    __slots__ = ()
 
     def __call__(self, v: WeightTriple) -> WeightTriple:
         return WeightTriple(

@@ -453,25 +453,28 @@ def test_dump_rejects_unsupported_types(value):
 
 
 def test_dump_rejects_unsupported_types_under_python_O():
-    # the type checks are explicit raises, so they survive assertion stripping; the
-    # good entry is written first, so a bool origin would find its text cached
+    # the type checks are explicit raises, so they survive assertion stripping; the good
+    # report is written first, so that every bad one finds its shape's templates cached
     code = (
         "import sys\n"
         "if __debug__: sys.exit(3)\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import test_cli\n"
         "from siegel_weights import cli\n"
-        "from siegel_weights.boundary import CohomologyEntry\n"
-        "good = CohomologyEntry(0, 1, 2, 1, 1, ((1, 0),), 'paper', 3)\n"
-        "cli._dump([good, cli._Text((cli._entry_text, good, True))])\n"
-        "bad = [good._replace(weight=1.5), good._replace(rank_lower=True),\n"
-        "       good._replace(provenance=b'paper'), good._replace(origin=((True, 0),))]\n"
-        "for value in (1.5, {1, 2}, {1: 'a'}, *bad, cli._Text((cli._entry_text, bad[-1], False))):\n"
+        "test_cli.write_both(test_cli.REPORT)\n"
+        "bad = [test_cli.replaced_at(test_cli.REPORT, site, change) for site in test_cli.ENTRY_SITES\n"
+        "       for name, change in test_cli.ENTRY_MUTANTS.items() if name in test_cli.REFUSED]\n"
+        "writes = [(cli._dump, value) for value in (1.5, {1, 2}, {1: 'a'})]\n"
+        "writes += [(write, report) for report in bad for write in (cli.report_json, cli._report_table)]\n"
+        "for write, value in writes:\n"
         "    try:\n"
-        "        cli._dump(value)\n"
+        "        write(value)\n"
         "    except TypeError:\n"
         "        continue\n"
         "    sys.exit(4)\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    tests = str(Path(__file__).resolve().parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", code, tests], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -506,13 +509,74 @@ def profile_entries(draw):
     return e, draw(st.sampled_from([(), (True,), (False,)]))
 
 
+def report_dict(report):
+    """An analyze report as the dict that `json.dumps` is the oracle for, built field by field."""
+    def profile(p):
+        kernel = p.kernel_entry
+        return {"entries": [entry_dict(e, e in report.witnesses) for e in p.entries],
+                "kernel": None if kernel is None else entry_dict(kernel, kernel in report.witnesses)}
+    return {
+        "lambda": report.lam,
+        "k": report.k,
+        "avoided_interval": report.avoided_interval or [],
+        "occurring_weights": report.occurring_weights,
+        "regular": report.regular,
+        "in_avoidance_category": report.in_avoidance_category,
+        "duality_twist": report.duality_twist,
+        "kostant": {name: [mod._asdict() for mod in report.kostant[m]] for name, m in PARABOLICS},
+        "boundary": {
+            "siegel": [{"stratum": s._asdict(), "entries": [entry_dict(e) for e in es]}
+                       for s, es in report.boundary[0]],
+            "klingen": {"entries": [entry_dict(e) for e in report.boundary[1]]},
+        },
+        "intermediate": {name: profile(report.intermediate[m]) for name, m in PARABOLICS},
+        "strata": [s._asdict() for s in report.strata],
+    }
+
+
+PARABOLICS = (("siegel", 0), ("klingen", 1))
+REPORT = intersection.analysis_report(root_data.make_weight(5, 2, 7), [StratumDatum(0, 3), StratumDatum(1, 2)])
+ENTRY_SITES = ("klingen", "intermediate", "kernel")
+
+
+def replaced_at(report, site, change):
+    """report with change applied to one entry: its first Klingen boundary entry ("klingen"),
+    its first Siegel intermediate entry ("intermediate") or its Siegel kernel entry ("kernel")."""
+    if site == "klingen":
+        first, *rest = report.boundary[1]
+        return report._replace(boundary={**report.boundary, 1: (change(first), *rest)})
+    p = report.intermediate[0]
+    if site == "kernel":
+        p = p._replace(kernel_entry=change(p.kernel_entry))
+    else:
+        p = p._replace(entries=(change(p.entries[0]), *p.entries[1:]))
+    return report._replace(intermediate={**report.intermediate, 0: p})
+
+
+def write_both(report):
+    """The analyze JSON and table of report."""
+    return cli.report_json(report), cli._report_table(report)
+
+
+def test_written_reports_match_the_dict_form_and_the_table_rows():
+    assert cli.report_json(REPORT) == json.dumps(report_dict(REPORT), indent=2)
+    assert cli._report_table(REPORT) == table_text(REPORT)
+
+
 @settings(derandomize=True, deadline=None)
-@given(drawn=profile_entries())
-def test_entry_writer_matches_the_dict_form(drawn):
+@given(drawn=profile_entries(), site=st.sampled_from(ENTRY_SITES))
+def test_entry_writer_matches_the_dict_form(drawn, site):
+    # any entry, written at any of the fixed places of a report: the entry's fields make up
+    # part of the shape that keys the report's templates
     e, witness = drawn
-    written = cli._Text((cli._entry_text, e, *witness)) if witness else e
-    for wrap in (lambda x: x, lambda x: {"entries": [x]}):
-        assert cli._dump(wrap(written)) == json.dumps(wrap(entry_dict(e, *witness)), indent=2)
+    report = replaced_at(REPORT, site, lambda _: e)
+    report = report._replace(witnesses=(e,) if witness == (True,) else ())
+    assert cli.report_json(report) == json.dumps(report_dict(report), indent=2)
+    if "\n" in e.provenance:  # a table row is one line
+        with pytest.raises(ValueError):
+            cli._report_table(report)
+    else:
+        assert cli._report_table(report) == table_text(report)
 
 
 @pytest.mark.parametrize(
@@ -530,12 +594,84 @@ def test_entry_writer_matches_the_dict_form(drawn):
          "bool-origin", "float-origin"],
 )
 def test_entry_writer_rejects_non_json_field_types(bad):
-    # ENTRY is written first at both indents: the origin text of ((1, 0),) is then
-    # cached, and ((True, 0),), equal to it and of equal hash, must still be refused
-    assert cli._dump([ENTRY, {"e": cli._Text((cli._entry_text, ENTRY, True))}])
-    for value in (bad, [bad], {"e": cli._Text((cli._entry_text, bad, False))}):
+    # ENTRY is written first at every site: the templates of its shape are then cached, and
+    # ((True, 0),), equal to its origin ((1, 0),) and of equal hash, must still be refused
+    for site in ENTRY_SITES:
+        write_both(replaced_at(REPORT, site, lambda _: ENTRY))
+        for write in (cli.report_json, cli._report_table):
+            with pytest.raises(TypeError):
+                write(replaced_at(REPORT, site, lambda _: bad))
+
+
+# Changes of one fixed entry of a report.  As 1 == 1.0 == True, the first five leave the
+# entry equal to the original, whose templates are cached: both writers must refuse them.
+# The others change the shape, or only a value: the output must follow them.
+ENTRY_MUTANTS = {
+    "bool-m": lambda e: e._replace(m=bool(e.m)),
+    "bool-origin": lambda e: e._replace(origin=tuple((bool(p), q) for p, q in e.origin)),
+    "float-origin": lambda e: e._replace(origin=tuple((p, float(q)) for p, q in e.origin)),
+    "float-weight": lambda e: e._replace(weight=float(e.weight)),
+    "bool-rank": lambda e: e._replace(rank_lower=True, rank_upper=True),
+    "weight-shifted": lambda e: e._replace(weight=e.weight + 1),
+    "provenance-shifted": lambda e: e._replace(provenance="derived" if e.provenance == "paper" else "paper"),
+    "percent-provenance": lambda e: e._replace(provenance="%s %d%%"),
+}
+REFUSED = ("bool-m", "bool-origin", "float-origin", "float-weight", "bool-rank")
+
+
+def test_the_refused_entry_mutants_equal_the_entries_they_change():
+    for site in ENTRY_SITES:
+        for name in REFUSED[:4]:
+            changed = replaced_at(REPORT, site, ENTRY_MUTANTS[name])
+            assert changed == REPORT and changed is not REPORT
+
+
+@pytest.mark.parametrize("site", ENTRY_SITES)
+@pytest.mark.parametrize("name", list(ENTRY_MUTANTS))
+def test_warm_templates_refuse_an_entry_that_does_not_fit(name, site):
+    write_both(REPORT)  # the templates of REPORT's shape are now cached
+    report = replaced_at(REPORT, site, ENTRY_MUTANTS[name])
+    if name in REFUSED:
+        for write in (cli.report_json, cli._report_table):
+            with pytest.raises(TypeError):
+                write(report)
+    else:
+        assert write_both(report) == (json.dumps(report_dict(report), indent=2), table_text(report))
+
+
+REPORT_MUTANTS = {  # fields of a report whose type a template must not take for another's
+    "int-regular": {"regular": int(REPORT.regular)},
+    "float-k": {"k": float(REPORT.k)},
+    "bool-lambda": {"lam": (REPORT.lam[0], True, *REPORT.lam[2:])},
+    "float-twist": {"duality_twist": float(REPORT.duality_twist)},
+    "float-kostant": {"kostant": {**REPORT.kostant, 0: (REPORT.kostant[0][0]._replace(
+        levi_dim=float(REPORT.kostant[0][0].levi_dim)), *REPORT.kostant[0][1:])}},
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_MUTANTS))
+def test_warm_templates_refuse_report_fields_of_another_type(name):
+    write_both(REPORT)
+    report = REPORT._replace(**REPORT_MUTANTS[name])
+    assert name == "bool-lambda" or report == REPORT
+    for write in (cli.report_json, cli._report_table):
         with pytest.raises(TypeError):
-            cli._dump(value)
+            write(report)
+
+
+def test_warm_templates_refuse_an_entry_that_does_not_fit_under_python_O():
+    code = (
+        "import sys\n"
+        "if __debug__: sys.exit(3)\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import test_cli\n"
+        "for site in test_cli.ENTRY_SITES:\n"
+        "    for name in test_cli.ENTRY_MUTANTS:\n"
+        "        test_cli.test_warm_templates_refuse_an_entry_that_does_not_fit(name, site)\n"
+    )
+    tests = str(Path(__file__).resolve().parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", code, tests], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- per-report templates ----------------------------------------------------------
@@ -558,6 +694,28 @@ def entry_rows(report):
         entry_row("ic*" if e in report.witnesses else "ic", e)
         for m in (0, 1) for e in report.intermediate[m].all_entries()
     ]
+
+
+def table_text(report):
+    """The analyze table written line by line, the layout its template must reproduce."""
+    lam, iv, ow = report.lam, report.avoided_interval, report.occurring_weights
+    return "\n".join([
+        f"lambda = ({lam.k1}, {lam.k2}, {lam.r})   k = {report.k}",
+        f"avoided_interval = {'[] (empty)' if iv is None else f'[{iv[0]}, {iv[1]}]'}",
+        "occurring_weights = " + ("undetermined" if ow is None else f"{ow[0]} and {ow[1]} (upper by duality)"),
+        f"regular = {report.regular}   in_avoidance_category = {report.in_avoidance_category}"
+        f"   duality_twist = {report.duality_twist}",
+        f"strata = {', '.join(f'(g={s.g}, c={s.c})' for s in report.strata)}",
+        "",
+        f"{'sec':<9} {'m':>2} {'q':>3} {'highest_weight':<16} {'dim':>5} {'restr':>6} {'motw':>6}",
+        *(f"{'kostant':<9} {mod.m:>2} {mod.q:>3} {str(tuple(mod.highest_weight)):<16} "
+          f"{mod.levi_dim:>5} {mod.restriction_weight:>6} {mod.motivic_weight:>6}"
+          for m in (0, 1) for mod in report.kostant[m]),
+        "",
+        f"{'sec':<9} {'m':>2} {'n':>3} {'npv':>4} {'weight':>7} {'rk_lo':>6} {'rk_hi':>6} {'nonzero':>8} "
+        f"{'origin':<12} {'prov':<8}",
+        *entry_rows(report),
+    ])
 
 
 @st.composite
@@ -597,6 +755,41 @@ def test_templates_match_the_per_entry_writers(drawn):
     assert outs[1].splitlines()[-len(rows):] == rows
 
 
+def clear_templates():
+    for cache in (cli._json_template, cli._table_template, cli._stratum):
+        cache.cache_clear()
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(drawn=st.lists(report_inputs(), min_size=2, max_size=5))
+@example(drawn=[(root_data.make_weight(*lam), [StratumDatum(*s) for s in strata]) for lam, strata in [
+    ((0, 0, 0), [(0, 3)]), ((9, 4, 13), [(1, 1)] * 40), ((6, 6, 12), [(2, 1), (0, 5)]), ((6, 0, 8), [(3, 7)])]])
+def test_warm_templates_write_what_the_dict_form_says(drawn):
+    # reports in the drawn order, inside the cone, on both walls and at the origin: each
+    # written after the others, its shape's templates cached or not, and then cold
+    reports = [intersection.analysis_report(lam, strata) for lam, strata in drawn]
+    warm = [write_both(report) for report in reports]
+    for report, written in zip(reports, warm):
+        assert written == (json.dumps(report_dict(report), indent=2), table_text(report))
+        clear_templates()
+        assert write_both(report) == written
+
+
+def test_template_caches_hold_one_entry_per_shape():
+    # a seeded stream like the analyze benchmark's, 1-40 strata per command; the reports
+    # have two shapes, k >= 1 or not, and all point strata one stratum type template
+    clear_templates()
+    rng = random.Random(26)
+    for i in range(40):
+        k1 = rng.randint(2, 300)
+        k2 = rng.choice((0, k1)) if i % 4 == 0 else rng.randint(1, k1 - 1)
+        strata = [(g, rng.randint(3 if g == 0 else 1, 20)) for g in (rng.randint(0, 5) for _ in range(i + 1))]
+        fmt = "table" if i % 8 in (0, 3) else "json"
+        analyze_output(root_data.make_weight(k1, k2, k1 + k2), [StratumDatum(*s) for s in strata], fmt)
+    for cache, size in ((cli._json_template, 2), (cli._table_template, 2), (cli._stratum, 2)):
+        assert cache.cache_info().currsize == size and cache.cache_info().hits > 0, cache
+
+
 def shifted_report(change, setup="distinct-E"):
     """The report of a SHIFT_SETUPS entry whose last stratum's first entry is change(entry)."""
     lam, strata = SHIFT_SETUPS[setup]
@@ -621,6 +814,11 @@ TEMPLATE_MUTANTS = {  # name: (change, error)
     "float-rank": (lambda e: e._replace(rank_lower=1.0, rank_upper=1.0), TypeError),
     "bool-rank": (lambda e: e._replace(rank_lower=True, rank_upper=True), TypeError),
     "weight-shifted": (lambda e: e._replace(weight=e.weight + 1), PreconditionViolation),
+    # equal to the entry they change, as 0 == False and 3 == 3.0: only the field's type differs
+    "bool-m": (lambda e: e._replace(m=bool(e.m)), TypeError),
+    "bool-origin": (lambda e: e._replace(origin=tuple((bool(p), q) for p, q in e.origin)), TypeError),
+    "float-origin": (lambda e: e._replace(origin=tuple((p, float(q)) for p, q in e.origin)), TypeError),
+    "float-weight": (lambda e: e._replace(weight=float(e.weight)), TypeError),
 }
 
 
@@ -636,7 +834,7 @@ def test_templates_refuse_a_stratum_that_does_not_fit(name):
     for setup in SHIFT_SETUPS:
         report = shifted_report(change, setup)
         with pytest.raises(error):
-            cli._dump(cli.report_json(report))
+            cli.report_json(report)
         with pytest.raises(error):
             cli._report_table(report)
 
@@ -651,9 +849,9 @@ def test_templates_refuse_a_stratum_that_does_not_fit_under_python_O():
         "for change, error in test_cli.TEMPLATE_MUTANTS.values():\n"
         "    for setup in test_cli.SHIFT_SETUPS:\n"
         "        report = test_cli.shifted_report(change, setup)\n"
-        "        for write in (lambda: cli._dump(cli.report_json(report)), lambda: cli._report_table(report)):\n"
+        "        for write in (cli.report_json, cli._report_table):\n"
         "            try:\n"
-        "                write()\n"
+        "                write(report)\n"
         "            except error:\n"
         "                continue\n"
         "            sys.exit(4)\n"
@@ -669,7 +867,7 @@ def test_templates_escape_a_percent_in_fixed_text():
     marked = {0: tuple((s, tuple(e._replace(provenance="%s %d%%") for e in es))
                        for s, es in report.boundary[0]), 1: report.boundary[1]}
     report = report._replace(boundary=marked)
-    payload = json.loads(cli._dump(cli.report_json(report)))
+    payload = json.loads(cli.report_json(report))
     assert {e["provenance"] for b in payload["boundary"]["siegel"] for e in b["entries"]} == {"%s %d%%"}
     rows = entry_rows(report)
     assert cli._report_table(report).splitlines()[-len(rows):] == rows
@@ -1212,6 +1410,22 @@ def test_reading_many_strata_flags_takes_linear_time():
     read = cli._read_args(argv)
     assert time.perf_counter() - start < 1.0
     assert read.stratum == ["0,3"] * 50_000
+
+
+def test_the_fallback_appends_strata_in_place():
+    # argparse's own append action copies the list on each flag, quadratic in the number of
+    # --stratum flags that the reader leaves to argparse, such as --stratum=0,3
+    import argparse
+
+    parser = cli._build_parser()
+    analyze = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices["analyze"]
+    append, namespace = analyze._option_string_actions["--stratum"], argparse.Namespace(stratum=None)
+    append(analyze, namespace, "0,3")
+    strata = namespace.stratum
+    for value in ["1,1"] * 50_000:
+        append(analyze, namespace, value)
+    assert namespace.stratum is strata and strata == ["0,3", *["1,1"] * 50_000]
+    assert vars(parser.parse_args([*ANALYZE_3_1_4, "--stratum=0,3", "--stratum=2,5"]))["stratum"] == ["0,3", "2,5"]
 
 
 def test_negative_control_a_reader_that_takes_any_dash_value_fails(monkeypatch):
