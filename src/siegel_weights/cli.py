@@ -9,11 +9,9 @@ one-line JSON object {"error": ..., "message": ...} on stdout).
 from __future__ import annotations
 
 import functools
-import json
 import os
-import random
-import re
 import sys
+from _json import encode_basestring_ascii as _ESCAPE  # json.dumps's str writer, without importing json
 from itertools import chain, compress
 from operator import attrgetter, iadd, is_not
 from types import SimpleNamespace
@@ -50,7 +48,6 @@ class _Raw(str):
     """Text that `_dump` writes as it is: a template's holes, and lists written ahead."""
 
 
-_ESCAPE = json.encoder.encode_basestring_ascii
 _FLAGS = {True: "true", False: "false", "unknown": '"unknown"'}  # bools, and an entry's nonzero
 _SCALARS = {str: _ESCAPE, int: int.__repr__, bool: _FLAGS.get, type(None): lambda _: "null", _Raw: lambda v: v}
 
@@ -97,6 +94,13 @@ _ENTRY_KEYS = ("m", "n_classical", "n_perverse", "weight", "rank_lower", "rank_u
                "nonzero", "origin", "provenance", "witness")
 _ROW = (("sec", -9), ("m", 2), ("n", 3), ("npv", 4), ("weight", 7), ("rk_lo", 6), ("rk_hi", 6),
         ("nonzero", 8), ("origin", -12), ("prov", -8))  # name and printf width, < 0 to the left
+_KOSTANT = (_ROW[0], ("m", 2), ("q", 3), ("highest_weight", -16), ("dim", 5), ("restr", 6), ("motw", 6))
+_SEC = "%%%ds " % _ROW[0][1]  # the section cell a row starts with
+
+
+def _table(spec, rows: int) -> list[str]:
+    """A table's header and `rows` copies of its `%` row template, from its (name, printf width) columns."""
+    return [" ".join("%*s" % (w, name) for name, w in spec), *[" ".join("%%%ds" % w for _, w in spec)] * rows]
 
 
 def _entries(entries, flag, null) -> tuple:
@@ -208,7 +212,7 @@ def report_json(report: AnalysisReport) -> str:
 @functools.cache
 def _table_template(shape) -> str:
     """The analyze table of a report of this shape, a `%s` for each value `_report_table` fills in."""
-    n_lam, n_iv, n_ow, kostant, keys, n_bd, _ = shape
+    n_lam, n_iv, n_ow, kostant, keys, _, _ = shape
     return "\n".join([
         f"lambda = ({', '.join(['%s'] * n_lam)})   k = %s",
         "avoided_interval = " + (f"[{', '.join(['%s'] * n_iv)}]" if n_iv else "[] (empty)"),
@@ -216,13 +220,11 @@ def _table_template(shape) -> str:
         "regular = %s   in_avoidance_category = %s   duality_twist = %s",
         "strata = %s",
         "",
-        f"{'sec':<9} {'m':>2} {'q':>3} {'highest_weight':<16} {'dim':>5} {'restr':>6} {'motw':>6}",
-        *["%-9s " % "kostant" + "%2s %3s %-16s %5s %6s %6s"] * sum(map(len, kostant)),
+        *_table(_KOSTANT, sum(map(len, kostant))),
         "",
-        " ".join("%*s" % (w, name) for name, w in _ROW),
+        *_table(_ROW, 0),
         "%s",  # the rows of the point strata
-        *("%-9s " % "bd" + _row(key) for key in keys[:n_bd]),
-        *("%-9s " + _row(key) for key in keys[n_bd:]),
+        *(_SEC + _row(key) for key in keys),
     ])
 
 
@@ -230,12 +232,12 @@ def _report_table(report: AnalysisReport) -> str:
     shape, head, modules, _, bd, ic = _report_parts(report, str, "-")
     points = [cell + text.replace("\n", "\n" + cell)  # each of a stratum's rows starts with its section cell
               for g, c, text in _per_type(report.boundary[SIEGEL], str, "-", True)
-              for cell in ["%-9s " % f"bd(g{g}c{c})"]]
+              for cell in [_SEC % f"bd(g{g}c{c})"]]
     return _table_template(shape) % (
         *head, report.regular, report.in_avoidance_category, report.duality_twist,
         ", ".join([f"(g={s.g}, c={s.c})" for s in report.strata]),
-        *chain.from_iterable((*mod[:2], str(tuple(mod.highest_weight)), *mod[3:]) for mod in modules),
-        "\n".join(points), *chain.from_iterable(bd),
+        *chain.from_iterable(("kostant", *mod[:2], str(tuple(mod.highest_weight)), *mod[3:]) for mod in modules),
+        "\n".join(points), *chain.from_iterable(("bd", *fill) for fill in bd),
         *chain.from_iterable(("ic*" if witness else "ic", *fill) for fill, witness in ic))
 
 
@@ -249,21 +251,19 @@ def _cmd_analyze(args) -> int:
 # sweep
 
 def _cmd_sweep(args) -> int:
-    bound = args.max_k1
-    if bound < 0 or bound > MAX_SWEEP_BOUND:
+    if not 0 <= args.max_k1 <= MAX_SWEEP_BOUND:
         raise PreconditionViolation(f"sweep bound must satisfy 0 <= bound <= {MAX_SWEEP_BOUND}")
     strata = _strata_from_args(args)
-    rows = [(*lam, avoided_interval(lam, strata)[0], k_invariant(lam)) for lam in dominant_grid(bound)]
+    rows = [(*lam, avoided_interval(lam, strata)[0], k_invariant(lam)) for lam in dominant_grid(args.max_k1)]
     if args.format == "json":
         print(_dump({
-            "bound": bound,
+            "bound": args.max_k1,
             "strata": _Raw(_template_list("\n  ", _STRATUM, strata)),
             "rows": _Raw(_template_list("\n  ", _SWEEP_ROW, [(*row, _FLAGS[row[3] == row[4]]) for row in rows])),
         }))
     else:
-        print(f"{'k1':>4} {'k2':>4} {'r':>6} {'k':>4} {'closed':>7} {'agree':>6}")
-        for k1, k2, r, k, closed in rows:
-            print(f"{k1:>4} {k2:>4} {r:>6} {k:>4} {closed:>7} {'yes' if k == closed else 'no':>6}")
+        head, template = _table((("k1", 4), ("k2", 4), ("r", 6), ("k", 4), ("closed", 7), ("agree", 6)), 1)
+        print(head, *[template % (*row, "yes" if row[3] == row[4] else "no") for row in rows], sep="\n")
     return 0
 
 
@@ -271,15 +271,16 @@ def _cmd_sweep(args) -> int:
 # verify
 
 def _cmd_verify(args) -> int:
-    rng = random.Random(args.seed)
-    max_k1 = args.max_k1
-    if max_k1 < 0 or max_k1 > MAX_VERIFY_BOUND:
+    if not 0 <= args.max_k1 <= MAX_VERIFY_BOUND:
         raise PreconditionViolation(f"--max-k1 must satisfy 0 <= bound <= {MAX_VERIFY_BOUND}")
+    import random
+    rng = random.Random(args.seed)
     for name, suite in verification.SUITES:
         checks = 0
-        for checks, counterexample in enumerate(suite(rng, max_k1), 1):
+        for checks, counterexample in enumerate(suite(rng, args.max_k1), 1):
             if counterexample is not None:
-                print(f"FAIL {name}: {json.dumps(counterexample, sort_keys=False)}")
+                import json
+                print(f"FAIL {name}: {json.dumps(counterexample)}")
                 return 1
         print(f"ok   {name} ({checks} checks)")
     return 0
@@ -308,7 +309,7 @@ _COMMANDS = {
         "--seed": {"type": int, "default": 0},
     }),
 }
-_VALUE = re.compile(r"(?!-)|-[0-9]+\Z").match  # argparse reads these as values too, not flags
+_VALUE = lambda v: v[:1] != "-" or v[1:].isdigit() and v.isascii()  # argparse reads it as a value, not a flag
 
 
 def _read_args(argv: list[str]) -> SimpleNamespace | None:
@@ -367,7 +368,7 @@ def main(argv=None) -> int:
             args = _read_args(argv) or _build_parser().parse_args(argv)
             code = args.fn(args)
         except SiegelWeightsError as err:
-            print(json.dumps({"error": type(err).__name__, "message": str(err)}))
+            print('{"error": %s, "message": %s}' % (_ESCAPE(type(err).__name__), _ESCAPE(str(err))))
             code = 2
         sys.stdout.flush()  # a reader that left shows here, not in the flush at exit
         return code

@@ -104,6 +104,7 @@ def _modules(lam: WeightTriple, m: int, count: int) -> tuple[LeviModule, ...]:
 
 
 def _require_oracle_weight(lam: WeightTriple) -> None:
+    require_dominant(lam)
     if not all(type(v) is int for v in lam):
         raise PreconditionViolation(f"weight coordinates must be ints, got {shown(lam)}")
     if lam.k1 > ORACLE_MAX_K1:
@@ -129,7 +130,6 @@ def character(lam: WeightTriple) -> LaurentPolynomial:
     here means corrupted root data, not bad input.  Raises InputBoundExceeded
     for k1 > ORACLE_MAX_K1.
     """
-    require_dominant(lam)
     _require_oracle_weight(lam)
     poly = _weyl_numerator(lam)
     for beta in root_data.POSITIVE_ROOTS:
@@ -161,7 +161,6 @@ def freudenthal_multiplicities(lam: WeightTriple) -> dict[tuple[int, int], int]:
     short roots of squared length 2, long ones 4.  Raises InputBoundExceeded
     for k1 > ORACLE_MAX_K1.
     """
-    require_dominant(lam)
     _require_oracle_weight(lam)
     rho1, rho2, _ = root_data.RHO
     roots = [beta[:2] for beta in root_data.POSITIVE_ROOTS]
@@ -219,9 +218,8 @@ def euler_check(lam: WeightTriple, m: int) -> bool:
     InputBoundExceeded for k1 > ORACLE_MAX_K1.
     """
     require_dominant(lam)
-    check_parabolic(m)
+    g1, g2, _ = root_data.levi_root(m)  # it checks m
     _require_oracle_weight(lam)
-    g1, g2, _ = root_data.levi_root(m)
     terms: dict[tuple[int, int, int], int] = {}
     for mod in nilpotent_cohomology(lam, m):
         sign = -1 if mod.q % 2 else 1

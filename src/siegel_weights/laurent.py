@@ -10,7 +10,7 @@ comparing, reading the mass, and exact division by (1 - x^{-beta}).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import DivisionFailure, PreconditionViolation
 from .root_data import shown

@@ -4,16 +4,18 @@ import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siegel_weights import boundary, checks, cli, intersection, kostant, root_data, weyl
+from siegel_weights import boundary, checks, cli, errors, intersection, kostant, root_data, weyl
 from siegel_weights.boundary import KERNEL_PIECE, CohomologyEntry, StratumDatum
 from siegel_weights.errors import PreconditionViolation
 from siegel_weights.root_data import KLINGEN, WeightTriple
@@ -1049,7 +1051,35 @@ def test_verify_negative_control_catches_wrong_provenance(mutant, monkeypatch, c
     assert code == 1
     assert all(line.startswith("ok   ") for line in passed)
     assert last.startswith("FAIL reference_rows: ")
-    assert json.loads(last.split(": ", 1)[1])["check"] == "point stratum rows"
+    assert json.loads(last.split(": ", 1)[1])["check"] == "boundary provenance"
+
+
+def _first_point_entry_reweighted(real):
+    """intermediate_profile as seen by the suites, the weight of each Siegel profile's
+    first entry raised by one: a rank-0 entry off the walls, which no earlier suite checks."""
+    def reweighted(lam, m, strata):
+        profile = real(lam, m, strata)
+        if m != root_data.SIEGEL:
+            return profile
+        first, *rest = profile.entries
+        return profile._replace(entries=(first._replace(weight=first.weight + 1), *rest))
+
+    return reweighted
+
+
+def test_verify_names_the_point_rows_when_they_differ(monkeypatch, capsys):
+    # the first reference_rows item covers the point rows and the boundary provenance,
+    # and names the part that differs
+    monkeypatch.setattr(checks, "intermediate_profile", _first_point_entry_reweighted(checks.intermediate_profile))
+    code = cli.main(["verify", "--max-k1", "3", "--seed", "7"])
+    *passed, last = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert all(line.startswith("ok   ") for line in passed)
+    assert last.startswith("FAIL reference_rows: ")
+    counterexample = json.loads(last.split(": ", 1)[1])
+    assert counterexample["check"] == "point stratum rows"
+    assert counterexample["got"][0] == [4, 1, 0, 0, False]
+    assert counterexample["want"][0] == [4, 0, 0, 0, False]
 
 
 # One mutant per verify suite, each wrong only in what its own suite checks, so
@@ -1348,9 +1378,10 @@ def test_help_still_exits_0(monkeypatch):
 # --- the command reader against argparse -------------------------------------------
 
 # Tokens that argparse reads in ways a value check can get wrong: negative numbers
-# in ASCII and other digits, a lone dash, the end of options, a number with a
-# newline after it, `=` spellings, help and abbreviations.
-ODD_TOKENS = ["-4", "-0", "-\u0663", "-1,3", "-", "--", "-4\n", "--k1=3", "-h", "--st", "--max", ""]
+# in ASCII and other decimal digits, a dash and a digit that is not a decimal one,
+# a lone dash, the end of options, a number with a newline after it, `=` spellings,
+# help and abbreviations.
+ODD_TOKENS = ["-4", "-0", "-\u0663", "-\u00b2", "-1,3", "-", "--", "-4\n", "--k1=3", "-h", "--st", "--max", ""]
 
 
 @st.composite
@@ -1376,6 +1407,7 @@ def argparse_reads(argv):
 @given(argv=spliced_command_lines())
 @example(argv=[*ANALYZE_3_1_4, "--stratum", "-1,3"])
 @example(argv=["analyze", "--k1", "3", "--k2", "1", "--r", "-\u0663"])
+@example(argv=[*ANALYZE_3_1_4, "--stratum", "-\u00b2"])  # a digit, but not an ASCII one
 @example(argv=["verify", "--seed", "-4\n"])
 @example(argv=["sweep", "--max-k1", "2", "--format", "--"])
 def test_reader_reads_what_argparse_reads(argv):
@@ -1454,3 +1486,75 @@ def test_argparse_is_imported_only_for_the_fallback(fallback):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[False, False, True]\n"
+
+
+# The standard modules that a command line loads only when it needs them.  Under
+# `python -S` no `site` preloads any of them, so the check sees the package's own imports.
+LAZY_MODULES = ("argparse", "enum", "json", "random", "re", "typing")
+# Canonical lines, and canonical lines that fail validation, none of which needs any of them.
+CANONICAL = [
+    [*ANALYZE_3_1_4, "--stratum", "1,1"],
+    [*ANALYZE_3_1_4, "--format", "table"],
+    ["sweep", "--max-k1", "3"],
+    ["sweep", "--max-k1", "3", "--format", "json"],
+    ["analyze", "--k1", "3", "--k2", "1", "--r", "5"],
+    ["sweep", "--max-k1", "201"],
+    ["verify", "--max-k1", "41"],
+]
+
+
+def modules_left_loaded(package_root, argvs):
+    """The exit codes of argvs, run by cli.main in one `python -S` process that imports
+    siegel_weights from package_root, and the LAZY_MODULES loaded after them."""
+    code = (
+        "import io, sys\n"
+        "from siegel_weights import cli\n"
+        "sys.stdout = io.StringIO()\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "sys.stdout = sys.__stdout__\n"
+        f"print(codes, sorted(set({LAZY_MODULES!r}) & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argvs, loaded",
+    [
+        (CANONICAL, "[0, 0, 0, 0, 2, 2, 2] []"),
+        ([["verify", "--max-k1", "0"]], "[0] ['random']"),  # json only writes a counterexample
+        ([["verify", "--bogus"]], "[2] ['argparse', 'enum', 're']"),
+    ],
+    ids=["canonical", "verify", "fallback"],
+)
+def test_a_command_line_imports_only_what_it_runs_under_python_S(argvs, loaded):
+    assert modules_left_loaded(Path(cli.__file__).parents[1], argvs) == loaded + "\n"
+
+
+def test_negative_control_a_cli_that_imports_re_fails(tmp_path):
+    package = tmp_path / "siegel_weights"
+    shutil.copytree(Path(cli.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (package / "cli.py").read_text()
+    (package / "cli.py").write_text(source.replace("import functools\n", "import functools\nimport re\n", 1))
+    assert modules_left_loaded(tmp_path, CANONICAL) == "[0, 0, 0, 0, 2, 2, 2] ['enum', 're']\n"
+
+
+ERROR_TYPES = [errors.SiegelWeightsError, *errors.SiegelWeightsError.__subclasses__()]
+# Characters that JSON escapes or writes in \u form, a `%`, and any code point at all
+MESSAGES = st.text(st.sampled_from('"\\%/\b\f\n\r\t\x00\x1f\x7f\x80\u00e9\u2028\u20ac\U0001f600\ud800\udfff')
+                   | st.characters(exclude_categories=()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(kind=st.sampled_from(ERROR_TYPES), text=MESSAGES)
+@example(kind=errors.PreconditionViolation, text='say "%s" \\ %% \ud800\x00\u00e9')
+def test_the_error_line_is_json_dumps_of_the_error(kind, text):
+    def fail(*args):
+        raise kind(text)
+
+    with mock.patch.object(cli, "analysis_report", fail):
+        code, out = _main_in_process(ANALYZE_3_1_4)
+    assert code == 2
+    assert out == json.dumps({"error": kind.__name__, "message": text}) + "\n"
