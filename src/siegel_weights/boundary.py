@@ -115,7 +115,6 @@ SIEGEL_PIECES = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3))
 KERNEL_PIECE = SIEGEL_PIECES.index((1, 1))  # the piece whose kernel survives
 # The pieces of parabolic m: a curve stratum carries Kostant module q in degree q.
 _PIECES = (SIEGEL_PIECES, ((0, 0), (0, 1), (0, 2), (0, 3)))
-_ORIGINS = tuple(tuple(((p, q),) for p, q in pieces) for pieces in _PIECES)  # one object per piece
 
 
 def _piece_ranks(modules: tuple[LeviModule, ...], n: int, euler: int) -> tuple[int, ...]:
@@ -132,11 +131,11 @@ def _entries(m: int, modules: tuple[LeviModule, ...], ranks, r=None) -> tuple[Co
     raises the degree to n_perverse = n + r + m and the weight by m (BBD 1982)."""
     shift = 0 if r is None else m
     entries = []
-    for (p, q), origin, rank in zip(_PIECES[m], _ORIGINS[m], ranks):
+    for (p, q), rank in zip(_PIECES[m], ranks):
         n = p + q
         if rank < 0:  # CohomologyEntry's own check, skipped by tuple.__new__
             raise PreconditionViolation(f"bad rank bounds [{shown(rank)}, {shown(rank)}]")
-        fields = (m, n, modules[q].motivic_weight + shift, rank, rank, origin,
+        fields = (m, n, modules[q].motivic_weight + shift, rank, rank, ((p, q),),
                   "paper" if n + m <= 2 else "derived", None if r is None else n + r + m)
         entries.append(tuple.__new__(CohomologyEntry, fields))
     return tuple(entries)

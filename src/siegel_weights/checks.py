@@ -206,11 +206,21 @@ def suite_reference_rows(rng, max_k1: int):
         for e in point.entries
     ]
     want_rows = [(4, 0, 0, 0, False), (5, 0, 3, 3, True), (5, 4, 0, 0, False)]
-    boundary = analysis_report(lam, (s,)).boundary  # "paper": the printed degrees, n + m <= 2
-    got_tags = [[e.provenance for e in es] for es in (boundary[SIEGEL][0][1], boundary[KLINGEN])]
+    report = analysis_report(lam, (s,))
+    boundary = report.boundary[SIEGEL][0][1], report.boundary[KLINGEN]
+    got_tags = [[e.provenance for e in es] for es in boundary]  # "paper": the printed degrees, n + m <= 2
     want_tags = [["paper"] * 5 + ["derived"] * 3, ["paper"] * 2 + ["derived"] * 2]
-    parts = (("point stratum rows", got_rows, want_rows), ("boundary provenance", got_tags, want_tags))
-    yield next(({"check": c, "got": g, "want": w} for c, g, w in parts if g != w), None)  # one item for both
+    got_bd = [[(e.n_classical, e.weight, e.rank_lower, e.origin) for e in es] for es in boundary]
+    want_bd = [[(0, 0, 0, ((0, 0),)), (1, 0, 3, ((1, 0),)), (1, 4, 0, ((0, 1),)), (2, 4, 7, ((1, 1),)),
+                (2, 10, 0, ((0, 2),)), (3, 10, 7, ((1, 2),)), (3, 14, 0, ((0, 3),)), (4, 14, 3, ((1, 3),))],
+               [(q, w, rank, ((0, q),)) for q, w, rank in ((0, 1, 2), (1, 4, 5), (2, 8, 5), (3, 11, 2))]]
+    k = min(lam.k1 - lam.k2, lam.k2)
+    got_scalars = [report.k, report.avoided_interval, report.occurring_weights,
+                   report.in_avoidance_category, report.duality_twist]
+    want_scalars = [k, (1 - k, k), (-k, k + 1), k >= 1, lam.r + 3]
+    parts = (("point stratum rows", got_rows, want_rows), ("boundary provenance", got_tags, want_tags),
+             ("boundary rows", got_bd, want_bd), ("report scalars", got_scalars, want_scalars))
+    yield next(({"check": c, "got": g, "want": w} for c, g, w in parts if g != w), None)  # one item for all
     kernel = point.kernel_entry
     got = [kernel.n_perverse, kernel.weight, kernel.rank_lower, kernel.rank_upper]
     yield None if got == [6, 4, 4, 7] else {"check": "kernel entry", "got": got, "want": [6, 4, 4, 7]}

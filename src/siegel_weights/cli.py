@@ -12,8 +12,8 @@ import functools
 import os
 import sys
 from _json import encode_basestring_ascii as _ESCAPE  # json.dumps's str writer, without importing json
-from itertools import chain, compress
-from operator import attrgetter, iadd, is_not
+from itertools import chain
+from operator import attrgetter, iadd
 from types import SimpleNamespace
 
 from . import checks as verification
@@ -29,6 +29,7 @@ MAX_SWEEP_BOUND = 200
 MAX_VERIFY_BOUND = 40
 
 
+@functools.cache  # a command's strata repeat; an error is raised, not cached
 def _parse_stratum(text: str) -> StratumDatum:
     try:
         g, c = map(int, text.split(","))
@@ -67,17 +68,14 @@ def _dump(v, nl: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1] if items else brackets
 
 
-_HOLE, _LATER = _Raw("\0"), _Raw("\1")  # `_template`'s `%s`s; `_ESCAPE` writes them in a str as \u0000, \u0001
+_HOLE = _Raw("\0")  # `_template`'s `%s`; `_ESCAPE` writes it in a str as \u0000
 _STRATUM = dict.fromkeys(StratumDatum._fields, _HOLE)  # {"g": %s, "c": %s}
 _SWEEP_ROW = {"lambda": [_HOLE] * 3, "k": _HOLE, "closed_form": _HOLE, "agree": _HOLE}
 
 
 def _template(model, nl: str = "\n") -> str:
-    """`_dump(model, nl)` as a `%` template: a `%s` per `_HOLE`, and per `_LATER` once a `%` filled those."""
-    text = _dump(model, nl)
-    if _LATER in text:
-        text = text.replace("%", "%%").replace(_LATER, "%s")
-    return text.replace("%", "%%").replace(_HOLE, "%s")
+    """`_dump(model, nl)` as a `%` template, a `%s` per `_HOLE`."""
+    return _dump(model, nl).replace("%", "%%").replace(_HOLE, "%s")
 
 
 def _template_list(nl: str, model, fills) -> str:
@@ -113,46 +111,38 @@ def _entries(entries, flag, null) -> tuple:
     return tuple(zip(m, n, origin, provenance)), [*fills]
 
 
-def _entry_model(key, ranks=_HOLE, *witness) -> dict:
-    """The dict form of an entry of this key: `_HOLE`s for n_perverse and weight, ranks for the rest."""
+def _entry_model(key, *witness) -> dict:
+    """The dict form of an entry of this key, a `_HOLE` for each of the fills of `_entries`."""
     m, n, origin, provenance = key
-    return dict(zip(_ENTRY_KEYS, (m, n, _HOLE, _HOLE, ranks, ranks, ranks, origin, provenance, *witness)))
+    return dict(zip(_ENTRY_KEYS, (m, n, _HOLE, _HOLE, _HOLE, _HOLE, _HOLE, origin, provenance, *witness)))
 
 
-def _row(key, ranks: str = "%") -> str:
+def _row(key) -> str:
     """The table row of an entry of this key but its section cell, with the holes of `_entry_model`."""
     m, n, origin, provenance = key
     if "\n" in provenance:
         raise ValueError(f"a table row is one line, got provenance {provenance!r}")
-    cells = (m, n, "%", "%", ranks, ranks, ranks, ";".join(f"{p}{q}" for p, q in origin), provenance)
-    return " ".join(f"{v}{w}s" if 2 <= i <= 6 else ("%*s" % (w, v)).replace("%", "%%" * len(ranks))
+    cells = (m, n, "%", "%", "%", "%", "%", ";".join(f"{p}{q}" for p, q in origin), provenance)
+    return " ".join(f"{v}{w}s" if 2 <= i <= 6 else ("%*s" % (w, v)).replace("%", "%%")
                     for i, (v, (_, w)) in enumerate(zip(cells, _ROW[1:])))
 
 
 @functools.cache
 def _stratum(keys, table: bool) -> str:
-    """A stratum type's table rows or JSON entries, to fill with n_perverse and weight, then ranks."""
+    """A stratum type's table rows or JSON entries, a `%s` for each of the fills of `_entries`."""
     if table:
-        return "\n".join(_row(key, "%%") for key in keys)
-    return _template([_entry_model(key, _LATER) for key in keys], "\n        ")
+        return "\n".join(map(_row, keys))
+    return _template([*map(_entry_model, keys)], "\n        ")
 
 
 def _per_type(pairs, flag, null, table: bool) -> list:
     """(g, c, text) per (stratum, es) pair, each distinct es (by identity, as 1 == True) written once."""
-    first, distinct = pairs[0][1], [*{id(es): es for _, es in pairs}.values()]
-    keys, fills = _entries(first, flag, null)
-    fields = [*chain.from_iterable(chain.from_iterable(distinct))]  # 8 per entry
-    size, count, types = 8 * len(first), len(distinct), [*map(type, fields)]
-    lo, hi, origins = fields[3::8], fields[4::8], fields[5::8]
-    fields[3::8] = fields[4::8] = [None] * len(lo)  # what the strata share: all but the ranks
-    if fields != fields[:size] * count:
-        raise PreconditionViolation("internal: a stratum's entries do not fit the first one's template")
-    others = compress(origins, map(is_not, origins, origins[:len(first)] * count))  # the first's are checked
-    if types != types[:size] * count or {*map(type, chain.from_iterable(chain.from_iterable(others)))} - {int}:
-        raise TypeError("a stratum's entries must hold fields of the first one's types")
-    write, width = (_stratum(keys, table) % sum((fill[:2] for fill in fills), ())).__mod__, 3 * len(first)
-    ranks = [*chain.from_iterable(zip(lo, hi, map(flag, map(attrgetter("nonzero"), chain.from_iterable(distinct)))))]
-    texts = {id(es): write(tuple(ranks[width * i:width * i + width])) for i, es in enumerate(distinct)}
+    distinct = [*{id(es): es for _, es in pairs}.values()]
+    keys, fills = _entries([*chain.from_iterable(distinct)], flag, null)
+    fills, texts, j = [*chain.from_iterable(fills)], {}, 0
+    for es in distinct:
+        i, j = j, j + len(es)
+        texts[id(es)] = _stratum(keys[i:j], table) % tuple(fills[5 * i:5 * j])  # an entry's five fills
     return [(*s, texts[id(es)]) for s, es in pairs]
 
 
@@ -191,8 +181,8 @@ def _json_template(shape) -> str:
         "kostant": {name: [dict(zip(LeviModule._fields, [_HOLE, _HOLE, [_HOLE] * n, _HOLE, _HOLE, _HOLE]))
                            for n in lengths] for (name, _), lengths in zip(_PARABOLICS, kostant)},
         "boundary": {"siegel": _HOLE, "klingen": {"entries": [_entry_model(key) for key in keys[:n_bd]]}},
-        "intermediate": {name: {"entries": [_entry_model(next(intermediate), _HOLE, _HOLE) for _ in range(n)],
-                                "kernel": _entry_model(next(intermediate), _HOLE, _HOLE) if kernel else None}
+        "intermediate": {name: {"entries": [_entry_model(next(intermediate), _HOLE) for _ in range(n)],
+                                "kernel": _entry_model(next(intermediate), _HOLE) if kernel else None}
                          for (name, _), (n, kernel) in zip(_PARABOLICS, profiles)},
         "strata": _HOLE,
     })

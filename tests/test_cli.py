@@ -366,6 +366,14 @@ def test_multiple_strata_accepted():
     assert payload["k"] == 1
 
 
+def test_each_stratum_text_is_parsed_once_and_a_refused_one_each_time(capsys):
+    first, again, other = map(cli._parse_stratum, ["1,1", "1,1", "1, 1"])
+    assert first is again and other == first and other is not first
+    for _ in range(2):  # an error is raised, not cached
+        assert cli.main(["analyze", "--k1", "3", "--k2", "1", "--r", "4", "--stratum", "0,1"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "InvalidStratum"
+
+
 # --- sweep ----------------------------------------------------------------------
 
 def test_sweep_table_shape_and_agreement():
@@ -792,13 +800,17 @@ def test_template_caches_hold_one_entry_per_shape():
         assert cache.cache_info().currsize == size and cache.cache_info().hits > 0, cache
 
 
-def shifted_report(change, setup="distinct-E"):
-    """The report of a SHIFT_SETUPS entry whose last stratum's first entry is change(entry)."""
+def reshaped_report(change, setup):
+    """The report of a SHIFT_SETUPS entry whose last stratum's entries are change(entries)."""
     lam, strata = SHIFT_SETUPS[setup]
     report = intersection.analysis_report(root_data.make_weight(*lam), [StratumDatum(*s) for s in strata])
     *pairs, (s, es) = report.boundary[0]
-    boundary = {0: (*pairs, (s, (change(es[0]), *es[1:]))), 1: report.boundary[1]}
-    return report._replace(boundary=boundary)
+    return report._replace(boundary={0: (*pairs, (s, change(es))), 1: report.boundary[1]})
+
+
+def shifted_report(change, setup="distinct-E"):
+    """The report of a SHIFT_SETUPS entry whose last stratum's first entry is change(entry)."""
+    return reshaped_report(lambda es: (change(es[0]), *es[1:]), setup)
 
 
 # A writer writes each entries tuple once, however many strata share it.  The changed
@@ -815,7 +827,6 @@ SHIFT_SETUPS = {  # name: ((k1, k2, r), strata)
 TEMPLATE_MUTANTS = {  # name: (change, error)
     "float-rank": (lambda e: e._replace(rank_lower=1.0, rank_upper=1.0), TypeError),
     "bool-rank": (lambda e: e._replace(rank_lower=True, rank_upper=True), TypeError),
-    "weight-shifted": (lambda e: e._replace(weight=e.weight + 1), PreconditionViolation),
     # equal to the entry they change, as 0 == False and 3 == 3.0: only the field's type differs
     "bool-m": (lambda e: e._replace(m=bool(e.m)), TypeError),
     "bool-origin": (lambda e: e._replace(origin=tuple((bool(p), q) for p, q in e.origin)), TypeError),
@@ -839,6 +850,23 @@ def test_templates_refuse_a_stratum_that_does_not_fit(name):
             cli.report_json(report)
         with pytest.raises(error):
             cli._report_table(report)
+
+
+# Changes of the last stratum's entries that leave them well typed: they no longer fit the
+# first stratum's template, and are written from a stratum type template of their own.
+RESHAPES = {
+    "weight-shifted": lambda es: (es[0]._replace(weight=es[0].weight + 1), *es[1:]),
+    "provenance-shifted": lambda es: (
+        es[0]._replace(provenance="derived" if es[0].provenance == "paper" else "paper"), *es[1:]),
+    "one-entry-fewer": lambda es: es[:-1],
+}
+
+
+@pytest.mark.parametrize("setup", list(SHIFT_SETUPS))
+@pytest.mark.parametrize("name", list(RESHAPES))
+def test_a_stratum_of_another_type_is_written_as_it_is(name, setup):
+    report = reshaped_report(RESHAPES[name], setup)
+    assert write_both(report) == (json.dumps(report_dict(report), indent=2), table_text(report))
 
 
 def test_templates_refuse_a_stratum_that_does_not_fit_under_python_O():
@@ -1068,8 +1096,8 @@ def _first_point_entry_reweighted(real):
 
 
 def test_verify_names_the_point_rows_when_they_differ(monkeypatch, capsys):
-    # the first reference_rows item covers the point rows and the boundary provenance,
-    # and names the part that differs
+    # the first reference_rows item covers the point rows, the boundary provenance and rows,
+    # and the report scalars, and names the part that differs
     monkeypatch.setattr(checks, "intermediate_profile", _first_point_entry_reweighted(checks.intermediate_profile))
     code = cli.main(["verify", "--max-k1", "3", "--seed", "7"])
     *passed, last = capsys.readouterr().out.splitlines()
@@ -1080,6 +1108,58 @@ def test_verify_names_the_point_rows_when_they_differ(monkeypatch, capsys):
     assert counterexample["check"] == "point stratum rows"
     assert counterexample["got"][0] == [4, 1, 0, 0, False]
     assert counterexample["want"][0] == [4, 0, 0, 0, False]
+
+
+def _classical_weights_shifted(real):
+    """The entry builder, each classical entry's weight one too high: a wrong weight shift."""
+    def entries(m, modules, ranks, r=None):
+        return tuple(e._replace(weight=e.weight + 1) if r is None else e for e in real(m, modules, ranks, r))
+
+    return entries
+
+
+def _twist_lowered(real):
+    """analysis_report as seen by the suites, its duality twist r + 2 instead of r + 3."""
+    def lowered(lam, strata):
+        report = real(lam, strata)
+        return report._replace(duality_twist=report.duality_twist - 1)
+
+    return lowered
+
+
+def _siegel_kernel_rank_raised(real):
+    """intermediate_profile as seen by the suites, each Siegel kernel's upper rank one too high."""
+    def raised(lam, m, strata):
+        profile = real(lam, m, strata)
+        kernel = profile.kernel_entry
+        if m != root_data.SIEGEL or kernel is None:
+            return profile
+        return profile._replace(kernel_entry=kernel._replace(rank_upper=kernel.rank_upper + 1))
+
+    return raised
+
+
+# Faults that only one reference_rows check shows, by the check named: the analysis_report
+# parts of its first item, and its kernel entry (the reference_rows mutant of SUITE_MUTANTS
+# fails the boundary rows first, as the kernel's source rank is a boundary row's rank too).
+# Each entry: (module, attribute, function of the real attribute -> mutant).
+REFERENCE_MUTANTS = {
+    "boundary rows": (intersection, "_entries", _classical_weights_shifted),
+    "report scalars": (checks, "analysis_report", _twist_lowered),
+    "kernel entry": (checks, "intermediate_profile", _siegel_kernel_rank_raised),
+}
+
+
+@pytest.mark.parametrize("part", list(REFERENCE_MUTANTS))
+def test_verify_names_the_reference_check_that_differs(part, monkeypatch, capsys):
+    module, name, mutant = REFERENCE_MUTANTS[part]
+    monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    code = cli.main(["verify", "--max-k1", "3", "--seed", "7"])
+    *passed, last = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert all(line.startswith("ok   ") for line in passed)
+    assert last.startswith("FAIL reference_rows: ")
+    assert json.loads(last.split(": ", 1)[1])["check"] == part
 
 
 # One mutant per verify suite, each wrong only in what its own suite checks, so
@@ -1166,7 +1246,13 @@ MUTANT_FAIL_PAYLOADS = {
     "euler_characteristic": '{"check": "euler characteristic", "lambda": [0, 0, 0], "m": 0}',
     "weight_formulas": '{"check": "weight closed form", "lambda": [13, 12, 35], "got": 11, "want": 10}',
     "stratum_profiles": '{"check": "top perverse weight", "lambda": [2, 1, 3], "m": 0, "got": [5], "want": 4}',
-    "reference_rows": '{"check": "kernel entry", "got": [6, 4, 3, 6], "want": [6, 4, 4, 7]}',
+    "reference_rows": (  # the kernel's source rank is also the classical Siegel (1, 1) row's rank
+        '{"check": "boundary rows", "got": [[[0, 0, 0, [[0, 0]]], [1, 0, 3, [[1, 0]]], [1, 4, 0, [[0, 1]]], '
+        '[2, 4, 6, [[1, 1]]], [2, 10, 0, [[0, 2]]], [3, 10, 7, [[1, 2]]], [3, 14, 0, [[0, 3]]], [4, 14, 3, [[1, 3]]]], '
+        '[[0, 1, 2, [[0, 0]]], [1, 4, 5, [[0, 1]]], [2, 8, 5, [[0, 2]]], [3, 11, 2, [[0, 3]]]]], '
+        '"want": [[[0, 0, 0, [[0, 0]]], [1, 0, 3, [[1, 0]]], [1, 4, 0, [[0, 1]]], [2, 4, 7, [[1, 1]]], '
+        '[2, 10, 0, [[0, 2]]], [3, 10, 7, [[1, 2]]], [3, 14, 0, [[0, 3]]], [4, 14, 3, [[1, 3]]]], '
+        '[[0, 1, 2, [[0, 0]]], [1, 4, 5, [[0, 1]]], [2, 8, 5, [[0, 2]]], [3, 11, 2, [[0, 3]]]]]}'),
     "rank_inequality": '{"check": "rank inequality", "lambda": [1, 0, 1], "stratum": {"g": 0, "c": 3}}',
     "avoided_interval": '{"check": "avoided interval closed form / level independence", "lambda": [1, 1, 2], "got": [1, 1], "want": 0}',
     "dimension_oracle": '{"check": "character oracle agreement", "lambda": [0, 0, 0], "division_mass": 1, "freudenthal_mass": 2, "weyl_dimension": 1}',
