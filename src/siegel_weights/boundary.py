@@ -125,7 +125,7 @@ def _piece_ranks(modules: tuple[LeviModule, ...], n: int, euler: int) -> tuple[i
 
 def _entries(m: int, modules: tuple[LeviModule, ...], ranks, r=None) -> tuple[CohomologyEntry, ...]:
     """Entries of parabolic m, one per given rank, for the pieces of _PIECES[m]
-    in order, which is weight order as w_q rises in q; nothing is checked.
+    in order, which is weight order as w_q rises in q; only the ranks are checked.
     Rank-0 pieces are kept (nonzero is False): vanishing is asserted, not
     omitted.  Given r, the perverse normalization on a stratum of dimension m
     raises the degree to n_perverse = n + r + m and the weight by m (BBD 1982)."""

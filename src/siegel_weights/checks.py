@@ -221,9 +221,8 @@ def suite_reference_rows(rng, max_k1: int):
     parts = (("point stratum rows", got_rows, want_rows), ("boundary provenance", got_tags, want_tags),
              ("boundary rows", got_bd, want_bd), ("report scalars", got_scalars, want_scalars))
     yield next(({"check": c, "got": g, "want": w} for c, g, w in parts if g != w), None)  # one item for all
-    kernel = point.kernel_entry
-    got = [kernel.n_perverse, kernel.weight, kernel.rank_lower, kernel.rank_upper]
-    yield None if got == [6, 4, 4, 7] else {"check": "kernel entry", "got": got, "want": [6, 4, 4, 7]}
+    got, want = list(point.kernel_entry), [0, 2, 4, 4, 7, ((1, 1),), "paper", 6]  # every field, in order
+    yield None if got == want else {"check": "kernel entry", "got": got, "want": want}
 
     curve = intermediate_profile(lam, KLINGEN, (s,))
     got_rows = [(e.n_perverse, e.weight, e.rank_lower, e.provenance) for e in curve.entries]

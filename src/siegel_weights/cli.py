@@ -303,15 +303,18 @@ _VALUE = lambda v: v[:1] != "-" or v[1:].isdigit() and v.isascii()  # argparse r
 
 
 def _read_args(argv: list[str]) -> SimpleNamespace | None:
-    """What argparse reads from argv if argv is `command (--flag value)...` with exact flag
-    names, each value a `_VALUE` its type and choices take, and every required flag; else None."""
-    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+    """What argparse reads from argv if argv is `command (--flag value | --flag=value)...` with exact flag
+    names, values their types and choices take (a `_VALUE` unless after `=`), every required flag; else None."""
+    if not argv or argv[0] not in _COMMANDS:
         return None
     fn, _, flags = _COMMANDS[argv[0]]
     args = {flag: kw.get("default") for flag, kw in flags.items()}
-    for flag, value in zip(argv[1::2], argv[2::2]):
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")  # as argparse, split at the first `=`
+        value = value if eq else next(tokens, "--")  # else the next token; argparse drops an `=` value `--`
         kw = flags.get(flag)
-        if kw is None or not _VALUE(value) or value not in kw.get("choices", (value,)):
+        if kw is None or value == "--" or not (eq or _VALUE(value)) or value not in kw.get("choices", (value,)):
             return None
         try:
             value = kw.get("type", str)(value)

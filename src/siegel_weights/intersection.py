@@ -11,11 +11,11 @@ n_perverse = n + r + m and the weight of a pure lisse piece rises by m.
 * point strata (m = 0): degrees n_perverse <= r + 1 survive, and at
   n_perverse = r + 2 the full degree is replaced by the kernel of a boundary
   map out of the (1, 1) piece, of weight (r + 2) - (k1 - k2).  Over n strata
-  with E = sum(2g - 2 + c) and C = sum(c), its source rank is that piece's,
-  (k1 + k2 + 3)E, and its target rank C; the kernel rank lies in
-  [source - target, source].  source - target = (k1 + k2 + 3)E - C >= n once
-  k1 >= 1 (the rank inequality), and at the vertex 3E - C = sum(6g - 6 + 2c)
-  >= 0, which is 0 exactly when every stratum is (0, 3).
+  with E = sum(2g - 2 + c) and C = sum(c), the map has source rank that
+  piece's, (k1 + k2 + 3)E, and target rank C.  The kernel entry is the (1, 1)
+  entry of boundary._entries with its lower rank lowered by C, to
+  (k1 + k2 + 3)E - C >= n once k1 >= 1 (the rank inequality); at the vertex
+  3E - C = sum(6g - 6 + 2c) >= 0 is 0 exactly when every stratum is (0, 3).
 
 The avoided interval: over all nonzero entries of both intermediate profiles,
 
@@ -96,19 +96,16 @@ def kernel_map_ranks(lam: WeightTriple, strata) -> tuple[int, int]:
 
 
 def _intermediate(lam: WeightTriple, m: int, modules, n, euler, target) -> IntermediateProfile:
-    """Intermediate profile of parabolic m from its Kostant modules q <= 1 and,
-    for m = 0, the strata's sums (n, E, C) as (n, euler, target); nothing is
-    checked.  Both truncations keep exactly the classical degrees 0 and 1,
-    ranks summed over the disjoint strata; boundary's entry builder, given r,
-    normalizes each survivor as it builds it."""
+    """Intermediate profile of parabolic m from its Kostant modules q <= 1 and, for
+    m = 0, the strata's sums (n, E, C) as (n, euler, target); nothing is checked.
+    Both truncations keep the classical degrees 0 and 1, ranks summed over the
+    strata, each entry built and perverse-normalized by boundary._entries; the
+    kernel entry is its (1, 1) entry with the lower rank lowered by C."""
     if m == KLINGEN:
         return IntermediateProfile(m, _entries(m, modules, (modules[0].levi_dim, modules[1].levi_dim), lam.r), None)
-    ranks = _piece_ranks(modules[:2], n, euler)
-    entries = _entries(m, modules, ranks[:KERNEL_PIECE], lam.r)  # first: it checks each rank
-    source = ranks[KERNEL_PIECE]  # the (1, 1) piece's map, onto the target
-    kernel = CohomologyEntry(SIEGEL, 2, modules[1].motivic_weight, source - target, source,
-                             ((1, 1),), "paper", lam.r + 2)
-    return IntermediateProfile(m, entries, kernel)
+    entries = _entries(m, modules, _piece_ranks(modules[:2], n, euler), lam.r)  # checks each rank
+    e = entries[KERNEL_PIECE]  # the (1, 1) entry; its kernel keeps every field but rank_lower, e[3]
+    return IntermediateProfile(m, entries[:KERNEL_PIECE], CohomologyEntry(*e[:3], e.rank_upper - target, *e[4:]))
 
 
 def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfile:

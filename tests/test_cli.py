@@ -1127,32 +1127,37 @@ def _twist_lowered(real):
     return lowered
 
 
-def _siegel_kernel_rank_raised(real):
-    """intermediate_profile as seen by the suites, each Siegel kernel's upper rank one too high."""
-    def raised(lam, m, strata):
-        profile = real(lam, m, strata)
-        kernel = profile.kernel_entry
-        if m != root_data.SIEGEL or kernel is None:
-            return profile
-        return profile._replace(kernel_entry=kernel._replace(rank_upper=kernel.rank_upper + 1))
+def _siegel_kernel_replaced(change):
+    """A mutant of intermediate_profile as seen by the suites: each Siegel kernel entry e made change(e)."""
+    def mutant(real):
+        def replaced(lam, m, strata):
+            profile = real(lam, m, strata)
+            if m != root_data.SIEGEL or profile.kernel_entry is None:
+                return profile
+            return profile._replace(kernel_entry=change(profile.kernel_entry))
 
-    return raised
+        return replaced
+
+    return mutant
 
 
-# Faults that only one reference_rows check shows, by the check named: the analysis_report
-# parts of its first item, and its kernel entry (the reference_rows mutant of SUITE_MUTANTS
-# fails the boundary rows first, as the kernel's source rank is a boundary row's rank too).
-# Each entry: (module, attribute, function of the real attribute -> mutant).
+# Faults that only one reference_rows check shows: the analysis_report parts of its
+# first item, and its kernel entry (the reference_rows mutant of SUITE_MUTANTS fails
+# the boundary rows first, as the kernel's source rank is a boundary row's rank too).
+# Each entry: (check named, module, attribute, function of the real attribute -> mutant).
 REFERENCE_MUTANTS = {
-    "boundary rows": (intersection, "_entries", _classical_weights_shifted),
-    "report scalars": (checks, "analysis_report", _twist_lowered),
-    "kernel entry": (checks, "intermediate_profile", _siegel_kernel_rank_raised),
+    "boundary rows": ("boundary rows", intersection, "_entries", _classical_weights_shifted),
+    "report scalars": ("report scalars", checks, "analysis_report", _twist_lowered),
+    "kernel entry": ("kernel entry", checks, "intermediate_profile",  # the upper rank one too high
+                     _siegel_kernel_replaced(lambda e: e._replace(rank_upper=e.rank_upper + 1))),
+    "kernel origin": ("kernel entry", checks, "intermediate_profile",  # the other piece of degree 2
+                      _siegel_kernel_replaced(lambda e: e._replace(origin=((0, 2),)))),
 }
 
 
-@pytest.mark.parametrize("part", list(REFERENCE_MUTANTS))
-def test_verify_names_the_reference_check_that_differs(part, monkeypatch, capsys):
-    module, name, mutant = REFERENCE_MUTANTS[part]
+@pytest.mark.parametrize("control", list(REFERENCE_MUTANTS))
+def test_verify_names_the_reference_check_that_differs(control, monkeypatch, capsys):
+    part, module, name, mutant = REFERENCE_MUTANTS[control]
     monkeypatch.setattr(module, name, mutant(getattr(module, name)))
     code = cli.main(["verify", "--max-k1", "3", "--seed", "7"])
     *passed, last = capsys.readouterr().out.splitlines()
@@ -1496,6 +1501,9 @@ def argparse_reads(argv):
 @example(argv=[*ANALYZE_3_1_4, "--stratum", "-\u00b2"])  # a digit, but not an ASCII one
 @example(argv=["verify", "--seed", "-4\n"])
 @example(argv=["sweep", "--max-k1", "2", "--format", "--"])
+@example(argv=[*ANALYZE_3_1_4, "--stratum=-1,3"])
+@example(argv=[*ANALYZE_3_1_4, "--format=table"])
+@example(argv=[*ANALYZE_3_1_4, "--stratum=--"])  # argparse drops an `=` value of `--`
 def test_reader_reads_what_argparse_reads(argv):
     # the reader may decline any line; a line it reads, argparse reads the same way
     read = cli._read_args(argv)
@@ -1511,8 +1519,12 @@ def test_reader_reads_what_argparse_reads(argv):
         ["sweep", "--max-k1", "20", "--format", "json", "--stratum", "0,3"],
         ["verify", "--max-k1", "8", "--seed", "-1"],
         ["verify"],
+        ["analyze", "--k1=3", "--k2", "1", "--r=-4", "--stratum=-1,3", "--format=table"],
+        ["sweep", "--max-k1=20", "--format=json", "--stratum=", "--stratum=0,3=4"],
+        ["verify", "--seed=-1"],
     ],
-    ids=["analyze-40-strata", "negative-r-table", "sweep", "verify", "verify-defaults"],
+    ids=["analyze-40-strata", "negative-r-table", "sweep", "verify", "verify-defaults",
+         "equals-signs-analyze", "equals-signs-sweep", "equals-sign-verify"],
 )
 def test_reader_reads_the_canonical_lines(argv):
     read = cli._read_args(argv)
@@ -1522,17 +1534,18 @@ def test_reader_reads_the_canonical_lines(argv):
 
 def test_reading_many_strata_flags_takes_linear_time():
     # a fresh list per --stratum flag made reading quadratic: about 4 s for these
-    # 50 000 flags, against some 0.05 s when each value is appended in place
-    argv = [*ANALYZE_3_1_4, *["--stratum", "0,3"] * 50_000]
-    start = time.perf_counter()
-    read = cli._read_args(argv)
-    assert time.perf_counter() - start < 1.0
-    assert read.stratum == ["0,3"] * 50_000
+    # 50 000 flags, against some 0.05 s when each value is appended in place; and the
+    # `=` spelling must not reach argparse, whose option loop is quadratic in them on Python 3.11
+    for flags in (["--stratum", "0,3"] * 50_000, ["--stratum=0,3"] * 50_000):
+        start = time.perf_counter()
+        read = cli._read_args([*ANALYZE_3_1_4, *flags])
+        assert time.perf_counter() - start < 1.0
+        assert read.stratum == ["0,3"] * 50_000
 
 
 def test_the_fallback_appends_strata_in_place():
     # argparse's own append action copies the list on each flag, quadratic in the number of
-    # --stratum flags that the reader leaves to argparse, such as --stratum=0,3
+    # --stratum flags that the reader leaves to argparse, such as the abbreviated --str 0,3
     import argparse
 
     parser = cli._build_parser()
@@ -1554,8 +1567,8 @@ def test_negative_control_a_reader_that_takes_any_dash_value_fails(monkeypatch):
 
 @pytest.mark.parametrize(
     "fallback",
-    [["--help"], ["verify", "--bogus"], ["analyze", "--k1=3", "--k2", "1", "--r", "4"]],
-    ids=["help", "bad-flag", "equals-sign"],
+    [["--help"], ["verify", "--bogus"], [*ANALYZE_3_1_4, "--str", "0,3"]],
+    ids=["help", "bad-flag", "abbreviated-flag"],
 )
 def test_argparse_is_imported_only_for_the_fallback(fallback):
     # a canonical line never loads argparse (nor the gettext and locale it imports)
@@ -1583,6 +1596,7 @@ CANONICAL = [
     [*ANALYZE_3_1_4, "--format", "table"],
     ["sweep", "--max-k1", "3"],
     ["sweep", "--max-k1", "3", "--format", "json"],
+    ["analyze", "--k1=3", "--k2", "1", "--r=-4", "--stratum=1,1", "--format=table"],
     ["analyze", "--k1", "3", "--k2", "1", "--r", "5"],
     ["sweep", "--max-k1", "201"],
     ["verify", "--max-k1", "41"],
@@ -1609,7 +1623,7 @@ def modules_left_loaded(package_root, argvs):
 @pytest.mark.parametrize(
     "argvs, loaded",
     [
-        (CANONICAL, "[0, 0, 0, 0, 2, 2, 2] []"),
+        (CANONICAL, "[0, 0, 0, 0, 0, 2, 2, 2] []"),
         ([["verify", "--max-k1", "0"]], "[0] ['random']"),  # json only writes a counterexample
         ([["verify", "--bogus"]], "[2] ['argparse', 'enum', 're']"),
     ],
@@ -1624,7 +1638,7 @@ def test_negative_control_a_cli_that_imports_re_fails(tmp_path):
     shutil.copytree(Path(cli.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
     source = (package / "cli.py").read_text()
     (package / "cli.py").write_text(source.replace("import functools\n", "import functools\nimport re\n", 1))
-    assert modules_left_loaded(tmp_path, CANONICAL) == "[0, 0, 0, 0, 2, 2, 2] ['enum', 're']\n"
+    assert modules_left_loaded(tmp_path, CANONICAL) == "[0, 0, 0, 0, 0, 2, 2, 2] ['enum', 're']\n"
 
 
 ERROR_TYPES = [errors.SiegelWeightsError, *errors.SiegelWeightsError.__subclasses__()]
