@@ -20,7 +20,7 @@ from . import checks as verification
 from .boundary import StratumDatum
 from .checks import dominant_grid
 from .errors import SiegelWeightsError, PreconditionViolation
-from .intersection import AnalysisReport, analysis_report, avoided_interval
+from .intersection import AnalysisReport, _avoided, _require_strata, analysis_report
 from .kostant import LeviModule
 from .root_data import KLINGEN, SIEGEL, k_invariant, make_weight
 
@@ -79,10 +79,9 @@ def _template(model, nl: str = "\n") -> str:
 
 
 def _template_list(nl: str, model, fills) -> str:
-    """`_dump` at indent nl of a list of `_template(model) % fill`, a fill's last value its own chunk."""
-    head, tail = ("," + nl + "  " + _template(model, nl + "  ")).rsplit("%s", 1)
-    chunks = [c for fill in fills for c in (head % fill[:-1], str(fill[-1]), tail)]
-    return "".join(["[", chunks[0][1:], *chunks[1:], nl, "]"]) if fills else "[]"  # one copy of the chunks
+    """`_dump` at indent nl of a list of `_template(model) % fill`, by one `%`: a stratum's text is copied once."""
+    item = nl + "  " + _template(model, nl + "  ")
+    return ("[" + ",".join([item] * len(fills)) + nl + "]") % tuple(chain.from_iterable(fills)) if fills else "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +242,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_sweep(args) -> int:
     if not 0 <= args.max_k1 <= MAX_SWEEP_BOUND:
         raise PreconditionViolation(f"sweep bound must satisfy 0 <= bound <= {MAX_SWEEP_BOUND}")
-    strata = _strata_from_args(args)
-    rows = [(*lam, avoided_interval(lam, strata)[0], k_invariant(lam)) for lam in dominant_grid(args.max_k1)]
+    strata, sums = _require_strata(_strata_from_args(args))  # checked and summed once, not per weight
+    rows = [(*lam, _avoided(lam, *sums)[0], k_invariant(lam)) for lam in dominant_grid(args.max_k1)]
     if args.format == "json":
         print(_dump({
             "bound": args.max_k1,
@@ -358,7 +357,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
-            args = _read_args(argv) or _build_parser().parse_args(argv)
+            args = _read_args(argv)
+            if args is None:  # argparse drops an `=` value `--` and stores [] in its place
+                args = _build_parser().parse_args(argv)
+                if any(type(v) is list and (v == [] or [] in v) for v in vars(args).values()):
+                    raise PreconditionViolation("a flag's value after '=' must not be '--'")
             code = args.fn(args)
         except SiegelWeightsError as err:
             print('{"error": %s, "message": %s}' % (_ESCAPE(type(err).__name__), _ESCAPE(str(err))))

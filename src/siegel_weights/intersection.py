@@ -142,9 +142,13 @@ def avoided_interval(lam: WeightTriple, strata) -> tuple[int, tuple[CohomologyEn
     agree in every field but the ranks, ranks and the kernel's lower bounds
     are non-negative and summed, so an aggregated entry is nonzero exactly
     when the entry of some stratum is."""
-    require_dominant(lam)
-    _, sums = _require_strata(strata)
-    return _minimal_gap(_intermediate(lam, m, _modules(lam, m, 2), *sums) for m in (SIEGEL, KLINGEN))
+    return _avoided(require_dominant(lam), *_require_strata(strata)[1])
+
+
+def _avoided(lam: WeightTriple, n: int, euler: int, target: int) -> tuple[int, tuple[CohomologyEntry, ...]]:
+    """avoided_interval of lam over strata of sums (n, E, C) = (n, euler, target); nothing is checked."""
+    return _minimal_gap(_intermediate(lam, m, _modules(lam, m, 2), n, euler, target)
+                        for m in (SIEGEL, KLINGEN))
 
 
 _REPORT_FIELDS = ("lam strata k avoided_interval occurring_weights regular in_avoidance_category"

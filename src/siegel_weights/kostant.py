@@ -8,7 +8,8 @@ parabolic P_m with unipotent radical W_m, Kostant's theorem gives
 where w_q runs over the four minimal coset representatives (length q = 0..3)
 and . is the dot action.  nilpotent_cohomology tabulates the four modules
 with their Levi dimension, SL(2)-restriction weight and motivic weight; the
-dot action is affine in lam, so _affine_maps tabulates it once from weyl.dot.
+dot action is affine in lam, so _affine_maps(rho), one table per rho, holds its
+maps for each parabolic's representatives (key m) and all eight elements.
 
 Two independent character oracles guard the tables:
 
@@ -54,12 +55,13 @@ from . import root_data, weyl
 from .errors import InputBoundExceeded, PreconditionViolation
 from .laurent import LaurentPolynomial
 from .root_data import (
+    KLINGEN,
+    SIEGEL,
     WeightTriple,
     _motivic_weight,
     _restriction_weight,
     check_parabolic,
     require_dominant,
-    shown,
 )
 
 ORACLE_MAX_K1 = 100
@@ -79,24 +81,20 @@ def nilpotent_cohomology(lam: WeightTriple, m: int) -> tuple[LeviModule, ...]:
 
 
 @cache
-def _affine_maps(elements: tuple, rho: WeightTriple) -> tuple[tuple[int, ...], ...]:
-    """(i, j, a, b, c1, c2, sign(w)) per w in elements, so that w . lam =
-    (a lam[i] + c1, b lam[j] + c2, lam.r); rho is only the cache key, as
-    weyl.dot reads root_data.RHO itself."""
+def _affine_maps(rho: WeightTriple) -> dict:
+    """(i, j, a, b, c1, c2, sign(w)) per w, so that w . lam = (a lam[i] + c1, b lam[j] + c2, lam.r):
+    of parabolic m's four minimal representatives under key m, of all eight elements under "all".
+    rho is only the cache key, as weyl.dot reads root_data.RHO itself."""
     zero = WeightTriple(0, 0, 0)
-    return tuple((*w.source, *w.signs, *weyl.dot(w, zero)[:2], weyl.sign(w)) for w in elements)
-
-
-@cache
-def _dot_table(m: int, rho: WeightTriple) -> tuple[tuple[int, ...], ...]:
-    """_affine_maps of parabolic m's minimal representatives, looked up by (m, rho)."""
-    return _affine_maps(weyl._minimal_representatives(m), rho)
+    groups = {m: weyl._minimal_representatives(m) for m in (SIEGEL, KLINGEN)} | {"all": weyl.all_elements()}
+    return {key: tuple((*w.source, *w.signs, *weyl.dot(w, zero)[:2], weyl.sign(w)) for w in elements)
+            for key, elements in groups.items()}
 
 
 def _modules(lam: WeightTriple, m: int, count: int) -> tuple[LeviModule, ...]:
     """The Kostant modules q < count of parabolic m; lam and m are not checked."""
     modules = []
-    for q, (i, j, a, b, c1, c2, _) in enumerate(_dot_table(m, root_data.RHO)[:count]):
+    for q, (i, j, a, b, c1, c2, _) in enumerate(_affine_maps(root_data.RHO)[m][:count]):
         hw = WeightTriple(a * lam[i] + c1, b * lam[j] + c2, lam.r)
         u = _restriction_weight(hw, m)
         modules.append(LeviModule(m, q, hw, u + 1, u, _motivic_weight(hw, m)))
@@ -105,18 +103,14 @@ def _modules(lam: WeightTriple, m: int, count: int) -> tuple[LeviModule, ...]:
 
 def _require_oracle_weight(lam: WeightTriple) -> None:
     require_dominant(lam)
-    if not all(type(v) is int for v in lam):
-        raise PreconditionViolation(f"weight coordinates must be ints, got {shown(lam)}")
     if lam.k1 > ORACLE_MAX_K1:
-        raise InputBoundExceeded(
-            f"character oracles need k1 <= {ORACLE_MAX_K1}, got k1 = {lam.k1}"
-        )
+        raise InputBoundExceeded(f"character oracles need k1 <= {ORACLE_MAX_K1}, got k1 = {lam.k1}")
 
 
 def _weyl_numerator(lam: WeightTriple) -> LaurentPolynomial:
     """N(lam) = sum_w sign(w) x^{w . lam}, Weyl's numerator; of equal images the last wins."""
     r = lam.r
-    maps = _affine_maps(weyl.all_elements(), root_data.RHO)
+    maps = _affine_maps(root_data.RHO)["all"]
     return LaurentPolynomial._trusted(
         {(a * lam[i] + c1, b * lam[j] + c2, r): sign for i, j, a, b, c1, c2, sign in maps}
     )
@@ -206,7 +200,7 @@ def freudenthal_character(lam: WeightTriple) -> LaurentPolynomial:
     """Full character from the dominant-multiplicity table by orbit expansion."""
     terms: dict[tuple[int, int, int], int] = {}
     for n, m in freudenthal_multiplicities(lam).items():
-        for x, y in {(a * n[i], b * n[j]) for (i, j), (a, b) in weyl.all_elements()}:
+        for x, y in {(a * n[i], b * n[j]) for i, j, a, b, *_ in _affine_maps(root_data.RHO)["all"]}:
             terms[(x, y, lam.r)] = terms.get((x, y, lam.r), 0) + m
     return LaurentPolynomial._trusted(terms)
 

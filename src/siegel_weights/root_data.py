@@ -80,11 +80,10 @@ def make_weight(k1: int, k2: int, r: int) -> WeightTriple:
     arbitrary-precision, so the bound is a documented contract, not a safety
     limit.
     """
-    for v in (k1, k2, r):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise PreconditionViolation(f"coordinates must be integers, got {v!r}")
-        if abs(v) > COORDINATE_BOUND:
-            raise InputBoundExceeded(f"coordinate beyond {COORDINATE_BOUND} in absolute value")
+    if not type(k1) is type(k2) is type(r) is int:  # the rule of require_dominant
+        raise PreconditionViolation(f"coordinates must be integers, got {shown((k1, k2, r))}")
+    if max(abs(k1), abs(k2), abs(r)) > COORDINATE_BOUND:
+        raise InputBoundExceeded(f"coordinate beyond {COORDINATE_BOUND} in absolute value")
     if (r - k1 - k2) % 2 != 0:
         raise ParityViolation(f"r - k1 - k2 = {r - k1 - k2} is odd for ({k1}, {k2}, {r})")
     return WeightTriple(k1, k2, r)
@@ -130,6 +129,8 @@ def is_regular(lam: WeightTriple) -> bool:
 def require_dominant(lam: WeightTriple) -> WeightTriple:
     if not isinstance(lam, WeightTriple):
         raise PreconditionViolation(f"weight must be a WeightTriple, got {type(lam).__name__}")
+    if not type(lam.k1) is type(lam.k2) is type(lam.r) is int:  # bools and other subclasses too
+        raise PreconditionViolation(f"weight coordinates must be ints, got {shown(lam)}")
     if not is_dominant(lam):
         raise NotDominant(f"weight {shown(lam)} is not dominant")
     return lam

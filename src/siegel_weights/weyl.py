@@ -17,7 +17,6 @@ though rho itself is outside it.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from . import root_data
 from .errors import BadParabolicIndex
@@ -89,7 +88,6 @@ def dot(w: WeylElement, lam: WeightTriple) -> WeightTriple:
     return WeightTriple(a * shifted[i] - rho.k1, b * shifted[j] - rho.k2, lam.r)
 
 
-@lru_cache(maxsize=1)
 def all_elements() -> tuple[WeylElement, ...]:
     """All eight elements, sorted by (length, images of the basis, lex)."""
     elems = [
@@ -106,7 +104,6 @@ def all_elements() -> tuple[WeylElement, ...]:
     return tuple(sorted(elems, key=key))
 
 
-@lru_cache(maxsize=2)
 def _minimal_representatives(m: int) -> tuple[WeylElement, ...]:
     """The minimal-length representatives of the cosets of the Levi Weyl group of a
     checked m, lengths 0..3: the w whose inverse keeps the Levi's positive root positive."""

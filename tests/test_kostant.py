@@ -147,17 +147,18 @@ def test_dot_table_follows_a_patched_rho(monkeypatch):
         assert patched != real[m]
 
 
-def test_dot_table_is_built_once_per_parabolic_and_rho(monkeypatch):
+def test_affine_maps_are_built_once_per_rho(monkeypatch):
     calls = []
     real_dot = weyl.dot
     monkeypatch.setattr(weyl, "dot", lambda w, lam: calls.append(w) or real_dot(w, lam))
-    kostant._dot_table.cache_clear()
     kostant._affine_maps.cache_clear()
     for lam in dominant_grid(6):
         for m in (0, 1):
             kostant._modules(lam, m, 4)
-    assert kostant._dot_table.cache_info().misses == 2
-    assert len(calls) == 8  # four representatives per parabolic, at table build only
+        kostant._weyl_numerator(lam)
+    assert kostant._affine_maps.cache_info().misses == 1
+    # four representatives per parabolic and all eight elements, at table build only
+    assert calls == [*weyl._minimal_representatives(0), *weyl._minimal_representatives(1), *all_elements()]
 
 
 def reference_numerator(lam):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import siegel_weights
 from siegel_weights import (
     DivisionFailure,
     InputBoundExceeded,
@@ -14,7 +15,7 @@ from siegel_weights import (
     make_weight,
 )
 from siegel_weights.checks import dominant_grid
-from siegel_weights.boundary import CohomologyEntry, group_cohomology_dims
+from siegel_weights.boundary import CohomologyEntry, StratumDatum, group_cohomology_dims
 from siegel_weights.errors import BadParabolicIndex
 from siegel_weights.kostant import nilpotent_cohomology
 from siegel_weights.root_data import (
@@ -56,6 +57,48 @@ def test_make_weight_rejects_non_integers():
     for bad in (1.0, True, "1", None):
         with pytest.raises(PreconditionViolation, match="coordinates must be integers"):
             make_weight(bad, 0, 1)
+
+
+class Int(int):
+    """An int subclass: equal to its int, but not an int coordinate."""
+
+
+# Every public function that takes a weight, called on lam with valid other arguments.
+WEIGHT_ENTRY_POINTS = {
+    "k_invariant": siegel_weights.k_invariant,
+    "analysis_report": lambda lam: siegel_weights.analysis_report(lam, [StratumDatum(0, 3)]),
+    "avoided_interval": lambda lam: siegel_weights.avoided_interval(lam, [StratumDatum(0, 3)]),
+    "intermediate_profile_0": lambda lam: siegel_weights.intermediate_profile(lam, 0, [StratumDatum(0, 3)]),
+    "intermediate_profile_1": lambda lam: siegel_weights.intermediate_profile(lam, 1, [StratumDatum(0, 3)]),
+    "kernel_map_ranks": lambda lam: siegel_weights.kernel_map_ranks(lam, [StratumDatum(0, 3)]),
+    "rank_inequality_check": lambda lam: siegel_weights.rank_inequality_check(lam, StratumDatum(0, 3)),
+    "nilpotent_cohomology_0": lambda lam: siegel_weights.nilpotent_cohomology(lam, 0),
+    "nilpotent_cohomology_1": lambda lam: siegel_weights.nilpotent_cohomology(lam, 1),
+    "character": siegel_weights.character,
+    "freudenthal_character": siegel_weights.freudenthal_character,
+    "weyl_dimension": siegel_weights.weyl_dimension,
+    "euler_check_0": lambda lam: siegel_weights.euler_check(lam, 0),
+    "euler_check_1": lambda lam: siegel_weights.euler_check(lam, 1),
+}
+
+
+@pytest.mark.parametrize("lam", [WeightTriple(3, 1, 4.5), WeightTriple(3.0, 1, 4), WeightTriple(True, False, 1),
+                                 WeightTriple(Int(3), 1, 4)], ids=["float-r", "float-k1", "bools", "int-subclass"])
+@pytest.mark.parametrize("entry_point", list(WEIGHT_ENTRY_POINTS))
+def test_every_entry_point_refuses_coordinates_that_are_not_ints(entry_point, lam):
+    # each of these weights is dominant: without the check a float reached
+    # weyl_dimension's internal divisibility check, and a report came back
+    with pytest.raises(PreconditionViolation, match="^weight coordinates must be ints, got "):
+        WEIGHT_ENTRY_POINTS[entry_point](lam)
+    assert WEIGHT_ENTRY_POINTS[entry_point](WeightTriple(3, 1, 4)) is not None
+
+
+def test_make_weight_refuses_what_the_entry_points_refuse():
+    # so every weight it returns passes every entry point
+    for coordinates in ((Int(3), 1, 4), (3, 1, Int(4)), (True, False, 1), (3.0, 1, 4)):
+        with pytest.raises(PreconditionViolation, match="coordinates must be integers"):
+            make_weight(*coordinates)
+    assert all(type(v) is int for v in make_weight(3, 1, 4))
 
 
 def test_make_weight_enforces_coordinate_bound():

@@ -162,11 +162,6 @@ def test_minimal_representatives_rejects_non_int_indices(m):
         nilpotent_cohomology(make_weight(0, 0, 0), m)
 
 
-def test_minimal_representatives_are_cached():
-    assert _minimal_representatives(0) is _minimal_representatives(0)
-    assert _minimal_representatives(1) is _minimal_representatives(1)
-
-
 def test_representatives_send_dominant_weights_to_levi_dominant_ones():
     # dot outputs must be dominant for the Levi: nonnegative on its root
     rng = random.Random(13)
