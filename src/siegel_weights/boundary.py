@@ -75,18 +75,16 @@ class StratumDatum(namedtuple("StratumDatum", "g c")):
 _ENTRY_FIELDS = "m n_classical weight rank_lower rank_upper origin provenance n_perverse"
 
 
-class CohomologyEntry(namedtuple("CohomologyEntry", _ENTRY_FIELDS, defaults=(None,))):
+class CohomologyEntry(namedtuple("CohomologyEntry", _ENTRY_FIELDS)):
     """One graded piece of a boundary cohomology profile; provenance is
     "paper" or "derived", and n_perverse is None in classical profiles."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        lo, hi = self.rank_lower, self.rank_upper
-        if lo < 0 or lo > hi:
-            raise PreconditionViolation(f"bad rank bounds [{shown(lo)}, {shown(hi)}]")
-        return self
+    def __new__(cls, m, n_classical, weight, rank_lower, rank_upper, origin, provenance, n_perverse=None):
+        if rank_lower < 0 or rank_lower > rank_upper:
+            raise PreconditionViolation(f"bad rank bounds [{shown(rank_lower)}, {shown(rank_upper)}]")
+        return tuple.__new__(cls, (m, n_classical, weight, rank_lower, rank_upper, origin, provenance, n_perverse))
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
@@ -113,8 +111,10 @@ def group_cohomology_dims(u: int, n: int, euler: int) -> tuple[int, int]:
 # so (0, q), (1, q) for each q in turn: the first 2 * count have q < count.
 SIEGEL_PIECES = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3))
 KERNEL_PIECE = SIEGEL_PIECES.index((1, 1))  # the piece whose kernel survives
-# The pieces of parabolic m: a curve stratum carries Kostant module q in degree q.
-_PIECES = (SIEGEL_PIECES, ((0, 0), (0, 1), (0, 2), (0, 3)))
+# Per parabolic m, a row (n, q, origin, provenance) per piece (p, q) of degree n = p + q, in
+# _entries' order; a curve stratum carries Kostant module q in degree q.  Entries share these.
+_PIECE_ROWS = tuple(tuple((p + q, q, ((p, q),), "paper" if p + q + m <= 2 else "derived") for p, q in pieces)
+                    for m, pieces in enumerate((SIEGEL_PIECES, ((0, 0), (0, 1), (0, 2), (0, 3)))))
 
 
 def _piece_ranks(modules: tuple[LeviModule, ...], n: int, euler: int) -> tuple[int, ...]:
@@ -124,18 +124,16 @@ def _piece_ranks(modules: tuple[LeviModule, ...], n: int, euler: int) -> tuple[i
 
 
 def _entries(m: int, modules: tuple[LeviModule, ...], ranks, r=None) -> tuple[CohomologyEntry, ...]:
-    """Entries of parabolic m, one per given rank, for the pieces of _PIECES[m]
+    """Entries of parabolic m, one per given rank, for the rows of _PIECE_ROWS[m]
     in order, which is weight order as w_q rises in q; only the ranks are checked.
     Rank-0 pieces are kept (nonzero is False): vanishing is asserted, not
     omitted.  Given r, the perverse normalization on a stratum of dimension m
     raises the degree to n_perverse = n + r + m and the weight by m (BBD 1982)."""
     shift = 0 if r is None else m
-    entries = []
-    for (p, q), rank in zip(_PIECES[m], ranks):
-        n = p + q
+    new, entries = tuple.__new__, []
+    for (n, q, origin, provenance), rank in zip(_PIECE_ROWS[m], ranks):
         if rank < 0:  # CohomologyEntry's own check, skipped by tuple.__new__
             raise PreconditionViolation(f"bad rank bounds [{shown(rank)}, {shown(rank)}]")
-        fields = (m, n, modules[q].motivic_weight + shift, rank, rank, ((p, q),),
-                  "paper" if n + m <= 2 else "derived", None if r is None else n + r + m)
-        entries.append(tuple.__new__(CohomologyEntry, fields))
+        entries.append(new(CohomologyEntry, (m, n, modules[q].motivic_weight + shift, rank, rank, origin,
+                                             provenance, None if r is None else n + r + m)))
     return tuple(entries)

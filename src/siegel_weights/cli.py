@@ -302,8 +302,9 @@ _VALUE = lambda v: v[:1] != "-" or v[1:].isdigit() and v.isascii()  # argparse r
 
 
 def _read_args(argv: list[str]) -> SimpleNamespace | None:
-    """What argparse reads from argv if argv is `command (--flag value | --flag=value)...` with exact flag
-    names, values their types and choices take (a `_VALUE` unless after `=`), every required flag; else None."""
+    """What argparse reads from argv if argv is `command (--flag value | --flag=value)...` with flag names
+    or, as argparse's allow_abbrev reads them, prefixes of one flag and not of --help, values their types
+    and choices take (a `_VALUE` unless after `=`), every required flag; else None."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     fn, _, flags = _COMMANDS[argv[0]]
@@ -312,6 +313,9 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
     for token in tokens:
         flag, eq, value = token.partition("=")  # as argparse, split at the first `=`
         value = value if eq else next(tokens, "--")  # else the next token; argparse drops an `=` value `--`
+        if flag not in flags:  # "" and "-" prefix every name, and "--" ends the options: all are declined
+            names = [name for name in (*flags, "--help") if name.startswith(flag)]
+            flag = names[0] if len(names) == 1 else None
         kw = flags.get(flag)
         if kw is None or value == "--" or not (eq or _VALUE(value)) or value not in kw.get("choices", (value,)):
             return None

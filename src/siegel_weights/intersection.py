@@ -123,14 +123,20 @@ def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfi
 
 
 def _minimal_gap(profiles) -> tuple[int, tuple[CohomologyEntry, ...]]:
-    """k and its witnesses over the nonzero entries of the profiles, in one pass."""
-    by_gap: dict[int, list[CohomologyEntry]] = {}
+    """k and its witnesses, in profile order, over the nonzero entries of the profiles, in one
+    pass with a running minimum; ValueError, as min() gives, when no entry is nonzero."""
+    k, witnesses = None, []
     for profile in profiles:
         for e in profile.all_entries():
             if e.rank_lower >= 1:  # e.nonzero is True
-                by_gap.setdefault(e.n_perverse - e.weight, []).append(e)
-    k = min(by_gap)
-    return k, tuple(by_gap[k])
+                gap = e.n_perverse - e.weight
+                if k is None or gap < k:
+                    k, witnesses = gap, [e]
+                elif gap == k:
+                    witnesses.append(e)
+    if k is None:
+        raise ValueError("min() arg is an empty sequence")
+    return k, tuple(witnesses)
 
 
 def avoided_interval(lam: WeightTriple, strata) -> tuple[int, tuple[CohomologyEntry, ...]]:
@@ -147,8 +153,8 @@ def avoided_interval(lam: WeightTriple, strata) -> tuple[int, tuple[CohomologyEn
 
 def _avoided(lam: WeightTriple, n: int, euler: int, target: int) -> tuple[int, tuple[CohomologyEntry, ...]]:
     """avoided_interval of lam over strata of sums (n, E, C) = (n, euler, target); nothing is checked."""
-    return _minimal_gap(_intermediate(lam, m, _modules(lam, m, 2), n, euler, target)
-                        for m in (SIEGEL, KLINGEN))
+    return _minimal_gap((_intermediate(lam, SIEGEL, _modules(lam, SIEGEL, 2), n, euler, target),
+                         _intermediate(lam, KLINGEN, _modules(lam, KLINGEN, 2), n, euler, target)))
 
 
 _REPORT_FIELDS = ("lam strata k avoided_interval occurring_weights regular in_avoidance_category"

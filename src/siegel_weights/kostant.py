@@ -85,19 +85,20 @@ def _affine_maps(rho: WeightTriple) -> dict:
     """(i, j, a, b, c1, c2, sign(w)) per w, so that w . lam = (a lam[i] + c1, b lam[j] + c2, lam.r):
     of parabolic m's four minimal representatives under key m, of all eight elements under "all".
     rho is only the cache key, as weyl.dot reads root_data.RHO itself."""
-    zero = WeightTriple(0, 0, 0)
-    groups = {m: weyl._minimal_representatives(m) for m in (SIEGEL, KLINGEN)} | {"all": weyl.all_elements()}
-    return {key: tuple((*w.source, *w.signs, *weyl.dot(w, zero)[:2], weyl.sign(w)) for w in elements)
-            for key, elements in groups.items()}
+    zero, elements = WeightTriple(0, 0, 0), weyl.all_elements()
+    groups = {m: weyl._minimal_representatives(m, elements) for m in (SIEGEL, KLINGEN)} | {"all": elements}
+    return {key: tuple((*w.source, *w.signs, *weyl.dot(w, zero)[:2], weyl.sign(w)) for w in group)
+            for key, group in groups.items()}
 
 
 def _modules(lam: WeightTriple, m: int, count: int) -> tuple[LeviModule, ...]:
-    """The Kostant modules q < count of parabolic m; lam and m are not checked."""
-    modules = []
+    """The Kostant modules q < count of parabolic m; lam and m are not checked.
+    Neither namedtuple checks its fields, so tuple.__new__ builds both and skips no check."""
+    r, new, modules = lam.r, tuple.__new__, []
     for q, (i, j, a, b, c1, c2, _) in enumerate(_affine_maps(root_data.RHO)[m][:count]):
-        hw = WeightTriple(a * lam[i] + c1, b * lam[j] + c2, lam.r)
+        hw = new(WeightTriple, (a * lam[i] + c1, b * lam[j] + c2, r))
         u = _restriction_weight(hw, m)
-        modules.append(LeviModule(m, q, hw, u + 1, u, _motivic_weight(hw, m)))
+        modules.append(new(LeviModule, (m, q, hw, u + 1, u, _motivic_weight(hw, m))))
     return tuple(modules)
 
 

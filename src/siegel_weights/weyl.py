@@ -42,7 +42,7 @@ class WeylElement(namedtuple("WeylElement", "source signs")):
         """A reduced word in s1, s2 ('e' for the identity), for display."""
         letters: list[str] = []
         w = self
-        while length(w) > 0:
+        for _ in range(length(self)):  # each step drops the length by one
             for name, s, root in (("s1", S1, SIMPLE_ROOT_SHORT), ("s2", S2, SIMPLE_ROOT_LONG)):
                 # s is a right descent iff w sends its simple root negative.
                 if _is_negative(w(root)):
@@ -89,28 +89,17 @@ def dot(w: WeylElement, lam: WeightTriple) -> WeightTriple:
 
 
 def all_elements() -> tuple[WeylElement, ...]:
-    """All eight elements, sorted by (length, images of the basis, lex)."""
-    elems = [
-        WeylElement(src, sg)
-        for src in ((0, 1), (1, 0))
-        for sg in ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    ]
-
-    def key(w: WeylElement) -> tuple:
-        e1 = w(WeightTriple(1, 0, 0))
-        e2 = w(WeightTriple(0, 1, 0))
-        return (length(w), e1.k1, e1.k2, e2.k1, e2.k2)
-
-    return tuple(sorted(elems, key=key))
+    """All eight elements, sorted by (length, images of the basis e1, e2, lex)."""
+    e1, e2 = WeightTriple(1, 0, 0), WeightTriple(0, 1, 0)
+    elems = [WeylElement(src, sg) for src in ((0, 1), (1, 0)) for sg in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    return tuple(sorted(elems, key=lambda w: (length(w), *w(e1)[:2], *w(e2)[:2])))
 
 
-def _minimal_representatives(m: int) -> tuple[WeylElement, ...]:
-    """The minimal-length representatives of the cosets of the Levi Weyl group of a
-    checked m, lengths 0..3: the w whose inverse keeps the Levi's positive root positive."""
+def _minimal_representatives(m: int, elements: tuple[WeylElement, ...]) -> tuple[WeylElement, ...]:
+    """The minimal-length representatives of the cosets of the Levi Weyl group of a checked m,
+    lengths 0..3, among elements, all_elements(): the w whose inverse keeps the Levi's positive root positive."""
     gamma = root_data.levi_root(m)
-    reps = tuple(
-        w for w in all_elements() if not _is_negative(w.inverse()(gamma))
-    )
+    reps = tuple(w for w in elements if not _is_negative(w.inverse()(gamma)))
     if len(reps) != 4:  # structural guarantee of the C2 parabolics
         raise BadParabolicIndex(f"internal: expected 4 coset representatives, got {len(reps)}")
     return reps

@@ -1,3 +1,5 @@
+import inspect
+import random
 import subprocess
 import sys
 
@@ -17,6 +19,7 @@ from siegel_weights import (
     intermediate_profile,
     make_weight,
 )
+from siegel_weights import boundary
 from siegel_weights.boundary import (
     SIEGEL_PIECES,
     CohomologyEntry,
@@ -26,6 +29,7 @@ from siegel_weights.boundary import (
 )
 from siegel_weights.checks import dominant_grid
 from siegel_weights.errors import PreconditionViolation
+from siegel_weights.intersection import _require_strata
 from siegel_weights.kostant import _modules
 from siegel_weights.root_data import COORDINATE_BOUND
 from weight_strategies import strata_data, wide_weights
@@ -82,6 +86,70 @@ def test_group_cohomology_refuses_a_u_that_is_not_a_nonneg_int(u):
     # bools are ints to isinstance, and True would pass as u = 1
     with pytest.raises(PreconditionViolation):
         group_cohomology_dims(u, 1, 1)
+
+
+# A second oracle, which shares no code with group_cohomology_dims: per stratum of
+# genus g with c cusps, H^0 and H^1 of a neat group on the SL(2)-module of weight u.
+# At u = 0, H^1 has the rank 2g + c - 1 of pi_1 of the punctured curve, a free group.
+# At even u >= 2, H^1 = S_{u+2} + conj(S_{u+2}) + Eisenstein classes, one per cusp
+# (Eichler-Shimura; Shimura 1971, Ch. 8), and Riemann-Roch with no elliptic points
+# gives dim S_k = (k - 1)(g - 1) + (k/2 - 1)c (ibid., Thm 2.23).  Odd u would need
+# the regularity of each cusp, which the package does not model.
+ORACLE_STRATA = [(g, c) for g in range(8) for c in range(3 if g == 0 else 1, 12)]
+ORACLE_WEIGHTS = [0, *range(2, 29, 2)]
+
+
+def cusp_form_dim(k, g, c):
+    return (k - 1) * (g - 1) + (k // 2 - 1) * c
+
+
+def eichler_shimura_dims(u, g, c):
+    if u == 0:
+        return 1, 2 * g + c - 1
+    return 0, 2 * cusp_form_dim(u + 2, g, c) + c
+
+
+def oracle_lists():
+    """Each stratum of the oracle's range alone, then seeded lists of 2 to 6 of them."""
+    rng = random.Random(8)
+    return [[s] for s in ORACLE_STRATA] + [rng.choices(ORACLE_STRATA, k=rng.randint(2, 6)) for _ in range(60)]
+
+
+def eichler_shimura_mismatches(dims):
+    """The (u, strata) at which dims, given the strata's sums (n, E), is not the oracle summed over
+    them: the ranks add over strata."""
+    bad = []
+    for strata in oracle_lists():
+        n, euler, _ = _require_strata([StratumDatum(g, c) for g, c in strata])[1]
+        for u in ORACLE_WEIGHTS:
+            expected = tuple(map(sum, zip(*(eichler_shimura_dims(u, g, c) for g, c in strata))))
+            try:
+                got = dims(u, n, euler)
+            except PreconditionViolation:
+                got = "refused"
+            if got != expected:
+                bad.append((u, strata))
+    return bad
+
+
+def test_group_cohomology_dims_match_eichler_shimura_and_riemann_roch():
+    assert eichler_shimura_mismatches(group_cohomology_dims) == []
+
+
+@pytest.mark.parametrize("old, new", [
+    ("u < 0", "u < 1"),  # the refusal: u = 0 is a weight
+    ("u == 0", "u == 2"),  # the trivial module is the special case
+    ("return n, euler + n", "return 1, euler + n"),  # H^0 at u = 0: one invariant per stratum
+    ("euler + n", "euler + 1"),  # H^1 at u = 0: 2g - 2 + c + 1 per stratum
+    ("return 0,", "return 1,"),  # H^0 at u >= 1: neatness kills the invariants
+    ("(u + 1)", "(u + 2)"),  # H^1 at u >= 1: (u + 1)(2g - 2 + c) per stratum
+])
+def test_negative_control_eichler_shimura_catches_each_constant(old, new):
+    source = inspect.getsource(boundary.group_cohomology_dims)
+    assert source.count(old) == 1
+    namespace = dict(vars(boundary))
+    exec(source.replace(old, new), namespace)
+    assert eichler_shimura_mismatches(namespace["group_cohomology_dims"])
 
 
 def reference_piece_rank(u, stratum, p):
@@ -384,6 +452,21 @@ def test_value_checks_survive_replace_and_copy_under_python_O():
         text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_entries_are_built_by_field_name_with_n_perverse_optional():
+    fields = dict(m=0, n_classical=1, weight=2, rank_lower=1, rank_upper=3, origin=((1, 0),), provenance="paper")
+    classical = CohomologyEntry(**fields)
+    assert type(classical) is CohomologyEntry
+    assert classical.n_perverse is None and tuple(classical) == (*fields.values(), None)
+    perverse = CohomologyEntry(**fields, n_perverse=5)
+    assert type(perverse) is CohomologyEntry and perverse == CohomologyEntry(*fields.values(), 5)
+    assert type(intermediate_profile(REFERENCE, SIEGEL, [P03]).kernel_entry) is CohomologyEntry
+    for missing in fields:
+        with pytest.raises(TypeError):
+            CohomologyEntry(**{name: v for name, v in fields.items() if name != missing})
+    with pytest.raises(TypeError):
+        CohomologyEntry(*fields.values(), 5, 6)
 
 
 def test_entry_rank_bounds_are_validated():

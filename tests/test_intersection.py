@@ -477,3 +477,50 @@ def test_truncated_profiles_match_the_full_profiles(lam, strata):
         assert intermediate_profile(lam, m, strata) == expected
         assert report.intermediate[m] == expected
     assert avoided_interval(lam, strata) == _minimal_gap(full.values())
+
+
+# --- the one-pass minimum against a dict of lists ----------------------------
+
+def reference_minimal_gap(profiles):
+    """k and its witnesses by grouping every nonzero entry under its gap, then taking the least."""
+    by_gap = {}
+    for profile in profiles:
+        for e in profile.all_entries():
+            if e.rank_lower >= 1:
+                by_gap.setdefault(e.n_perverse - e.weight, []).append(e)
+    k = min(by_gap)  # ValueError when no entry is nonzero
+    return k, tuple(by_gap[k])
+
+
+@st.composite
+def small_entries(draw):
+    """Entries of few gaps, so that ties and zero ranks are common."""
+    lo = draw(st.integers(0, 2))
+    return boundary.CohomologyEntry(draw(st.integers(0, 1)), draw(st.integers(0, 4)), draw(st.integers(-3, 3)),
+                                    lo, lo + draw(st.integers(0, 1)), ((0, draw(st.integers(0, 3))),), "paper",
+                                    draw(st.integers(-3, 3)))
+
+
+@st.composite
+def profile_lists(draw):
+    """Lists of profiles: drawn entries, or the two intermediate profiles of a weight and strata."""
+    if draw(st.booleans()):
+        lam, strata = draw(wide_weights()), draw(st.lists(strata_data(), min_size=1, max_size=4))
+        return [intermediate_profile(lam, m, strata) for m in (SIEGEL, KLINGEN)]
+    return draw(st.lists(st.builds(IntermediateProfile, st.integers(0, 1), st.lists(small_entries(), max_size=5)
+                                   .map(tuple), st.none() | small_entries()), max_size=3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(profiles=profile_lists())
+@example(profiles=[])
+def test_the_one_pass_minimum_matches_a_dict_of_lists(profiles):
+    try:
+        expected = reference_minimal_gap(profiles)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _minimal_gap(profiles)
+        return
+    k, witnesses = _minimal_gap(iter(profiles))  # any iterable of profiles, read once
+    assert (k, witnesses) == expected
+    assert all(a is b for a, b in zip(witnesses, expected[1]))  # the same entries, in the same order

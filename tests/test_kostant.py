@@ -121,7 +121,7 @@ def test_table_input_validation():
 def reference_modules(lam, m, count):
     """The Kostant modules q < count straight from weyl.dot and the weight rules."""
     modules = []
-    for q, w in enumerate(weyl._minimal_representatives(m)[:count]):
+    for q, w in enumerate(weyl._minimal_representatives(m, all_elements())[:count]):
         hw = weyl.dot(w, lam)
         u = _restriction_weight(hw, m)
         modules.append(LeviModule(m, q, hw, u + 1, u, _motivic_weight(hw, m)))
@@ -133,6 +133,17 @@ def reference_modules(lam, m, count):
 @example(lam=make_weight(0, 0, 0), m=0, count=4)
 def test_modules_from_the_dot_table_match_the_dot_action(lam, m, count):
     assert kostant._modules(lam, m, count) == reference_modules(lam, m, count)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lam=wide_weights(), m=st.sampled_from((0, 1)), count=st.integers(1, 4))
+@example(lam=make_weight(0, 0, 0), m=0, count=4)
+def test_modules_from_the_dot_table_have_exact_types(lam, m, count):
+    # the same draws as above; tuple.__new__ must make the namedtuple types
+    # themselves, which == on tuples cannot tell from plain tuples
+    for mod in kostant._modules(lam, m, count):
+        assert type(mod) is LeviModule
+        assert type(mod.highest_weight) is WeightTriple
 
 
 def test_dot_table_follows_a_patched_rho(monkeypatch):
@@ -148,17 +159,21 @@ def test_dot_table_follows_a_patched_rho(monkeypatch):
 
 
 def test_affine_maps_are_built_once_per_rho(monkeypatch):
-    calls = []
-    real_dot = weyl.dot
+    calls, lists = [], []
+    real_dot, real_all = weyl.dot, weyl.all_elements
     monkeypatch.setattr(weyl, "dot", lambda w, lam: calls.append(w) or real_dot(w, lam))
+    monkeypatch.setattr(weyl, "all_elements", lambda: lists.append(1) or real_all())
     kostant._affine_maps.cache_clear()
     for lam in dominant_grid(6):
         for m in (0, 1):
             kostant._modules(lam, m, 4)
         kostant._weyl_numerator(lam)
     assert kostant._affine_maps.cache_info().misses == 1
+    assert len(lists) == 1  # one list of the eight elements per build, both parabolics' cosets drawn from it
     # four representatives per parabolic and all eight elements, at table build only
-    assert calls == [*weyl._minimal_representatives(0), *weyl._minimal_representatives(1), *all_elements()]
+    elements = real_all()
+    assert calls == [*weyl._minimal_representatives(0, elements), *weyl._minimal_representatives(1, elements),
+                     *elements]
 
 
 def reference_numerator(lam):

@@ -137,7 +137,7 @@ def test_dot_action_preserves_the_character_lattice():
 
 def test_minimal_representatives_lengths_and_criterion():
     for m in (0, 1):
-        reps = _minimal_representatives(m)
+        reps = _minimal_representatives(m, all_elements())
         assert [length(w) for w in reps] == [0, 1, 2, 3]
         assert reps[0] == IDENTITY
         gamma = levi_root(m)
@@ -147,10 +147,10 @@ def test_minimal_representatives_lengths_and_criterion():
         rest = [w for w in all_elements() if w not in reps]
         for w in rest:
             assert _is_negative(w.inverse()(gamma))
-    assert _minimal_representatives(0)[1] == S2
-    assert _minimal_representatives(1)[1] == S1
+    assert _minimal_representatives(0, all_elements())[1] == S2
+    assert _minimal_representatives(1, all_elements())[1] == S1
     with pytest.raises(BadParabolicIndex):
-        _minimal_representatives(3)
+        _minimal_representatives(3, all_elements())
 
 
 @pytest.mark.parametrize("m", [True, False, 1.0, "0", [0], None])
@@ -170,7 +170,7 @@ def test_representatives_send_dominant_weights_to_levi_dominant_ones():
         k2 = rng.randint(0, k1)
         lam = make_weight(k1, k2, k1 + k2)
         for m in (0, 1):
-            for w in _minimal_representatives(m):
+            for w in _minimal_representatives(m, all_elements()):
                 hw = dot(w, lam)
                 if m == 0:
                     assert hw.k1 - hw.k2 >= 0
