@@ -53,7 +53,7 @@ class StratumDatum(namedtuple("StratumDatum", "g c")):
     __slots__ = ()
 
     def __new__(cls, g: int, c: int):
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (g, c)):
+        if not type(g) is type(c) is int:  # the rule of require_dominant: bools and other subclasses too
             raise InvalidStratum(f"stratum data must be integers, got (g={shown(g)}, c={shown(c)})")
         if abs(g) > COORDINATE_BOUND or abs(c) > COORDINATE_BOUND:
             raise InputBoundExceeded(f"stratum data beyond {COORDINATE_BOUND} in absolute value")

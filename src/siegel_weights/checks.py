@@ -23,8 +23,8 @@ from .root_data import KLINGEN, SIEGEL, WeightTriple, is_regular, k_invariant, m
 
 
 def dominant_grid(bound: int) -> list[WeightTriple]:
-    """Every dominant pair with k1 <= bound, at the parity-valid lift r = k1 + k2."""
-    return [make_weight(k1, k2, k1 + k2) for k1 in range(bound + 1) for k2 in range(k1 + 1)]
+    """Every dominant pair with k1 <= bound at the parity-valid lift r = k1 + k2; all valid, so unchecked."""
+    return [WeightTriple(k1, k2, k1 + k2) for k1 in range(bound + 1) for k2 in range(k1 + 1)]
 
 
 def sample_dominant(rng, max_k1: int) -> WeightTriple:

@@ -36,7 +36,8 @@ Weight maps.  For a character n = (n1, n2, r) of the Levi torus:
   z |--> z^{-r+n1} for m = 1, giving r - n1 - n2 resp. r - n1.
 * _restriction_weight(n, m) is the highest weight of the restriction to the
   embedded SL(2) of the Levi: n1 - n2 for m = 0 and n2 for m = 1.
-  Both leave m unchecked; their one caller, kostant._modules, checked it.
+  Both leave m unchecked; so does their one caller, kostant._modules, whose
+  callers check m.
 """
 
 from __future__ import annotations

@@ -33,11 +33,6 @@ class WeylElement(namedtuple("WeylElement", "source signs")):
             self.signs[0] * v[self.source[0]], self.signs[1] * v[self.source[1]], v.r
         )
 
-    def inverse(self) -> "WeylElement":
-        if self.source == (0, 1):
-            return self  # a sign change is its own inverse
-        return WeylElement(self.source, self.signs[::-1])  # a swap's signs trade places
-
     def word(self) -> str:
         """A reduced word in s1, s2 ('e' for the identity), for display."""
         letters: list[str] = []
@@ -97,9 +92,9 @@ def all_elements() -> tuple[WeylElement, ...]:
 
 def _minimal_representatives(m: int, elements: tuple[WeylElement, ...]) -> tuple[WeylElement, ...]:
     """The minimal-length representatives of the cosets of the Levi Weyl group of a checked m,
-    lengths 0..3, among elements, all_elements(): the w whose inverse keeps the Levi's positive root positive."""
+    lengths 0..3, among elements, all_elements(): the w with the Levi's positive root in w(Phi+)."""
     gamma = root_data.levi_root(m)
-    reps = tuple(w for w in elements if not _is_negative(w.inverse()(gamma)))
+    reps = tuple(w for w in elements if gamma in map(w, root_data.POSITIVE_ROOTS))
     if len(reps) != 4:  # structural guarantee of the C2 parabolics
         raise BadParabolicIndex(f"internal: expected 4 coset representatives, got {len(reps)}")
     return reps

@@ -32,6 +32,7 @@ from siegel_weights.errors import PreconditionViolation
 from siegel_weights.intersection import _require_strata
 from siegel_weights.kostant import _modules
 from siegel_weights.root_data import COORDINATE_BOUND
+from test_root_data import Int
 from weight_strategies import strata_data, wide_weights
 
 
@@ -59,7 +60,7 @@ def test_stratum_validation():
     for g, c in [(0, 2), (0, 0), (1, 0), (-1, 3), (0, -3)]:
         with pytest.raises(InvalidStratum):
             StratumDatum(g, c)
-    for g, c in [(1.0, 3), (True, 3), (1, True)]:
+    for g, c in [(1.0, 3), (True, 3), (1, True), (Int(1), 3)]:
         with pytest.raises(InvalidStratum):
             StratumDatum(g, c)
     assert StratumDatum(COORDINATE_BOUND, COORDINATE_BOUND).euler_term == 3 * COORDINATE_BOUND - 2
