@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from siegel_weights import WeightTriple, make_weight, nilpotent_cohomology
 from siegel_weights import root_data
 from siegel_weights.errors import BadParabolicIndex
-from siegel_weights.root_data import COORDINATE_BOUND, POSITIVE_ROOTS
+from siegel_weights.root_data import COORDINATE_BOUND, POSITIVE_ROOTS, levi_root
 from siegel_weights.weyl import (
     IDENTITY,
     S1,
     S2,
     WeylElement,
+    _is_negative,
     _minimal_representatives,
     all_elements,
     compose,
@@ -75,6 +76,18 @@ def test_composition_is_function_composition():
             wu = compose(w, u)
             for v in vs:
                 assert wu(v) == w(u(v))
+
+
+def test_inverses():
+    # each element has exactly one two-sided inverse in the group, and the coset filter's
+    # "Levi root in w(Phi+)" is the classical "w^-1 keeps the Levi root positive"
+    elems = all_elements()
+    for w in elems:
+        (inv,) = [u for u in elems if compose(w, u) == IDENTITY]
+        assert compose(inv, w) == IDENTITY
+        for m in (0, 1):
+            kept = not _is_negative(inv(levi_root(m)))
+            assert kept == (w in _minimal_representatives(m, elems))
 
 
 def test_sign_is_determinant_and_length_parity():
