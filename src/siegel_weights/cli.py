@@ -100,8 +100,9 @@ def _table(spec, rows: int) -> list[str]:
     return [" ".join("%*s" % (w, name) for name, w in spec), *[" ".join("%%%ds" % w for _, w in spec)] * rows]
 
 
-def _entries(entries, flag, null) -> tuple:
+def _entries(entries, table: bool) -> tuple:
     """The keys (fixed fields) and fills (n_perverse or null, weight, ranks, nonzero) of entries of ints."""
+    flag, null = (str, "-") if table else (_FLAGS.get, "null")
     m, n, weight, lo, hi, origin, provenance, npv = zip(*entries)
     if ({*map(type, chain(m, n, weight, lo, hi, chain.from_iterable(chain.from_iterable(origin))))} != {int}
             or {*map(type, provenance)} != {str} or not {*map(type, npv)} <= {int, type(None)}):
@@ -134,19 +135,9 @@ def _stratum(keys, table: bool) -> str:
     return _template([*map(_entry_model, keys)], "\n        ")
 
 
-def _per_type(pairs, flag, null, table: bool) -> list:
-    """(g, c, text) per (stratum, es) pair, each distinct es (by identity, as 1 == True) written once."""
-    distinct = [*{id(es): es for _, es in pairs}.values()]
-    keys, fills = _entries([*chain.from_iterable(distinct)], flag, null)
-    fills, texts, j = [*chain.from_iterable(fills)], {}, 0
-    for es in distinct:
-        i, j = j, j + len(es)
-        texts[id(es)] = _stratum(keys[i:j], table) % tuple(fills[5 * i:5 * j])  # an entry's five fills
-    return [(*s, texts[id(es)]) for s, es in pairs]
-
-
-def _report_parts(report: AnalysisReport, flag, null) -> tuple:
-    """Shape, head and Kostant numbers, Kostant modules, Klingen and intermediate fills of report."""
+def _report_parts(report: AnalysisReport, table: bool) -> tuple:
+    """Shape, head and Kostant numbers, Kostant modules, (g, c, text) per point stratum, Klingen and
+    intermediate fills of report; each distinct point entries tuple (by identity, as 1 == True) written once."""
     iv, ow = report.avoided_interval or (), report.occurring_weights
     head = (*report.lam, report.k, *iv, *(ow or ()))
     modules = [mod for m in (SIEGEL, KLINGEN) for mod in report.kostant[m]]
@@ -155,13 +146,20 @@ def _report_parts(report: AnalysisReport, flag, null) -> tuple:
             or not bool is type(report.regular) is type(report.in_avoidance_category)):
         raise TypeError("report numbers must be ints, and regular and in_avoidance_category bools")
     bd, profiles = report.boundary[KLINGEN], [report.intermediate[m] for m in (SIEGEL, KLINGEN)]
+    distinct = [*{id(es): es for _, es in report.boundary[SIEGEL]}.values()]
     ic = [e for p in profiles for e in p.all_entries()]
-    keys, fills = _entries((*bd, *ic), flag, null)
+    keys, fills = _entries([*chain.from_iterable(distinct), *bd, *ic], table)
+    texts, j = {}, 0
+    for es in distinct:
+        i, j = j, j + len(es)
+        texts[id(es)] = _stratum(keys[i:j], table) % tuple(chain.from_iterable(fills[i:j]))
+    keys, fills = keys[j:], fills[j:]
     shape = (len(report.lam), len(iv), None if ow is None else len(ow),
              tuple(tuple(len(mod.highest_weight) for mod in report.kostant[m]) for m in (SIEGEL, KLINGEN)),
              keys, len(bd), tuple((len(p.entries), p.kernel_entry is not None) for p in profiles))
     witnesses = [e in report.witnesses for e in ic]
-    return shape, head, modules, numbers, fills[:len(bd)], [*zip(fills[len(bd):], witnesses)]
+    points = [(*s, texts[id(es)]) for s, es in report.boundary[SIEGEL]]
+    return shape, head, modules, numbers, points, fills[:len(bd)], [*zip(fills[len(bd):], witnesses)]
 
 
 @functools.cache
@@ -189,8 +187,7 @@ def _json_template(shape) -> str:
 
 def report_json(report: AnalysisReport) -> str:
     """The analyze JSON of report, `json.dumps(indent=2)` of its dict form, from its shape's template."""
-    shape, head, _, numbers, bd, ic = _report_parts(report, _FLAGS.get, "null")
-    siegel = _per_type(report.boundary[SIEGEL], _FLAGS.get, "null", False)
+    shape, head, _, numbers, siegel, bd, ic = _report_parts(report, False)
     return _json_template(shape) % (
         *head, _FLAGS[report.regular], _FLAGS[report.in_avoidance_category], report.duality_twist, *numbers,
         _template_list("\n    ", {"stratum": _STRATUM, "entries": _HOLE}, siegel), *chain.from_iterable(bd),
@@ -218,9 +215,9 @@ def _table_template(shape) -> str:
 
 
 def _report_table(report: AnalysisReport) -> str:
-    shape, head, modules, _, bd, ic = _report_parts(report, str, "-")
+    shape, head, modules, _, siegel, bd, ic = _report_parts(report, True)
     points = [cell + text.replace("\n", "\n" + cell)  # each of a stratum's rows starts with its section cell
-              for g, c, text in _per_type(report.boundary[SIEGEL], str, "-", True)
+              for g, c, text in siegel
               for cell in [_SEC % f"bd(g{g}c{c})"]]
     return _table_template(shape) % (
         *head, report.regular, report.in_avoidance_category, report.duality_twist,
@@ -330,7 +327,6 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
                            **{flag[2:].replace("-", "_"): v for flag, v in args.items()})
 
 
-@functools.cache  # reusable: error raises, parse_args makes a fresh Namespace
 def _build_parser():
     """The argparse parser of `_COMMANDS`: help, error messages and the other spellings."""
     import argparse
@@ -339,10 +335,6 @@ def _build_parser():
         def error(self, message):
             raise PreconditionViolation(message)
 
-    class Append(argparse.Action):  # appends in place, where argparse's own copies the list per flag
-        def __call__(self, parser, namespace, value, option_string=None):
-            setattr(namespace, self.dest, iadd(getattr(namespace, self.dest) or [], [value]))
-
     parser = Parser(
         prog="siegel-weights",
         description="Exact boundary weight profiles for degree-two Siegel modular threefolds.",
@@ -350,7 +342,6 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (fn, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        p.register("action", "append", Append)
         for flag, kw in flags.items():
             p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)

@@ -95,12 +95,13 @@ def kernel_map_ranks(lam: WeightTriple, strata) -> tuple[int, int]:
     return kernel.rank_upper, kernel.rank_upper - kernel.rank_lower
 
 
-def _intermediate(lam: WeightTriple, m: int, modules, n, euler, target) -> IntermediateProfile:
-    """Intermediate profile of parabolic m from its Kostant modules q <= 1 and, for
-    m = 0, the strata's sums (n, E, C) as (n, euler, target); nothing is checked.
-    Both truncations keep the classical degrees 0 and 1, ranks summed over the
-    strata, each entry built and perverse-normalized by boundary._entries; the
+def _intermediate(lam: WeightTriple, m: int, n, euler, target) -> IntermediateProfile:
+    """Intermediate profile of parabolic m from the Kostant modules q <= 1, which it
+    builds, and, for m = 0, the strata's sums (n, E, C) as (n, euler, target); nothing
+    is checked.  Both truncations keep the classical degrees 0 and 1, ranks summed over
+    the strata, each entry built and perverse-normalized by boundary._entries; the
     kernel entry is its (1, 1) entry with the lower rank lowered by C."""
+    modules = _modules(lam, m, 2)
     if m == KLINGEN:
         return IntermediateProfile(m, _entries(m, modules, (modules[0].levi_dim, modules[1].levi_dim), lam.r), None)
     entries = _entries(m, modules, _piece_ranks(modules[:2], n, euler), lam.r)  # checks each rank
@@ -119,7 +120,7 @@ def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfi
     require_dominant(lam)
     check_parabolic(m)
     _, sums = _require_strata(strata)
-    return _intermediate(lam, m, _modules(lam, m, 2), *sums)
+    return _intermediate(lam, m, *sums)
 
 
 def _minimal_gap(profiles) -> tuple[int, tuple[CohomologyEntry, ...]]:
@@ -153,8 +154,7 @@ def avoided_interval(lam: WeightTriple, strata) -> tuple[int, tuple[CohomologyEn
 
 def _avoided(lam: WeightTriple, n: int, euler: int, target: int) -> tuple[int, tuple[CohomologyEntry, ...]]:
     """avoided_interval of lam over strata of sums (n, E, C) = (n, euler, target); nothing is checked."""
-    return _minimal_gap((_intermediate(lam, SIEGEL, _modules(lam, SIEGEL, 2), n, euler, target),
-                         _intermediate(lam, KLINGEN, _modules(lam, KLINGEN, 2), n, euler, target)))
+    return _minimal_gap((_intermediate(lam, SIEGEL, n, euler, target), _intermediate(lam, KLINGEN, n, euler, target)))
 
 
 _REPORT_FIELDS = ("lam strata k avoided_interval occurring_weights regular in_avoidance_category"
@@ -174,8 +174,8 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
     For k >= 1 the avoided interval is [-k + 1, k] and occurring_weights
     (-k, k + 1), as the module docstring derives; for k = 0 the boundary
     weight structure is not decided here and both are None.  The four Kostant
-    modules of each parabolic serve the kostant, boundary and intermediate
-    fields.  A point stratum's classical profile, the rank table of n = 1,
+    modules of each parabolic serve the kostant and boundary fields;
+    _intermediate builds its own two.  A point stratum's classical profile, the rank table of n = 1,
     depends on it only through E = 2g - 2 + c: one entries tuple is built per
     distinct E, and strata with equal E share it."""
     require_dominant(lam)
@@ -183,7 +183,7 @@ def analysis_report(lam: WeightTriple, strata) -> AnalysisReport:
     kostant = {m: _modules(lam, m, 4) for m in (SIEGEL, KLINGEN)}
     points = {e: _entries(SIEGEL, kostant[SIEGEL], _piece_ranks(kostant[SIEGEL], 1, e))
               for e in {s.euler_term for s in strata}}
-    intermediate = {m: _intermediate(lam, m, kostant[m], *sums) for m in kostant}
+    intermediate = {m: _intermediate(lam, m, *sums) for m in kostant}
     k, witnesses = _minimal_gap(intermediate.values())
     regular = is_regular(lam)
     if k != k_invariant(lam) or (k >= 1) != regular:

@@ -58,11 +58,13 @@ COORDINATE_BOUND = 10**6
 def shown(v) -> str:
     """repr(v) for error messages, a tuple item by item; an int beyond
     COORDINATE_BOUND, whose repr can exceed Python's int-to-str digit limit,
-    is only described."""
+    is only described, and an int subclass but bool shows its type's name."""
     if isinstance(v, tuple):
         return "(" + ", ".join(map(shown, v)) + ")"
     if isinstance(v, int) and abs(v) > COORDINATE_BOUND:
         return f"<int beyond {COORDINATE_BOUND} in absolute value>"
+    if isinstance(v, int) and type(v) not in (int, bool):
+        return f"{type(v).__name__}({int.__repr__(v)})"
     return repr(v)
 
 

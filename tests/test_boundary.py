@@ -61,8 +61,9 @@ def test_stratum_validation():
         with pytest.raises(InvalidStratum):
             StratumDatum(g, c)
     for g, c in [(1.0, 3), (True, 3), (1, True), (Int(1), 3)]:
-        with pytest.raises(InvalidStratum):
+        with pytest.raises(InvalidStratum) as err:
             StratumDatum(g, c)
+    assert str(err.value) == "stratum data must be integers, got (g=Int(1), c=3)"  # the last names its type
     assert StratumDatum(COORDINATE_BOUND, COORDINATE_BOUND).euler_term == 3 * COORDINATE_BOUND - 2
     for g, c in [(COORDINATE_BOUND + 1, 5), (1, COORDINATE_BOUND + 1), (-(10**5000), 5), (1, 10**5000)]:
         with pytest.raises(InputBoundExceeded):

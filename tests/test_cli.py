@@ -294,6 +294,21 @@ def test_numbers_are_read_with_python_int(argv, canonical):
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
+def test_a_line_only_argparse_reads_prints_its_canonical_twins_bytes(fmt):
+    # '-0 ' is a value to argparse, not to the reader: argparse's own append reads both strata
+    argv = ["analyze", "--k1", "-0 ", "--k2", "0", "--r", "0", "--stratum", "0,3", "--stratum=1,1", "--format", fmt]
+    canonical = ["analyze", "--k1", "0", "--k2", "0", "--r", "0", "--stratum", "0,3", "--stratum", "1,1",
+                 "--format", fmt]
+    assert cli._read_args(argv) is None and cli._read_args(canonical) is not None
+    fallback, twin = run_cli(*argv), run_cli(*canonical)
+    assert (fallback.returncode, fallback.stdout) == (twin.returncode, twin.stdout)
+    assert twin.returncode == 0
+    both = ("strata = (g=0, c=3), (g=1, c=1)\n" in twin.stdout if fmt == "table"
+            else json.loads(twin.stdout)["strata"] == [{"g": 0, "c": 3}, {"g": 1, "c": 1}])
+    assert both  # both strata, in order
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
 def test_analyze_rejects_stratum_data_beyond_the_bound(fmt):
     # 4299 digits still parse as an int, but the ranks built from them pass the
     # interpreter's 4300-digit limit on printing an int
@@ -1397,14 +1412,13 @@ def test_every_command_line_exits_0_or_one_json_error_line(argv):
     ],
     ids=["strata-then-default", "error-then-sweep", "help-then-verify"],
 )
-def test_cached_parser_keeps_no_state_between_calls(first, then, monkeypatch):
-    # main reuses one parser per process; each command, run after another in
+def test_a_command_after_another_in_process_prints_what_a_fresh_interpreter_prints(first, then, monkeypatch):
+    # no state is kept between calls of main: each command, run after another in
     # this process, must print what it prints in a fresh interpreter
     monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
     for argv in (first, then):
         proc = run_cli(*argv)
         assert _main_in_process(argv) == (proc.returncode, proc.stdout)
-    assert cli._build_parser() is cli._build_parser()
 
 
 def test_cli_module_runs_as_a_script():
@@ -1599,19 +1613,8 @@ def test_sweep_reads_its_strata_once_not_once_per_weight(capsys):
     assert many == capsys.readouterr().out  # k comes from the profiles, the same over any strata
 
 
-def test_the_fallback_appends_strata_in_place():
-    # argparse's own append action copies the list on each flag, quadratic in the number of
-    # --stratum flags of a line that the reader leaves to argparse
-    import argparse
-
+def test_argparse_reads_equals_strata_in_order():
     parser = cli._build_parser()
-    analyze = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices["analyze"]
-    append, namespace = analyze._option_string_actions["--stratum"], argparse.Namespace(stratum=None)
-    append(analyze, namespace, "0,3")
-    strata = namespace.stratum
-    for value in ["1,1"] * 50_000:
-        append(analyze, namespace, value)
-    assert namespace.stratum is strata and strata == ["0,3", *["1,1"] * 50_000]
     assert vars(parser.parse_args([*ANALYZE_3_1_4, "--stratum=0,3", "--stratum=2,5"]))["stratum"] == ["0,3", "2,5"]
 
 

@@ -88,16 +88,20 @@ WEIGHT_ENTRY_POINTS = {
 def test_every_entry_point_refuses_coordinates_that_are_not_ints(entry_point, lam):
     # each of these weights is dominant: without the check a float reached
     # weyl_dimension's internal divisibility check, and a report came back
-    with pytest.raises(PreconditionViolation, match="^weight coordinates must be ints, got "):
+    with pytest.raises(PreconditionViolation, match="^weight coordinates must be ints, got ") as err:
         WEIGHT_ENTRY_POINTS[entry_point](lam)
+    if type(lam.k1) is Int:  # the message names the type it refuses, not only the value
+        assert str(err.value) == "weight coordinates must be ints, got (Int(3), 1, 4)"
     assert WEIGHT_ENTRY_POINTS[entry_point](WeightTriple(3, 1, 4)) is not None
 
 
 def test_make_weight_refuses_what_the_entry_points_refuse():
     # so every weight it returns passes every entry point
-    for coordinates in ((Int(3), 1, 4), (3, 1, Int(4)), (True, False, 1), (3.0, 1, 4)):
-        with pytest.raises(PreconditionViolation, match="coordinates must be integers"):
+    for coordinates, got in [((Int(3), 1, 4), "(Int(3), 1, 4)"), ((3, 1, Int(4)), "(3, 1, Int(4))"),
+                             ((True, False, 1), "(True, False, 1)"), ((3.0, 1, 4), "(3.0, 1, 4)")]:
+        with pytest.raises(PreconditionViolation) as err:
             make_weight(*coordinates)
+        assert str(err.value) == f"coordinates must be integers, got {got}"  # the refused type shows
     assert all(type(v) is int for v in make_weight(3, 1, 4))
 
 
