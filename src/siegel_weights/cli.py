@@ -100,19 +100,8 @@ def _table(spec, rows: int) -> list[str]:
     return [" ".join("%*s" % (w, name) for name, w in spec), *[" ".join("%%%ds" % w for _, w in spec)] * rows]
 
 
-def _entries(entries, table: bool) -> tuple:
-    """The keys (fixed fields) and fills (n_perverse or null, weight, ranks, nonzero) of entries of ints."""
-    flag, null = (str, "-") if table else (_FLAGS.get, "null")
-    m, n, weight, lo, hi, origin, provenance, npv = zip(*entries)
-    if ({*map(type, chain(m, n, weight, lo, hi, chain.from_iterable(chain.from_iterable(origin))))} != {int}
-            or {*map(type, provenance)} != {str} or not {*map(type, npv)} <= {int, type(None)}):
-        raise TypeError("profile entries must hold int numbers, int origin pairs and a str provenance")
-    fills = zip(map({None: null}.get, npv, npv), weight, lo, hi, map(flag, map(attrgetter("nonzero"), entries)))
-    return tuple(zip(m, n, origin, provenance)), [*fills]
-
-
 def _entry_model(key, *witness) -> dict:
-    """The dict form of an entry of this key, a `_HOLE` for each of the fills of `_entries`."""
+    """The dict form of an entry of this key, a `_HOLE` for each of its fills in `_report_parts`."""
     m, n, origin, provenance = key
     return dict(zip(_ENTRY_KEYS, (m, n, _HOLE, _HOLE, _HOLE, _HOLE, _HOLE, origin, provenance, *witness)))
 
@@ -129,7 +118,7 @@ def _row(key) -> str:
 
 @functools.cache
 def _stratum(keys, table: bool) -> str:
-    """A stratum type's table rows or JSON entries, a `%s` for each of the fills of `_entries`."""
+    """A stratum type's table rows or JSON entries, a `%s` for each of its fills in `_report_parts`."""
     if table:
         return "\n".join(map(_row, keys))
     return _template([*map(_entry_model, keys)], "\n        ")
@@ -137,18 +126,26 @@ def _stratum(keys, table: bool) -> str:
 
 def _report_parts(report: AnalysisReport, table: bool) -> tuple:
     """Shape, head and Kostant numbers, Kostant modules, (g, c, text) per point stratum, Klingen and
-    intermediate fills of report; each distinct point entries tuple (by identity, as 1 == True) written once."""
+    intermediate fills of report; each distinct point entries tuple and origin (by identity, as
+    1 == True) read once.  The one type check of every value the templates take comes first."""
     iv, ow = report.avoided_interval or (), report.occurring_weights
     head = (*report.lam, report.k, *iv, *(ow or ()))
     modules = [mod for m in (SIEGEL, KLINGEN) for mod in report.kostant[m]]
     numbers = [*chain.from_iterable(mod[:2] + mod.highest_weight + mod[3:] for mod in modules)]
-    if ({*map(type, head), *map(type, numbers), type(report.duality_twist)} != {int}
-            or not bool is type(report.regular) is type(report.in_avoidance_category)):
-        raise TypeError("report numbers must be ints, and regular and in_avoidance_category bools")
     bd, profiles = report.boundary[KLINGEN], [report.intermediate[m] for m in (SIEGEL, KLINGEN)]
     distinct = [*{id(es): es for _, es in report.boundary[SIEGEL]}.values()]
     ic = [e for p in profiles for e in p.all_entries()]
-    keys, fills = _entries([*chain.from_iterable(distinct), *bd, *ic], table)
+    entries = [*chain.from_iterable(distinct), *bd, *ic]
+    m, n, weight, lo, hi, origin, provenance, npv = zip(*entries)
+    origins = dict(zip(map(id, origin), origin)).values()  # few, shared by many entries
+    if ({*map(type, chain(head, numbers, (report.duality_twist,), m, n, weight, lo, hi, *chain(*origins),
+                          *report.strata, *[s for s, _ in report.boundary[SIEGEL]]))} != {int}
+            or {*map(type, provenance)} != {str} or not {*map(type, npv)} <= {int, type(None)}
+            or not bool is type(report.regular) is type(report.in_avoidance_category)):
+        raise TypeError("report numbers, origin pairs and strata must be ints, provenances strs, flags bools")
+    flag, null = (str, "-") if table else (_FLAGS.get, "null")
+    keys = tuple(zip(m, n, origin, provenance))
+    fills = [*zip(map({None: null}.get, npv, npv), weight, lo, hi, map(flag, map(attrgetter("nonzero"), entries)))]
     texts, j = {}, 0
     for es in distinct:
         i, j = j, j + len(es)

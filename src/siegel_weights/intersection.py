@@ -52,8 +52,8 @@ from .root_data import (
 )
 
 
-class IntermediateProfile(namedtuple("IntermediateProfile", "m entries kernel_entry")):
-    """Perverse-normalized boundary profile on parabolic m: CohomologyEntry tuple, kernel entry or None."""
+class IntermediateProfile(namedtuple("IntermediateProfile", "entries kernel_entry")):
+    """Perverse-normalized boundary profile on the parabolic its entries' m name: entry tuple, kernel or None."""
 
     __slots__ = ()
 
@@ -103,10 +103,10 @@ def _intermediate(lam: WeightTriple, m: int, n, euler, target) -> IntermediatePr
     kernel entry is its (1, 1) entry with the lower rank lowered by C."""
     modules = _modules(lam, m, 2)
     if m == KLINGEN:
-        return IntermediateProfile(m, _entries(m, modules, (modules[0].levi_dim, modules[1].levi_dim), lam.r), None)
+        return IntermediateProfile(_entries(m, modules, (modules[0].levi_dim, modules[1].levi_dim), lam.r), None)
     entries = _entries(m, modules, _piece_ranks(modules[:2], n, euler), lam.r)  # checks each rank
     e = entries[KERNEL_PIECE]  # the (1, 1) entry; its kernel keeps every field but rank_lower, e[3]
-    return IntermediateProfile(m, entries[:KERNEL_PIECE], CohomologyEntry(*e[:3], e.rank_upper - target, *e[4:]))
+    return IntermediateProfile(entries[:KERNEL_PIECE], CohomologyEntry(*e[:3], e.rank_upper - target, *e[4:]))
 
 
 def intermediate_profile(lam: WeightTriple, m: int, strata) -> IntermediateProfile:

@@ -29,9 +29,8 @@ class WeylElement(namedtuple("WeylElement", "source signs")):
     __slots__ = ()
 
     def __call__(self, v: WeightTriple) -> WeightTriple:
-        return WeightTriple(
-            self.signs[0] * v[self.source[0]], self.signs[1] * v[self.source[1]], v.r
-        )
+        (i, j), (a, b) = self
+        return tuple.__new__(WeightTriple, (a * v[i], b * v[j], v[2]))  # WeightTriple checks no field
 
     def word(self) -> str:
         """A reduced word in s1, s2 ('e' for the identity), for display."""

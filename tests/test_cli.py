@@ -489,6 +489,7 @@ def test_dump_rejects_unsupported_types_under_python_O():
         "test_cli.write_both(test_cli.REPORT)\n"
         "bad = [test_cli.replaced_at(test_cli.REPORT, site, change) for site in test_cli.ENTRY_SITES\n"
         "       for name, change in test_cli.ENTRY_MUTANTS.items() if name in test_cli.REFUSED]\n"
+        "bad += [test_cli.REPORT._replace(**fields) for fields in test_cli.REPORT_MUTANTS.values()]\n"
         "writes = [(cli._dump, value) for value in (1.5, {1, 2}, {1: 'a'})]\n"
         "writes += [(write, report) for report in bad for write in (cli.report_json, cli._report_table)]\n"
         "for write, value in writes:\n"
@@ -671,6 +672,10 @@ REPORT_MUTANTS = {  # fields of a report whose type a template must not take for
     "float-twist": {"duality_twist": float(REPORT.duality_twist)},
     "float-kostant": {"kostant": {**REPORT.kostant, 0: (REPORT.kostant[0][0]._replace(
         levi_dim=float(REPORT.kostant[0][0].levi_dim)), *REPORT.kostant[0][1:])}},
+    # tuple.__new__ skips StratumDatum's own check, which refuses a bool
+    "bool-stratum": {"strata": (REPORT.strata[0], tuple.__new__(StratumDatum, (True, 2)))},
+    "bool-point-stratum": {"boundary": {**REPORT.boundary, 0: (REPORT.boundary[0][0], (
+        tuple.__new__(StratumDatum, (True, 2)), REPORT.boundary[0][1][1]))}},
 }
 
 

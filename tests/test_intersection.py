@@ -472,7 +472,7 @@ def test_truncated_profiles_match_the_full_profiles(lam, strata):
                 rank_upper=sum(e.rank_upper for _, e in pieces),
                 n_perverse=lam.r + 2,
             )
-        full[m] = IntermediateProfile(m=m, entries=entries, kernel_entry=kernel)
+        full[m] = IntermediateProfile(entries=entries, kernel_entry=kernel)
     for m, expected in full.items():
         assert intermediate_profile(lam, m, strata) == expected
         assert report.intermediate[m] == expected
@@ -507,7 +507,7 @@ def profile_lists(draw):
     if draw(st.booleans()):
         lam, strata = draw(wide_weights()), draw(st.lists(strata_data(), min_size=1, max_size=4))
         return [intermediate_profile(lam, m, strata) for m in (SIEGEL, KLINGEN)]
-    return draw(st.lists(st.builds(IntermediateProfile, st.integers(0, 1), st.lists(small_entries(), max_size=5)
+    return draw(st.lists(st.builds(IntermediateProfile, st.lists(small_entries(), max_size=5)
                                    .map(tuple), st.none() | small_entries()), max_size=3))
 
 
