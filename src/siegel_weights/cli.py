@@ -360,9 +360,9 @@ def main(argv=None) -> int:
             code = 2
         sys.stdout.flush()  # a reader that left shows here, not in the flush at exit
         return code
-    except BrokenPipeError:  # the reader closed stdout: exit 128 + SIGPIPE, as `cat` would
+    except OSError as err:  # a closed reader exits 128 + SIGPIPE, as `cat` would; any other write error EX_IOERR
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # so the flush at exit cannot fail again
-        return 141
+        return 141 if isinstance(err, BrokenPipeError) else 74
 
 
 if __name__ == "__main__":

@@ -212,9 +212,8 @@ def euler_check(lam: WeightTriple, m: int) -> bool:
     Tests the telescoped 8-term form derived in the module docstring.  Raises
     InputBoundExceeded for k1 > ORACLE_MAX_K1.
     """
-    require_dominant(lam)
-    g1, g2, _ = root_data.levi_root(m)  # it checks m
     _require_oracle_weight(lam)
+    g1, g2, _ = root_data.levi_root(m)  # it checks m
     terms: dict[tuple[int, int, int], int] = {}
     for mod in nilpotent_cohomology(lam, m):
         sign = -1 if mod.q % 2 else 1

@@ -1,7 +1,7 @@
+import copy
 import inspect
+import pickle
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +16,7 @@ from siegel_weights import (
     StratumDatum,
     WeightTriple,
     analysis_report,
+    avoided_interval,
     intermediate_profile,
     make_weight,
 )
@@ -415,14 +416,6 @@ def test_purity_bound_in_low_perverse_degrees():
                 assert e.weight + 1 <= n_perverse - lam.k2
 
 
-CHECKS_SURVIVE_REPLACE_AND_COPY = """
-import copy, pickle, sys
-if __debug__:
-    sys.exit(3)
-from siegel_weights import InvalidStratum, PreconditionViolation, StratumDatum
-from siegel_weights.boundary import CohomologyEntry
-
-
 def refused(build, error):
     try:
         build()
@@ -431,29 +424,19 @@ def refused(build, error):
     return False
 
 
-s = StratumDatum(0, 3)
-entry = CohomologyEntry(0, 0, 0, 1, 1, (), "paper")
-results = {
-    "replace stratum": refused(lambda: s._replace(c=1), InvalidStratum),
-    "replace entry": refused(lambda: entry._replace(rank_lower=-1), PreconditionViolation),
-    "pickle stratum": pickle.loads(pickle.dumps(s)) == s,
-    "copy stratum": copy.copy(s) == s and type(copy.copy(s)) is StratumDatum,
-    "pickle entry": pickle.loads(pickle.dumps(entry)) == entry,
-}
-print(results)
-sys.exit(0 if all(results.values()) else 1)
-"""
-
-
-def test_value_checks_survive_replace_and_copy_under_python_O():
+def test_value_checks_survive_replace_and_copy():
     # namedtuple's _replace builds through _make, which bypasses __new__ and
     # so the checks unless _make is routed through the constructor
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", CHECKS_SURVIVE_REPLACE_AND_COPY],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    s = StratumDatum(0, 3)
+    entry = CohomologyEntry(0, 0, 0, 1, 1, (), "paper")
+    results = {
+        "replace stratum": refused(lambda: s._replace(c=1), InvalidStratum),
+        "replace entry": refused(lambda: entry._replace(rank_lower=-1), PreconditionViolation),
+        "pickle stratum": pickle.loads(pickle.dumps(s)) == s,
+        "copy stratum": copy.copy(s) == s and type(copy.copy(s)) is StratumDatum,
+        "pickle entry": pickle.loads(pickle.dumps(entry)) == entry,
+    }
+    assert all(results.values()), results
 
 
 def test_entries_are_built_by_field_name_with_n_perverse_optional():
@@ -500,29 +483,13 @@ def test_builder_entries_are_what_the_checked_constructor_builds(lam, strata):
             assert e == CohomologyEntry._make(e)
 
 
-NEGATIVE_RANKS_RAISE = """
-import sys
-if __debug__:
-    sys.exit(3)
-from siegel_weights import StratumDatum, analysis_report, avoided_interval, boundary, make_weight
-from siegel_weights.errors import PreconditionViolation
-
-boundary.group_cohomology_dims = lambda u, n, euler: (-1, -1)
-for build in (avoided_interval, analysis_report):
-    try:
-        build(make_weight(3, 1, 4), (StratumDatum(0, 3),))
-    except PreconditionViolation as err:
-        print(err)
-    else:
-        sys.exit(1)
-"""
-
-
-def test_builders_check_each_rank_under_python_O():
+def test_builders_check_each_rank(monkeypatch):
     # the builders make entries with tuple.__new__, so their own rank check is
     # all that stands between a negative rank and the output
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", NEGATIVE_RANKS_RAISE], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["bad rank bounds [-1, -1]"] * 2
+    monkeypatch.setattr(boundary, "group_cohomology_dims", lambda u, n, euler: (-1, -1))
+    messages = []
+    for build in (avoided_interval, analysis_report):
+        with pytest.raises(PreconditionViolation) as err:
+            build(make_weight(3, 1, 4), (StratumDatum(0, 3),))
+        messages.append(str(err.value))
+    assert messages == ["bad rank bounds [-1, -1]"] * 2

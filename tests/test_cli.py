@@ -477,36 +477,6 @@ def test_dump_rejects_unsupported_types(value):
         cli._dump(value)
 
 
-def test_dump_rejects_unsupported_types_under_python_O():
-    # the type checks are explicit raises, so they survive assertion stripping; the good
-    # report is written first, so that every bad one finds its shape's templates cached
-    code = (
-        "import sys\n"
-        "if __debug__: sys.exit(3)\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "import test_cli\n"
-        "from siegel_weights import cli\n"
-        "test_cli.write_both(test_cli.REPORT)\n"
-        "bad = [test_cli.replaced_at(test_cli.REPORT, site, change) for site in test_cli.ENTRY_SITES\n"
-        "       for name, change in test_cli.ENTRY_MUTANTS.items() if name in test_cli.REFUSED]\n"
-        "bad += [test_cli.REPORT._replace(**fields) for fields in test_cli.REPORT_MUTANTS.values()]\n"
-        "writes = [(cli._dump, value) for value in (1.5, {1, 2}, {1: 'a'})]\n"
-        "writes += [(write, report) for report in bad for write in (cli.report_json, cli._report_table)]\n"
-        "for write, value in writes:\n"
-        "    try:\n"
-        "        write(value)\n"
-        "    except TypeError:\n"
-        "        continue\n"
-        "    sys.exit(4)\n"
-    )
-    tests = str(Path(__file__).resolve().parent)
-    proc = subprocess.run([sys.executable, "-O", "-c", code, tests], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
-ENTRY = CohomologyEntry(0, 1, 2, 1, 1, ((1, 0),), "paper", 3)
-
-
 def entry_dict(e, *witness):
     """A profile entry as the dict that `json.dumps` is the oracle for."""
     out = {
@@ -605,49 +575,43 @@ def test_entry_writer_matches_the_dict_form(drawn, site):
         assert cli._report_table(report) == table_text(report)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        ENTRY._replace(weight=1.5),
-        ENTRY._replace(rank_lower=True),
-        ENTRY._replace(n_perverse=False),
-        ENTRY._replace(provenance=None),
-        ENTRY._replace(provenance=b"paper"),
-        ENTRY._replace(origin=((True, 0),)),
-        ENTRY._replace(origin=((1, 0), (0, 1.0))),
-    ],
-    ids=["float-weight", "bool-rank", "bool-n-perverse", "none-provenance", "bytes-provenance",
-         "bool-origin", "float-origin"],
-)
-def test_entry_writer_rejects_non_json_field_types(bad):
-    # ENTRY is written first at every site: the templates of its shape are then cached, and
-    # ((True, 0),), equal to its origin ((1, 0),) and of equal hash, must still be refused
-    for site in ENTRY_SITES:
-        write_both(replaced_at(REPORT, site, lambda _: ENTRY))
-        for write in (cli.report_json, cli._report_table):
-            with pytest.raises(TypeError):
-                write(replaced_at(REPORT, site, lambda _: bad))
-
-
-# Changes of one fixed entry of a report.  As 1 == 1.0 == True, the first five leave the
-# entry equal to the original, whose templates are cached: both writers must refuse them.
-# The others change the shape, or only a value: the output must follow them.
+# Changes of one entry of a report, each run at every ENTRY_SITES site of a report whose
+# templates are cached and at every SHIFT_SETUPS point stratum.  As 0 == False and
+# 1 == 1.0 == True, the EQUAL ones leave the entry equal to the one they change: only a
+# field's type differs.  Both writers must refuse every REFUSED change; the others change
+# the shape, or only a value, and the output must follow them.
 ENTRY_MUTANTS = {
     "bool-m": lambda e: e._replace(m=bool(e.m)),
     "bool-origin": lambda e: e._replace(origin=tuple((bool(p), q) for p, q in e.origin)),
     "float-origin": lambda e: e._replace(origin=tuple((p, float(q)) for p, q in e.origin)),
     "float-weight": lambda e: e._replace(weight=float(e.weight)),
+    "float-rank": lambda e: e._replace(rank_lower=1.0, rank_upper=1.0),
     "bool-rank": lambda e: e._replace(rank_lower=True, rank_upper=True),
+    "bool-n-perverse": lambda e: e._replace(n_perverse=False),
+    "none-provenance": lambda e: e._replace(provenance=None),
+    "bytes-provenance": lambda e: e._replace(provenance=e.provenance.encode()),
     "weight-shifted": lambda e: e._replace(weight=e.weight + 1),
     "provenance-shifted": lambda e: e._replace(provenance="derived" if e.provenance == "paper" else "paper"),
     "percent-provenance": lambda e: e._replace(provenance="%s %d%%"),
 }
-REFUSED = ("bool-m", "bool-origin", "float-origin", "float-weight", "bool-rank")
+EQUAL = ("bool-m", "bool-origin", "float-origin", "float-weight")
+REFUSED = (*EQUAL, "float-rank", "bool-rank", "bool-n-perverse", "none-provenance", "bytes-provenance")
+
+
+def writes_as_its_mutant_says(name, report):
+    """Both writers refuse report, changed by ENTRY_MUTANTS[name], if name is REFUSED, and
+    otherwise write what the dict form and the table rows say."""
+    if name in REFUSED:
+        for write in (cli.report_json, cli._report_table):
+            with pytest.raises(TypeError):
+                write(report)
+    else:
+        assert write_both(report) == (json.dumps(report_dict(report), indent=2), table_text(report))
 
 
 def test_the_refused_entry_mutants_equal_the_entries_they_change():
     for site in ENTRY_SITES:
-        for name in REFUSED[:4]:
+        for name in EQUAL:
             changed = replaced_at(REPORT, site, ENTRY_MUTANTS[name])
             assert changed == REPORT and changed is not REPORT
 
@@ -656,13 +620,7 @@ def test_the_refused_entry_mutants_equal_the_entries_they_change():
 @pytest.mark.parametrize("name", list(ENTRY_MUTANTS))
 def test_warm_templates_refuse_an_entry_that_does_not_fit(name, site):
     write_both(REPORT)  # the templates of REPORT's shape are now cached
-    report = replaced_at(REPORT, site, ENTRY_MUTANTS[name])
-    if name in REFUSED:
-        for write in (cli.report_json, cli._report_table):
-            with pytest.raises(TypeError):
-                write(report)
-    else:
-        assert write_both(report) == (json.dumps(report_dict(report), indent=2), table_text(report))
+    writes_as_its_mutant_says(name, replaced_at(REPORT, site, ENTRY_MUTANTS[name]))
 
 
 REPORT_MUTANTS = {  # fields of a report whose type a template must not take for another's
@@ -687,21 +645,6 @@ def test_warm_templates_refuse_report_fields_of_another_type(name):
     for write in (cli.report_json, cli._report_table):
         with pytest.raises(TypeError):
             write(report)
-
-
-def test_warm_templates_refuse_an_entry_that_does_not_fit_under_python_O():
-    code = (
-        "import sys\n"
-        "if __debug__: sys.exit(3)\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "import test_cli\n"
-        "for site in test_cli.ENTRY_SITES:\n"
-        "    for name in test_cli.ENTRY_MUTANTS:\n"
-        "        test_cli.test_warm_templates_refuse_an_entry_that_does_not_fit(name, site)\n"
-    )
-    tests = str(Path(__file__).resolve().parent)
-    proc = subprocess.run([sys.executable, "-O", "-c", code, tests], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
 
 
 # --- per-report templates ----------------------------------------------------------
@@ -844,71 +787,26 @@ SHIFT_SETUPS = {  # name: ((k1, k2, r), strata)
     "equal-g-c": ((5, 2, 7), [(0, 3), (0, 3)]),
     "equal-value": ((2, 2, 4), [(0, 3), (1, 1)]),
 }
-TEMPLATE_MUTANTS = {  # name: (change, error)
-    "float-rank": (lambda e: e._replace(rank_lower=1.0, rank_upper=1.0), TypeError),
-    "bool-rank": (lambda e: e._replace(rank_lower=True, rank_upper=True), TypeError),
-    # equal to the entry they change, as 0 == False and 3 == 3.0: only the field's type differs
-    "bool-m": (lambda e: e._replace(m=bool(e.m)), TypeError),
-    "bool-origin": (lambda e: e._replace(origin=tuple((bool(p), q) for p, q in e.origin)), TypeError),
-    "float-origin": (lambda e: e._replace(origin=tuple((p, float(q)) for p, q in e.origin)), TypeError),
-    "float-weight": (lambda e: e._replace(weight=float(e.weight)), TypeError),
-}
 
 
 def test_the_equal_value_setup_changes_only_the_identity_of_the_entries():
     for name in ("float-rank", "bool-rank"):
-        first, last = shifted_report(TEMPLATE_MUTANTS[name][0], "equal-value").boundary[0]
+        first, last = shifted_report(ENTRY_MUTANTS[name], "equal-value").boundary[0]
         assert last[1] == first[1] and last[1] is not first[1]
 
 
-@pytest.mark.parametrize("name", list(TEMPLATE_MUTANTS))
+@pytest.mark.parametrize("name", list(ENTRY_MUTANTS))
 def test_templates_refuse_a_stratum_that_does_not_fit(name):
-    change, error = TEMPLATE_MUTANTS[name]
+    # a well-typed change no longer fits the first stratum's template: it is written
+    # from a stratum type template of its own
     for setup in SHIFT_SETUPS:
-        report = shifted_report(change, setup)
-        with pytest.raises(error):
-            cli.report_json(report)
-        with pytest.raises(error):
-            cli._report_table(report)
-
-
-# Changes of the last stratum's entries that leave them well typed: they no longer fit the
-# first stratum's template, and are written from a stratum type template of their own.
-RESHAPES = {
-    "weight-shifted": lambda es: (es[0]._replace(weight=es[0].weight + 1), *es[1:]),
-    "provenance-shifted": lambda es: (
-        es[0]._replace(provenance="derived" if es[0].provenance == "paper" else "paper"), *es[1:]),
-    "one-entry-fewer": lambda es: es[:-1],
-}
+        writes_as_its_mutant_says(name, shifted_report(ENTRY_MUTANTS[name], setup))
 
 
 @pytest.mark.parametrize("setup", list(SHIFT_SETUPS))
-@pytest.mark.parametrize("name", list(RESHAPES))
-def test_a_stratum_of_another_type_is_written_as_it_is(name, setup):
-    report = reshaped_report(RESHAPES[name], setup)
+def test_a_stratum_of_another_type_is_written_as_it_is(setup):
+    report = reshaped_report(lambda es: es[:-1], setup)  # the last stratum loses an entry
     assert write_both(report) == (json.dumps(report_dict(report), indent=2), table_text(report))
-
-
-def test_templates_refuse_a_stratum_that_does_not_fit_under_python_O():
-    code = (
-        "import sys\n"
-        "if __debug__: sys.exit(3)\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "import test_cli\n"
-        "from siegel_weights import cli\n"
-        "for change, error in test_cli.TEMPLATE_MUTANTS.values():\n"
-        "    for setup in test_cli.SHIFT_SETUPS:\n"
-        "        report = test_cli.shifted_report(change, setup)\n"
-        "        for write in (cli.report_json, cli._report_table):\n"
-        "            try:\n"
-        "                write(report)\n"
-        "            except error:\n"
-        "                continue\n"
-        "            sys.exit(4)\n"
-    )
-    tests = str(Path(__file__).resolve().parent)
-    proc = subprocess.run([sys.executable, "-O", "-c", code, tests], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_templates_escape_a_percent_in_fixed_text():
@@ -1300,19 +1198,11 @@ def test_verify_suite_fails_on_its_own_mutant(suite, monkeypatch, capsys):
     assert last == f"FAIL {suite}: {MUTANT_FAIL_PAYLOADS[suite]}"
 
 
-def test_negative_control_k_mismatch_fails_under_python_O():
-    # the report's consistency checks must survive assertion stripping
-    code = (
-        "import sys\n"
-        "if __debug__: sys.exit(3)\n"
-        "import siegel_weights.intersection as intersection\n"
-        "intersection.k_invariant = lambda lam: -1\n"
-        "from siegel_weights import cli\n"
-        "sys.exit(cli.main(['analyze', '--k1', '3', '--k2', '1', '--r', '4']))\n"
-    )
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 2
-    payload = json.loads(proc.stdout)
+def test_negative_control_k_mismatch_fails(monkeypatch, capsys):
+    # the report's consistency check is an explicit raise, so it survives `python -O`
+    monkeypatch.setattr(intersection, "k_invariant", lambda lam: -1)
+    assert cli.main(["analyze", "--k1", "3", "--k2", "1", "--r", "4"]) == 2
+    payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == "PreconditionViolation"
     assert payload["message"].startswith("internal:")
 
@@ -1437,33 +1327,45 @@ def test_cli_module_runs_as_a_script():
         assert script.stdout
 
 
+NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+
+
 @pytest.mark.parametrize(
     "args, lines",
     [
         (["sweep", "--max-k1", "200"], 1),
         (["verify", "--max-k1", "2"], 0),
         (["sweep", "--max-k1", "x"], 0),
+        pytest.param(["verify", "--max-k1", "2"], None, marks=NO_DEV_FULL),
+        pytest.param(ANALYZE_3_1_4, None, marks=NO_DEV_FULL),
+        pytest.param(["sweep", "--max-k1", "x"], None, marks=NO_DEV_FULL),
     ],
-    ids=["sweep-after-one-line", "verify-before-any", "error-line-before-any"],
+    ids=["sweep-after-one-line", "verify-before-any", "error-line-before-any",
+         "verify-to-a-full-device", "analyze-to-a-full-device", "error-line-to-a-full-device"],
 )
 def test_closed_stdout_exits_141_without_a_traceback(args, lines):
     # sweep's table is far larger than a pipe buffer, so a print meets the closed
     # pipe; verify's lines and the one-line JSON error of an invalid input fit in
-    # stdout's block buffer, so only a flush meets it
+    # stdout's block buffer, so only a flush meets it.  With lines None, stdout is
+    # /dev/full, where every write fails with ENOSPC: the exit is 74 (EX_IOERR)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "siegel_weights", *args],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
-    )
-    for _ in range(lines):
+    full = lines is None
+    with open("/dev/full", "w") if full else contextlib.nullcontext(subprocess.PIPE) as stdout:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "siegel_weights", *args],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    for _ in range(lines or 0):
         assert proc.stdout.readline().split() == ["k1", "k2", "r", "k", "closed", "agree"]
-    proc.stdout.close()
+    if not full:
+        proc.stdout.close()
     stderr = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait() == 141  # 128 + SIGPIPE; 1 would claim a failed verify suite
+    # 128 + SIGPIPE for a closed pipe; 1 would claim a failed verify suite
+    assert proc.wait() == (74 if full else 141)
     assert "Traceback" not in stderr and "Error" not in stderr
 
 
