@@ -332,6 +332,9 @@ def _build_parser():
         def error(self, message):
             raise PreconditionViolation(message)
 
+        def _print_message(self, message, file=None):  # argparse's own drops a write error
+            print(message, end="", file=file, flush=True)  # so --help to a full stdout exits 74
+
     parser = Parser(
         prog="siegel-weights",
         description="Exact boundary weight profiles for degree-two Siegel modular threefolds.",

@@ -73,18 +73,21 @@ def _require_strata(strata) -> tuple[tuple[StratumDatum, ...], tuple[int, int, i
 
 
 def rank_inequality_check(lam: WeightTriple, stratum: StratumDatum) -> bool:
-    """(k1 + k2 + 3) * (2g - 2 + c) > c, the kernel nonvanishing inequality, as
-    printed from g and c: an oracle kept apart from the rank tables and euler_term.
+    """(k1 + k2 + 3) * (2g - 2 + c) > c, the kernel nonvanishing inequality, as printed
+    from g and c by _rank_inequality: an oracle kept apart from the rank tables and euler_term.
 
-    Requires dominant lam with k1 >= 1 (the chain of estimates behind the
-    inequality starts from k1 + k2 + 3 >= 4); k1 = 0 raises
-    PreconditionViolation.  True on every valid input.
+    Requires dominant lam with k1 >= 1 (the chain of estimates behind the inequality
+    starts from k1 + k2 + 3 >= 4); k1 = 0 raises PreconditionViolation.  True on every valid input.
     """
     require_dominant(lam)
     if lam.k1 < 1:
         raise PreconditionViolation("kernel nonvanishing argument needs k1 >= 1")
-    if not isinstance(stratum, StratumDatum):
-        raise InvalidStratum("each stratum must be a StratumDatum")
+    _require_strata((stratum,))  # a StratumDatum
+    return _rank_inequality(lam, stratum)
+
+
+def _rank_inequality(lam: WeightTriple, stratum: StratumDatum) -> bool:
+    """rank_inequality_check's formula, its one home, from g and c as printed; nothing is checked."""
     return (lam.k1 + lam.k2 + 3) * (2 * stratum.g - 2 + stratum.c) > stratum.c
 
 

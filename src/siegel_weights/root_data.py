@@ -120,10 +120,6 @@ def levi_root(m: int) -> WeightTriple:
     return SIMPLE_ROOT_SHORT if m == SIEGEL else SIMPLE_ROOT_LONG
 
 
-def is_dominant(lam: WeightTriple) -> bool:
-    return lam.k1 >= lam.k2 >= 0
-
-
 def is_regular(lam: WeightTriple) -> bool:
     """Strictly dominant: positive pairing with every positive root."""
     return lam.k1 > lam.k2 > 0
@@ -134,7 +130,7 @@ def require_dominant(lam: WeightTriple) -> WeightTriple:
         raise PreconditionViolation(f"weight must be a WeightTriple, got {type(lam).__name__}")
     if not type(lam.k1) is type(lam.k2) is type(lam.r) is int:  # bools and other subclasses too
         raise PreconditionViolation(f"weight coordinates must be ints, got {shown(lam)}")
-    if not is_dominant(lam):
+    if not lam.k1 >= lam.k2 >= 0:
         raise NotDominant(f"weight {shown(lam)} is not dominant")
     return lam
 

@@ -195,6 +195,14 @@ def test_analyze_json_round_trips_with_40_strata_on_a_wall():
             "284b6ced3affea8bb2ec370a5853e36f84142be620099d0741ce5e460215e9c5",
         ),
         (["verify", "--max-k1", "8", "--seed", "0"], VERIFY_8_DIGEST),
+        (  # the north-star grid, every suite at its largest
+            ["verify", "--max-k1", "40", "--seed", "0"],
+            "c9b1786bddf757c74d8441a941943932a32fad221d5657f96a630964b45284af",
+        ),
+        (  # a second seed for the sampled suites
+            ["verify", "--max-k1", "20", "--seed", "7"],
+            "fd3fe5e4253b868b8b1a829af5b6271b623ef28089f4cb9fd0f54e8415403c6c",
+        ),
         (
             ["sweep", "--max-k1", "20"],
             "21eb829baacfbfb3cb75a03a1e8394640b77e134065b2daf47e28fa8380c4b1e",
@@ -241,8 +249,8 @@ def test_analyze_json_round_trips_with_40_strata_on_a_wall():
     ],
     ids=[
         "analyze-3-strata", "analyze-3-strata-table", "analyze-trivial", "analyze-40-wall",
-        "sweep-30", "verify-8", "sweep-20-table", "analyze-unknown-kernel",
-        "analyze-unknown-kernel-table", "sweep-200", "analyze-mixed-strata-k1-0",
+        "sweep-30", "verify-8", "verify-40", "verify-20-seed-7", "sweep-20-table",
+        "analyze-unknown-kernel", "analyze-unknown-kernel-table", "sweep-200", "analyze-mixed-strata-k1-0",
         "analyze-40-wide-labels-table", "analyze-40-wide-labels",
         "analyze-mixed-strata-k1-0-table", "analyze-unknown-kernel-3-strata",
         "analyze-unknown-kernel-3-strata-table",
@@ -1100,8 +1108,8 @@ def _third_module_shifted(real):
 
 
 def _siegel_kernel_weight_bumped(real):
-    def bumped(lam, m, strata):
-        profile = real(lam, m, strata)
+    def bumped(lam, m, *strata):  # the strata, or their sums (n, E, C) for _intermediate
+        profile = real(lam, m, *strata)
         kernel = profile.kernel_entry
         if kernel is None:
             return profile
@@ -1138,7 +1146,7 @@ SUITE_MUTANTS = {
         ),
     ),
     "weight_formulas": (kostant, "_motivic_weight", lambda real: lambda n, m: real(n, m) + 1),
-    "stratum_profiles": (checks, "intermediate_profile", _siegel_kernel_weight_bumped),
+    "stratum_profiles": (checks, "_intermediate", _siegel_kernel_weight_bumped),
     "reference_rows": (  # k1 + k2 + 2 for k1 + k2 + 3 in the kernel's source rank
         intersection,
         "_piece_ranks",
@@ -1149,7 +1157,7 @@ SUITE_MUTANTS = {
     ),
     "rank_inequality": (  # 2g - 2 for 2g - 2 + c
         checks,
-        "rank_inequality_check",
+        "_rank_inequality",
         lambda real: lambda lam, s: (lam.k1 + lam.k2 + 3) * (2 * s.g - 2) > s.c,
     ),
     "avoided_interval": (intersection, "_minimal_gap", _gap_without_kernel_entries),
@@ -1367,6 +1375,21 @@ def test_closed_stdout_exits_141_without_a_traceback(args, lines):
     # 128 + SIGPIPE for a closed pipe; 1 would claim a failed verify suite
     assert proc.wait() == (74 if full else 141)
     assert "Traceback" not in stderr and "Error" not in stderr
+
+
+@NO_DEV_FULL
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["--help"], ["analyze", "--help"]], ids=["help", "analyze-help"])
+def test_help_to_a_full_device_exits_74_without_a_word_on_stderr(args, unbuffered):
+    # argparse writes the help itself and drops a write error; buffered, the text
+    # waits for the flush at exit, unbuffered, the write fails inside argparse
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "siegel_weights", *args],
+                              stdout=stdout, stderr=subprocess.PIPE, env=env)
+    assert (proc.returncode, proc.stderr) == (74, b"")
 
 
 # sha256 of the help text at COLUMNS=80 (it wraps at the terminal width); argparse

@@ -25,9 +25,9 @@ from siegel_weights.root_data import (
     _motivic_weight,
     _restriction_weight,
     check_parabolic,
-    is_dominant,
     is_regular,
     levi_root,
+    require_dominant,
 )
 from weight_strategies import minus, plus
 
@@ -162,11 +162,11 @@ def test_check_parabolic_accepts_0_and_1():
 
 
 def test_dominance_and_regularity():
-    assert is_dominant(make_weight(3, 1, 4))
-    assert is_dominant(make_weight(0, 0, 0))
-    assert is_dominant(make_weight(2, 2, 4))
-    assert not is_dominant(make_weight(1, 2, 3))
-    assert not is_dominant(make_weight(1, -1, 0))
+    for lam in (make_weight(3, 1, 4), make_weight(0, 0, 0), make_weight(2, 2, 4)):
+        assert require_dominant(lam) is lam
+    for lam in (make_weight(1, 2, 3), make_weight(1, -1, 0)):
+        with pytest.raises(NotDominant):
+            require_dominant(lam)
     assert is_regular(make_weight(3, 1, 4))
     assert not is_regular(make_weight(2, 2, 4))
     assert not is_regular(make_weight(3, 0, 3))
