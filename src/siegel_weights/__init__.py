@@ -24,7 +24,6 @@ from .intersection import (
     analysis_report,
     avoided_interval,
     intermediate_profile,
-    kernel_map_ranks,
     rank_inequality_check,
 )
 from .kostant import (
@@ -34,7 +33,6 @@ from .kostant import (
     nilpotent_cohomology,
     weyl_dimension,
 )
-from .laurent import LaurentPolynomial
 from .root_data import KLINGEN, SIEGEL, WeightTriple, k_invariant, make_weight
 
 __all__ = [
@@ -44,7 +42,6 @@ __all__ = [
     "InputBoundExceeded",
     "InvalidStratum",
     "KLINGEN",
-    "LaurentPolynomial",
     "NotDominant",
     "ParityViolation",
     "PreconditionViolation",
@@ -59,7 +56,6 @@ __all__ = [
     "freudenthal_character",
     "intermediate_profile",
     "k_invariant",
-    "kernel_map_ranks",
     "make_weight",
     "nilpotent_cohomology",
     "rank_inequality_check",

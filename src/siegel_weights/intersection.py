@@ -91,13 +91,6 @@ def _rank_inequality(lam: WeightTriple, stratum: StratumDatum) -> bool:
     return (lam.k1 + lam.k2 + 3) * (2 * stratum.g - 2 + stratum.c) > stratum.c
 
 
-def kernel_map_ranks(lam: WeightTriple, strata) -> tuple[int, int]:
-    """(source, target) = (summed rank of the (1, 1) piece, sum of c), the ranks
-    of the boundary map whose kernel survives at n_perverse = r + 2."""
-    kernel = intermediate_profile(lam, SIEGEL, strata).kernel_entry
-    return kernel.rank_upper, kernel.rank_upper - kernel.rank_lower
-
-
 def _intermediate(lam: WeightTriple, m: int, n, euler, target) -> IntermediateProfile:
     """Intermediate profile of parabolic m from the Kostant modules q <= 1, which it
     builds, and, for m = 0, the strata's sums (n, E, C) as (n, euler, target); nothing

@@ -5,7 +5,7 @@ their terms, so the product the division tests check against lives here,
 built term by term and normalised by the public constructor.
 """
 
-from siegel_weights import LaurentPolynomial
+from siegel_weights.laurent import LaurentPolynomial
 
 
 def sorted_terms(p: LaurentPolynomial) -> list[tuple[tuple[int, int, int], int]]:

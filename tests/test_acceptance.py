@@ -17,7 +17,6 @@ from siegel_weights import (
     character,
     freudenthal_character,
     intermediate_profile,
-    kernel_map_ranks,
     make_weight,
     nilpotent_cohomology,
     euler_check,
@@ -154,7 +153,8 @@ def test_criterion_6_rank_inequality_on_the_neat_grid():
             for s in strata:
                 assert rank_inequality_check(lam, s), (lam, s)
                 checked += 1
-    assert kernel_map_ranks(make_weight(3, 1, 4), [P03]) == (7, 3)
+    kernel = intermediate_profile(make_weight(3, 1, 4), 0, [P03]).kernel_entry
+    assert (kernel.rank_upper, kernel.rank_upper - kernel.rank_lower) == (7, 3)
     print(f"\nPASS criterion 6: rank inequality on {checked} (weight, stratum) pairs; reference ranks (7, 3)")
 
 

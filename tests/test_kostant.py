@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from siegel_weights import (
     DivisionFailure,
     InputBoundExceeded,
-    LaurentPolynomial,
     NotDominant,
     WeightTriple,
     character,
@@ -22,6 +21,7 @@ from siegel_weights import kostant, root_data, weyl
 from siegel_weights.checks import KLINGEN_TABLE, SIEGEL_TABLE, dominant_grid
 from siegel_weights.errors import BadParabolicIndex, PreconditionViolation
 from siegel_weights.kostant import LeviModule, freudenthal_multiplicities
+from siegel_weights.laurent import LaurentPolynomial
 from siegel_weights.root_data import (
     COORDINATE_BOUND,
     POSITIVE_ROOTS,

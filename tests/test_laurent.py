@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegel_weights import DivisionFailure, LaurentPolynomial, PreconditionViolation
+from siegel_weights import DivisionFailure, PreconditionViolation
+from siegel_weights.laurent import LaurentPolynomial
 from siegel_weights.root_data import POSITIVE_ROOTS, WeightTriple
 from laurent_reference import sorted_terms, times
 

@@ -6,7 +6,6 @@ import siegel_weights
 from siegel_weights import (
     DivisionFailure,
     InputBoundExceeded,
-    LaurentPolynomial,
     NotDominant,
     ParityViolation,
     PreconditionViolation,
@@ -18,6 +17,7 @@ from siegel_weights.checks import dominant_grid
 from siegel_weights.boundary import CohomologyEntry, StratumDatum, group_cohomology_dims
 from siegel_weights.errors import BadParabolicIndex
 from siegel_weights.kostant import nilpotent_cohomology
+from siegel_weights.laurent import LaurentPolynomial
 from siegel_weights.root_data import (
     COORDINATE_BOUND,
     POSITIVE_ROOTS,
@@ -70,7 +70,6 @@ WEIGHT_ENTRY_POINTS = {
     "avoided_interval": lambda lam: siegel_weights.avoided_interval(lam, [StratumDatum(0, 3)]),
     "intermediate_profile_0": lambda lam: siegel_weights.intermediate_profile(lam, 0, [StratumDatum(0, 3)]),
     "intermediate_profile_1": lambda lam: siegel_weights.intermediate_profile(lam, 1, [StratumDatum(0, 3)]),
-    "kernel_map_ranks": lambda lam: siegel_weights.kernel_map_ranks(lam, [StratumDatum(0, 3)]),
     "rank_inequality_check": lambda lam: siegel_weights.rank_inequality_check(lam, StratumDatum(0, 3)),
     "nilpotent_cohomology_0": lambda lam: siegel_weights.nilpotent_cohomology(lam, 0),
     "nilpotent_cohomology_1": lambda lam: siegel_weights.nilpotent_cohomology(lam, 1),

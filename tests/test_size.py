@@ -5,7 +5,8 @@ twice: all its lines, and its code lines, which leave out comments, docstrings
 and blank lines, so that cutting prose does not count as making the code
 smaller.  The public API is also the list in the README's "Python API"
 section.  No top-level function or class of the package, and no method or
-property of its classes, may go unused.
+property of its classes, may go unused: a public name too needs a caller in
+the package, unless only the acceptance gate calls it.
 """
 
 import ast
@@ -15,9 +16,9 @@ from pathlib import Path
 
 import siegel_weights
 
-MAX_PUBLIC_NAMES = 26
-MAX_SOURCE_LINES = 1667
-MAX_CODE_LINES = 1007
+MAX_PUBLIC_NAMES = 24
+MAX_SOURCE_LINES = 1656
+MAX_CODE_LINES = 1000
 
 # The dunder methods the package defines.  An AST walk cannot see a dunder used
 # through an operator, a call or a constructor, so any dunder not listed here fails.
@@ -32,6 +33,9 @@ NEEDED_DUNDERS = {
 # BUILTIN_METHODS that the package does use.  None today: cli's argparse subclass,
 # whose error only argparse calls, is local to the function that builds the parser.
 OVERRIDES = set()
+# Public functions that no code of the package calls and that the acceptance gate
+# does: avoided_interval keeps the search for k and its witnesses over both profiles.
+ACCEPTANCE_ONLY = {"intersection.avoided_interval"}
 # A read of x.items may be of any dict, so an attribute read cannot show that a
 # method of one of these names is used: such a method must be in OVERRIDES.
 BUILTIN_METHODS = {name for kind in (dict, list, tuple, str, set, int) for name in dir(kind)
@@ -102,11 +106,12 @@ def test_code_lines_ignore_prose_and_count_statements(tmp_path):
     assert code_lines(tmp_path) == 3
 
 
-def unused_definitions(package, dunders=NEEDED_DUNDERS, overrides=OVERRIDES):
+def unused_definitions(package, dunders=NEEDED_DUNDERS, overrides=OVERRIDES, acceptance_only=ACCEPTANCE_ONLY):
     """Top-level functions and classes of the package's modules that are
-    neither in __all__ nor referenced in the package: by a loaded name, by
-    an attribute of a sibling module imported as one, or by a relative
-    import outside __init__.py.  Then the methods and properties of the
+    neither in acceptance_only nor referenced in the package: by a loaded name,
+    by an attribute of a sibling module imported as one, or by a relative
+    import outside __init__.py, so that exporting a name does not count as
+    using it.  Then the methods and properties of the
     top-level classes, by qualified name: a dunder not in dunders, and any
     other method not in overrides whose name no attribute read in the package
     uses or is in BUILTIN_METHODS."""
@@ -129,14 +134,10 @@ def unused_definitions(package, dunders=NEEDED_DUNDERS, overrides=OVERRIDES):
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in siblings):
                 used.add((siblings[node.value.id], node.attr))
-    public = set(siegel_weights.__all__)
     unused = [
-        f"{stem}.{node.name}"
-        for stem, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in public
-        and (stem, node.name) not in used
+        f"{stem}.{name}"
+        for stem, name in definitions(trees)
+        if f"{stem}.{name}" not in acceptance_only and (stem, name) not in used
     ]
     for name, method in methods(trees):
         if method.startswith("__") and method.endswith("__"):
@@ -145,6 +146,15 @@ def unused_definitions(package, dunders=NEEDED_DUNDERS, overrides=OVERRIDES):
         elif name not in overrides and (method not in attributes or method in BUILTIN_METHODS):
             unused.append(name)
     return unused
+
+
+def definitions(trees):
+    """(module, name) of each top-level function and class."""
+    return [
+        (stem, node.name)
+        for stem, tree in trees.items()
+        for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
 
 
 def methods(trees):
@@ -157,13 +167,15 @@ def methods(trees):
     ]
 
 
-def stale_entries(package, dunders=NEEDED_DUNDERS, overrides=OVERRIDES):
-    """The entries of dunders and overrides that name no method of the package."""
+def stale_entries(package, dunders=NEEDED_DUNDERS, overrides=OVERRIDES, acceptance_only=ACCEPTANCE_ONLY):
+    """The entries of dunders and overrides that name no method of the package,
+    and those of acceptance_only that name no top-level function or class."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
-    return sorted((dunders | overrides) - {name for name, _ in methods(trees)})
+    stale = (dunders | overrides) - {name for name, _ in methods(trees)}
+    return sorted(stale | (acceptance_only - {f"{stem}.{name}" for stem, name in definitions(trees)}))
 
 
-def test_every_definition_is_public_or_used():
+def test_every_definition_is_used():
     assert unused_definitions(Path(siegel_weights.__file__).parent) == []
 
 
@@ -204,5 +216,15 @@ def test_unused_definitions_refuses_stale_list_entries(tmp_path):
     (tmp_path / "__init__.py").write_text("from .a import Point\n")
     (tmp_path / "a.py").write_text("class Point:\n    def __init__(self):\n        pass\n")
     found = stale_entries(tmp_path, dunders={"a.Point.__init__", "a.Point.__eq__"},
-                          overrides={"a.Parser.error"})
+                          overrides={"a.Parser.error"}, acceptance_only=set())
     assert found == ["a.Parser.error", "a.Point.__eq__"]
+
+
+def test_unused_definitions_finds_a_public_function_nothing_calls(tmp_path):
+    # exporting a name is not a call: only acceptance_only vouches for it
+    (tmp_path / "__init__.py").write_text('from .a import helper, public\n\n__all__ = ["helper", "public"]\n')
+    (tmp_path / "a.py").write_text("def helper():\n    pass\n\n\ndef public():\n    helper()\n")
+    assert unused_definitions(tmp_path, acceptance_only=set()) == ["a.public"]
+    assert unused_definitions(tmp_path, acceptance_only={"a.public"}) == []
+    found = stale_entries(tmp_path, dunders=set(), overrides=set(), acceptance_only={"a.public", "a.gone"})
+    assert found == ["a.gone"]
