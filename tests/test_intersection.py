@@ -230,6 +230,7 @@ def test_empty_strata_rejected():
     [
         (lambda: avoided_interval(REFERENCE, [(0, 3)]), InvalidStratum),
         (lambda: analysis_report(REFERENCE, [(0, 3)]), InvalidStratum),
+        (lambda: intermediate_profile(REFERENCE, SIEGEL, [(0, 3)]), InvalidStratum),
         (lambda: intermediate_profile(REFERENCE, 1, [(0, 3)]), InvalidStratum),
         (lambda: intermediate_profile(REFERENCE, 0, [P03, (0, 3)]), InvalidStratum),
         (lambda: rank_inequality_check(REFERENCE, (0, 3)), InvalidStratum),
@@ -238,7 +239,7 @@ def test_empty_strata_rejected():
         (lambda: k_invariant((3, 1, 4)), PreconditionViolation),
     ],
     ids=[
-        "avoided_interval-stratum", "analysis_report-stratum",
+        "avoided_interval-stratum", "analysis_report-stratum", "intermediate_profile-siegel-stratum",
         "intermediate_profile-curve-stratum", "intermediate_profile-second-stratum",
         "rank_inequality_check-stratum", "avoided_interval-weight", "analysis_report-list-weight",
         "k_invariant-weight",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import siegel_weights
 from siegel_weights import DivisionFailure, PreconditionViolation
 from siegel_weights.laurent import LaurentPolynomial
 from siegel_weights.root_data import POSITIVE_ROOTS, WeightTriple
@@ -146,3 +147,11 @@ def test_arithmetic_results_are_normalised(p, beta):
     assert all(c != 0 for c in terms.values())
     assert all(type(x) is int for e in terms for x in e)
     assert result == LaurentPolynomial(terms)
+
+
+def test_character_type_comes_from_the_laurent_module_not_the_package():
+    # the oracles' return type is a value type, like CohomologyEntry: not exported
+    lam = siegel_weights.make_weight(3, 1, 4)
+    assert type(siegel_weights.character(lam)) is LaurentPolynomial
+    assert type(siegel_weights.freudenthal_character(lam)) is LaurentPolynomial
+    assert "LaurentPolynomial" not in siegel_weights.__all__

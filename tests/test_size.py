@@ -220,11 +220,24 @@ def test_unused_definitions_refuses_stale_list_entries(tmp_path):
     assert found == ["a.Parser.error", "a.Point.__eq__"]
 
 
-def test_unused_definitions_finds_a_public_function_nothing_calls(tmp_path):
-    # exporting a name is not a call: only acceptance_only vouches for it
+def write_public_package(tmp_path):
+    """A package that exports helper and public; public calls helper, nothing calls public."""
     (tmp_path / "__init__.py").write_text('from .a import helper, public\n\n__all__ = ["helper", "public"]\n')
     (tmp_path / "a.py").write_text("def helper():\n    pass\n\n\ndef public():\n    helper()\n")
+
+
+def test_unused_definitions_finds_a_public_function_nothing_calls(tmp_path):
+    # exporting a name is not a call: only acceptance_only vouches for it
+    write_public_package(tmp_path)
     assert unused_definitions(tmp_path, acceptance_only=set()) == ["a.public"]
+
+
+def test_unused_definitions_skips_an_acceptance_only_name(tmp_path):
+    write_public_package(tmp_path)
     assert unused_definitions(tmp_path, acceptance_only={"a.public"}) == []
+
+
+def test_stale_entries_finds_an_acceptance_only_name_that_is_not_defined(tmp_path):
+    write_public_package(tmp_path)
     found = stale_entries(tmp_path, dunders=set(), overrides=set(), acceptance_only={"a.public", "a.gone"})
     assert found == ["a.gone"]
