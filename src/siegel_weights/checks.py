@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import weyl
 from .boundary import StratumDatum
 from .intersection import (_avoided, _intermediate, _rank_inequality, _require_strata, analysis_report,
-                           intermediate_profile, rank_inequality_check)
+                           avoided_interval, intermediate_profile, rank_inequality_check)
 from .kostant import (
     character,
     euler_check,
@@ -217,7 +217,8 @@ def suite_reference_rows(rng, max_k1: int):
                    report.in_avoidance_category, report.duality_twist]
     want_scalars = [k, (1 - k, k), (-k, k + 1), k >= 1, lam.r + 3]
     parts = (("point stratum rows", got_rows, want_rows), ("boundary provenance", got_tags, want_tags),
-             ("boundary rows", got_bd, want_bd), ("report scalars", got_scalars, want_scalars))
+             ("boundary rows", got_bd, want_bd), ("report scalars", got_scalars, want_scalars),
+             ("public avoided_interval", list(avoided_interval(lam, (s,))), [report.k, report.witnesses]))
     yield next(({"check": c, "got": g, "want": w} for c, g, w in parts if g != w), None)  # one item for all
     got, want = list(point.kernel_entry), [0, 2, 4, 4, 7, ((1, 1),), "paper", 6]  # every field, in order
     yield None if got == want else {"check": "kernel entry", "got": got, "want": want}

@@ -126,8 +126,8 @@ def _stratum(keys, table: bool) -> str:
 
 def _report_parts(report: AnalysisReport, table: bool) -> tuple:
     """Shape, head and Kostant numbers, Kostant modules, (g, c, text) per point stratum, Klingen and
-    intermediate fills of report; each distinct point entries tuple and origin (by identity, as
-    1 == True) read once.  The one type check of every value the templates take comes first."""
+    intermediate fills of report; each distinct point entries tuple (by identity, as 1 == True) read
+    once.  The one type check of every value the templates take comes first."""
     iv, ow = report.avoided_interval or (), report.occurring_weights
     head = (*report.lam, report.k, *iv, *(ow or ()))
     modules = [mod for m in (SIEGEL, KLINGEN) for mod in report.kostant[m]]
@@ -137,8 +137,7 @@ def _report_parts(report: AnalysisReport, table: bool) -> tuple:
     ic = [e for p in profiles for e in p.all_entries()]
     entries = [*chain.from_iterable(distinct), *bd, *ic]
     m, n, weight, lo, hi, origin, provenance, npv = zip(*entries)
-    origins = dict(zip(map(id, origin), origin)).values()  # few, shared by many entries
-    if ({*map(type, chain(head, numbers, (report.duality_twist,), m, n, weight, lo, hi, *chain(*origins),
+    if ({*map(type, chain(head, numbers, (report.duality_twist,), m, n, weight, lo, hi, *chain(*origin),
                           *report.strata, *[s for s, _ in report.boundary[SIEGEL]]))} != {int}
             or {*map(type, provenance)} != {str} or not {*map(type, npv)} <= {int, type(None)}
             or not bool is type(report.regular) is type(report.in_avoidance_category)):
@@ -306,7 +305,7 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
     tokens = iter(argv[1:])
     for token in tokens:
         flag, eq, value = token.partition("=")  # as argparse, split at the first `=`
-        value = value if eq else next(tokens, "--")  # else the next token; argparse drops an `=` value `--`
+        value = value if eq else next(tokens, "--")  # else the next token; a value `--` is declined below
         if flag not in flags:  # "" and "-" prefix every name, and "--" ends the options: all are declined
             names = [name for name in (*flags, "--help") if name.startswith(flag)]
             flag = names[0] if len(names) == 1 else None
@@ -353,10 +352,10 @@ def main(argv=None) -> int:
     try:
         try:
             args = _read_args(argv)
-            if args is None:  # argparse drops an `=` value `--` and stores [] in its place
-                args = _build_parser().parse_args(argv)
-                if any(type(v) is list and (v == [] or [] in v) for v in vars(args).values()):
+            if args is None:  # argparse before 3.13 drops an `=` value `--`, later ones keep it: refused first
+                if any(t[:2] == "--" and t.find("=") > 2 and t.partition("=")[2] == "--" for t in argv):
                     raise PreconditionViolation("a flag's value after '=' must not be '--'")
+                args = _build_parser().parse_args(argv)
             code = args.fn(args)
         except SiegelWeightsError as err:
             print('{"error": %s, "message": %s}' % (_ESCAPE(type(err).__name__), _ESCAPE(str(err))))

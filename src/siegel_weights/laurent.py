@@ -68,13 +68,12 @@ class LaurentPolynomial:
             raise DivisionFailure("division direction must be nonzero")
         pivot = next(i for i in range(3) if b[i] != 0)
         b0, b1, b2 = b
-        step = b[pivot]
 
         # base = e - t*beta with t = floor(e[pivot] / beta[pivot]) is constant
         # along each line e + Z*beta, so it is a canonical line key.
         lines: dict[Exponent, dict[int, int]] = defaultdict(dict)
         for e, c in self._terms.items():
-            t = e[pivot] // step
+            t = e[pivot] // b[pivot]
             lines[(e[0] - t * b0, e[1] - t * b1, e[2] - t * b2)][t] = c
 
         quotient: dict[Exponent, int] = {}
@@ -85,10 +84,9 @@ class LaurentPolynomial:
                     f"line through {shown(base)} along {shown(b)} has nonzero sum {shown(total)}"
                 )
             x, y, z = base
-            get = coeffs.get
             running = 0
             for t in range(max(coeffs), min(coeffs) - 1, -1):
-                running += get(t, 0)
+                running += coeffs.get(t, 0)
                 if running:
                     quotient[(x + t * b0, y + t * b1, z + t * b2)] = running
         return LaurentPolynomial._trusted(quotient)

@@ -77,9 +77,8 @@ def dot(w: WeylElement, lam: WeightTriple) -> WeightTriple:
     w fixes the r-coordinate, so that coordinate of the result is lam.r.
     """
     rho = root_data.RHO
-    shifted = (lam.k1 + rho.k1, lam.k2 + rho.k2)
     (i, j), (a, b) = w.source, w.signs
-    return WeightTriple(a * shifted[i] - rho.k1, b * shifted[j] - rho.k2, lam.r)
+    return WeightTriple(a * (lam[i] + rho[i]) - rho.k1, b * (lam[j] + rho[j]) - rho.k2, lam.r)
 
 
 def all_elements() -> tuple[WeylElement, ...]:

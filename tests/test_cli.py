@@ -1078,6 +1078,8 @@ REFERENCE_MUTANTS = {
                      _siegel_kernel_replaced(lambda e: e._replace(rank_upper=e.rank_upper + 1))),
     "kernel origin": ("kernel entry", checks, "intermediate_profile",  # the other piece of degree 2
                       _siegel_kernel_replaced(lambda e: e._replace(origin=((0, 2),)))),
+    "public avoided_interval": ("public avoided_interval", checks, "avoided_interval",  # k one too high
+                                lambda real: lambda lam, strata: (real(lam, strata)[0] + 1, real(lam, strata)[1])),
 }
 
 
@@ -1492,14 +1494,24 @@ def test_reader_reads_the_canonical_lines(argv):
          "sweep-second-stratum", "verify-seed"],
 )
 def test_an_equals_value_of_two_dashes_is_refused(argv, capsys):
-    # the reader declines these lines, and argparse drops the value `--`, storing []
-    # in its place: the fallback refuses that, for every flag and command
+    # the reader declines these lines, and the fallback refuses them before argparse,
+    # which drops the value `--` before 3.13 and keeps it after: for every flag and command
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert err == ""
     assert json.loads(out) == {"error": "PreconditionViolation",
                                "message": "a flag's value after '=' must not be '--'"}
     assert out.count("\n") == 1
+
+
+def test_the_fallback_refuses_any_named_flag_with_an_equals_value_of_two_dashes(capsys):
+    # an unknown flag, and a flag after the end of the options, get the same message on
+    # every Python; `--=--` names no flag, and argparse refuses it as an ambiguous option
+    for argv, message in ((["verify", "--bogus=--"], "a flag's value after '=' must not be '--'"),
+                          (["verify", "--", "--seed=--"], "a flag's value after '=' must not be '--'"),
+                          (["verify", "--=--"], "ambiguous option: --=-- could match --help, --max-k1, --seed")):
+        assert cli.main(argv) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": "PreconditionViolation", "message": message}
 
 
 def test_reading_many_strata_flags_takes_linear_time():
