@@ -100,7 +100,7 @@ def _intermediate(lam: WeightTriple, m: int, n, euler, target) -> IntermediatePr
     modules = _modules(lam, m, 2)
     if m == KLINGEN:
         return IntermediateProfile(_entries(m, modules, (modules[0].levi_dim, modules[1].levi_dim), lam.r), None)
-    entries = _entries(m, modules, _piece_ranks(modules[:2], n, euler), lam.r)  # checks each rank
+    entries = _entries(m, modules, _piece_ranks(modules, n, euler), lam.r)  # checks each rank
     e = entries[KERNEL_PIECE]  # the (1, 1) entry; its kernel keeps every field but rank_lower, e[3]
     return IntermediateProfile(entries[:KERNEL_PIECE], CohomologyEntry(*e[:3], e.rank_upper - target, *e[4:]))
 

@@ -58,8 +58,6 @@ from .root_data import (
     KLINGEN,
     SIEGEL,
     WeightTriple,
-    _motivic_weight,
-    _restriction_weight,
     check_parabolic,
     require_dominant,
 )
@@ -93,12 +91,21 @@ def _affine_maps(rho: WeightTriple) -> dict:
 
 def _modules(lam: WeightTriple, m: int, count: int) -> tuple[LeviModule, ...]:
     """The Kostant modules q < count of parabolic m; lam and m are not checked.
-    Neither namedtuple checks its fields, so tuple.__new__ builds both and skips no check."""
+    Neither namedtuple checks its fields, so tuple.__new__ builds both and skips no check.
+
+    Weight maps, applied here alone.  For a highest weight n = (n1, n2, r) of the Levi:
+
+    * the restriction weight u is the highest weight of the restriction to the
+      embedded SL(2) of the Levi: n1 - n2 for m = 0 and n2 for m = 1;
+    * the motivic weight is the negated exponent of the central cocharacter of
+      the Levi's reductive anchor: z |--> z^{-r+n1+n2} for m = 0 and
+      z |--> z^{-r+n1} for m = 1, giving r - n1 - n2 resp. r - n1.
+    """
     r, new, modules = lam.r, tuple.__new__, []
     for q, (i, j, a, b, c1, c2, _) in enumerate(_affine_maps(root_data.RHO)[m][:count]):
-        hw = new(WeightTriple, (a * lam[i] + c1, b * lam[j] + c2, r))
-        u = _restriction_weight(hw, m)
-        modules.append(new(LeviModule, (m, q, hw, u + 1, u, _motivic_weight(hw, m))))
+        n1, n2 = a * lam[i] + c1, b * lam[j] + c2
+        u, w = (n1 - n2, r - n1 - n2) if m == SIEGEL else (n2, r - n1)
+        modules.append(new(LeviModule, (m, q, new(WeightTriple, (n1, n2, r)), u + 1, u, w)))
     return tuple(modules)
 
 
@@ -133,13 +140,13 @@ def character(lam: WeightTriple) -> LaurentPolynomial:
 
 
 def weyl_dimension(lam: WeightTriple) -> int:
-    """dim V_lam = (k1-k2+1)(k2+1)(k1+2)(k1+k2+3)/6 by the Weyl product."""
+    """dim V_lam = (k1-k2+1)(k2+1)(k1+2)(k1+k2+3)/6 by the Weyl product.
+
+    With a = k1 - k2 + 1 and b = k2 + 1 the product is a b (a + b)(a + 2b), which 6 divides
+    for all integers: 2 divides a, b or a + b, and 3 divides a, b, a + b or a + 2b."""
     require_dominant(lam)
     k1, k2 = lam.k1, lam.k2
-    num = (k1 - k2 + 1) * (k2 + 1) * (k1 + 2) * (k1 + k2 + 3)
-    if num % 6:
-        raise PreconditionViolation(f"internal: Weyl product {num} is not divisible by 6")
-    return num // 6
+    return (k1 - k2 + 1) * (k2 + 1) * (k1 + 2) * (k1 + k2 + 3) // 6
 
 
 def freudenthal_multiplicities(lam: WeightTriple) -> dict[tuple[int, int], int]:

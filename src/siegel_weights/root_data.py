@@ -29,15 +29,8 @@ two-dimensional isotropic subspace (Siegel), m = 1 an isotropic line
 (Klingen).  levi_root(m) is the positive root of the semisimple part of the
 Levi; the other three positive roots are those of the unipotent radical.
 
-Weight maps.  For a character n = (n1, n2, r) of the Levi torus:
-
-* _motivic_weight(n, m) is the negated exponent of the central cocharacter
-  of the Levi's reductive anchor: z |--> z^{-r+n1+n2} for m = 0 and
-  z |--> z^{-r+n1} for m = 1, giving r - n1 - n2 resp. r - n1.
-* _restriction_weight(n, m) is the highest weight of the restriction to the
-  embedded SL(2) of the Levi: n1 - n2 for m = 0 and n2 for m = 1.
-  Both leave m unchecked; so does their one caller, kostant._modules, whose
-  callers check m.
+The Levi weight maps, restriction to the embedded SL(2) and motivic weight,
+have their one home in kostant._modules, which applies them.
 """
 
 from __future__ import annotations
@@ -139,15 +132,3 @@ def k_invariant(lam: WeightTriple) -> int:
     """min(k1 - k2, k2) for dominant lam: 0 on the walls, so k >= 1 iff lam is regular."""
     require_dominant(lam)
     return min(lam.k1 - lam.k2, lam.k2)
-
-
-def _motivic_weight(n: WeightTriple, m: int) -> int:
-    if m == SIEGEL:
-        return n.r - n.k1 - n.k2
-    return n.r - n.k1
-
-
-def _restriction_weight(n: WeightTriple, m: int) -> int:
-    if m == SIEGEL:
-        return n.k1 - n.k2
-    return n.k2

@@ -93,6 +93,8 @@ def _minimal_representatives(m: int, elements: tuple[WeylElement, ...]) -> tuple
     lengths 0..3, among elements, all_elements(): the w with the Levi's positive root in w(Phi+)."""
     gamma = root_data.levi_root(m)
     reps = tuple(w for w in elements if gamma in map(w, root_data.POSITIVE_ROOTS))
-    if len(reps) != 4:  # structural guarantee of the C2 parabolics
+    # For a root gamma, w and s_gamma w pair off the eight elements, as (s_gamma w)^-1 gamma =
+    # -w^-1 gamma: exactly one of each pair has gamma in w(Phi+).  Only corrupted root data trips this.
+    if len(reps) != 4:
         raise BadParabolicIndex(f"internal: expected 4 coset representatives, got {len(reps)}")
     return reps

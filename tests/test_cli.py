@@ -1147,7 +1147,13 @@ SUITE_MUTANTS = {
             mod._replace(restriction_weight=mod.restriction_weight - 1) for mod in real(lam, m)
         ),
     ),
-    "weight_formulas": (kostant, "_motivic_weight", lambda real: lambda n, m: real(n, m) + 1),
+    "weight_formulas": (  # every motivic weight one too high
+        kostant,
+        "_modules",
+        lambda real: lambda lam, m, count: tuple(
+            mod._replace(motivic_weight=mod.motivic_weight + 1) for mod in real(lam, m, count)
+        ),
+    ),
     "stratum_profiles": (checks, "_intermediate", _siegel_kernel_weight_bumped),
     "reference_rows": (  # k1 + k2 + 2 for k1 + k2 + 3 in the kernel's source rank
         intersection,

@@ -22,13 +22,7 @@ from siegel_weights.checks import KLINGEN_TABLE, SIEGEL_TABLE, dominant_grid
 from siegel_weights.errors import BadParabolicIndex, PreconditionViolation
 from siegel_weights.kostant import LeviModule, freudenthal_multiplicities
 from siegel_weights.laurent import LaurentPolynomial
-from siegel_weights.root_data import (
-    COORDINATE_BOUND,
-    POSITIVE_ROOTS,
-    _motivic_weight,
-    _restriction_weight,
-    levi_root,
-)
+from siegel_weights.root_data import COORDINATE_BOUND, POSITIVE_ROOTS, levi_root
 from siegel_weights.weyl import all_elements
 from laurent_reference import sorted_terms, times
 from weight_strategies import plus, wide_weights
@@ -117,12 +111,14 @@ def test_table_input_validation():
 
 
 def reference_modules(lam, m, count):
-    """The Kostant modules q < count straight from weyl.dot and the weight rules."""
+    """The Kostant modules q < count straight from weyl.dot and the weight maps of
+    kostant._modules' docstring: restriction n1 - n2 resp. n2, motivic r - n1 - n2 resp. r - n1."""
     modules = []
     for q, w in enumerate(weyl._minimal_representatives(m, all_elements())[:count]):
         hw = weyl.dot(w, lam)
-        u = _restriction_weight(hw, m)
-        modules.append(LeviModule(m, q, hw, u + 1, u, _motivic_weight(hw, m)))
+        u = hw.k1 - hw.k2 if m == 0 else hw.k2
+        motivic = hw.r - hw.k1 - hw.k2 if m == 0 else hw.r - hw.k1
+        modules.append(LeviModule(m, q, hw, u + 1, u, motivic))
     return tuple(modules)
 
 

@@ -22,8 +22,6 @@ from siegel_weights.root_data import (
     COORDINATE_BOUND,
     POSITIVE_ROOTS,
     RHO,
-    _motivic_weight,
-    _restriction_weight,
     check_parabolic,
     is_regular,
     levi_root,
@@ -86,7 +84,7 @@ WEIGHT_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry_point", list(WEIGHT_ENTRY_POINTS))
 def test_every_entry_point_refuses_coordinates_that_are_not_ints(entry_point, lam):
     # each of these weights is dominant: without the check a float reached
-    # weyl_dimension's internal divisibility check, and a report came back
+    # weyl_dimension's Weyl product, and a report came back
     with pytest.raises(PreconditionViolation, match="^weight coordinates must be ints, got ") as err:
         WEIGHT_ENTRY_POINTS[entry_point](lam)
     if type(lam.k1) is Int:  # the message names the type it refuses, not only the value
@@ -187,17 +185,16 @@ def test_k_invariant_positive_iff_regular():
 
 
 def test_motivic_weight_examples():
-    assert _motivic_weight(WeightTriple(3, -3, 4), 0) == 4
-    assert _motivic_weight(WeightTriple(0, 4, 4), 1) == 4
-    assert _motivic_weight(WeightTriple(3, 1, 4), 0) == 0
-    assert _motivic_weight(WeightTriple(3, 1, 4), 1) == 1
+    # the modules q = 0, 1 of (3, 1, 4); q = 0 has highest weight (3, 1, 4) for both parabolics
+    sieg, klin = (nilpotent_cohomology(make_weight(3, 1, 4), m) for m in (0, 1))
+    assert (sieg[1].highest_weight, klin[1].highest_weight) == ((3, -3, 4), (0, 4, 4))
+    assert [mod.motivic_weight for mod in (sieg[1], klin[1], sieg[0], klin[0])] == [4, 4, 0, 1]
 
 
 def test_levi_restriction_weight_examples():
-    assert _restriction_weight(WeightTriple(3, -3, 4), 0) == 6
-    assert _restriction_weight(WeightTriple(3, 1, 4), 0) == 2
-    assert _restriction_weight(WeightTriple(0, 4, 4), 1) == 4
-    assert _restriction_weight(WeightTriple(3, 1, 4), 1) == 1
+    sieg, klin = (nilpotent_cohomology(make_weight(3, 1, 4), m) for m in (0, 1))
+    assert (sieg[1].highest_weight, klin[1].highest_weight) == ((3, -3, 4), (0, 4, 4))
+    assert [mod.restriction_weight for mod in (sieg[1], sieg[0], klin[1], klin[0])] == [6, 2, 4, 1]
 
 
 def pairing(u, v):

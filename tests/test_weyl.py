@@ -159,6 +159,15 @@ def test_minimal_representatives_lengths_and_criterion():
         _minimal_representatives(3, all_elements())
 
 
+def test_minimal_representatives_refuse_corrupted_root_data(monkeypatch):
+    # a root gamma pairs w with s_gamma w, so exactly four elements keep it in w(Phi+);
+    # (1, 0, 0) is no root, and no element keeps it there
+    monkeypatch.setattr(root_data, "levi_root", lambda m: WeightTriple(1, 0, 0))
+    with pytest.raises(BadParabolicIndex) as err:
+        _minimal_representatives(0, all_elements())
+    assert str(err.value) == "internal: expected 4 coset representatives, got 0"
+
+
 @pytest.mark.parametrize("m", [True, False, 1.0, "0", [0], None])
 def test_minimal_representatives_rejects_non_int_indices(m):
     # the representatives are reached through nilpotent_cohomology, which
