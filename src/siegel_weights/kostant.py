@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from itertools import count
 
 from . import root_data, weyl
 from .errors import InputBoundExceeded, PreconditionViolation
@@ -119,7 +118,7 @@ def _weyl_numerator(lam: WeightTriple) -> LaurentPolynomial:
     """N(lam) = sum_w sign(w) x^{w . lam}, Weyl's numerator; of equal images the last wins."""
     r = lam.r
     maps = _affine_maps(root_data.RHO)["all"]
-    return LaurentPolynomial._trusted(
+    return LaurentPolynomial(
         {(a * lam[i] + c1, b * lam[j] + c2, r): sign for i, j, a, b, c1, c2, sign in maps}
     )
 
@@ -186,7 +185,7 @@ def freudenthal_multiplicities(lam: WeightTriple) -> dict[tuple[int, int], int]:
             continue
         numer = 0
         for b1, b2 in roots:
-            for j in count(1):
+            for j in range(1, 2 * k1 + 2):  # every weight of V_lam lies in [-k1, k1]^2
                 n1, n2 = a + j * b1, b + j * b2
                 x, y = abs(n1), abs(n2)  # the dominant conjugate of (n1, n2)
                 m_nu = mult.get((x, y) if x >= y else (y, x), 0)
@@ -206,11 +205,11 @@ def freudenthal_multiplicities(lam: WeightTriple) -> dict[tuple[int, int], int]:
 
 def freudenthal_character(lam: WeightTriple) -> LaurentPolynomial:
     """Full character from the dominant-multiplicity table by orbit expansion."""
-    terms: dict[tuple[int, int, int], int] = {}
+    terms = LaurentPolynomial()
     for n, m in freudenthal_multiplicities(lam).items():
         for x, y in {(a * n[i], b * n[j]) for i, j, a, b, *_ in _affine_maps(root_data.RHO)["all"]}:
             terms[(x, y, lam.r)] = terms.get((x, y, lam.r), 0) + m
-    return LaurentPolynomial._trusted(terms)
+    return terms
 
 
 def euler_check(lam: WeightTriple, m: int) -> bool:
@@ -228,5 +227,4 @@ def euler_check(lam: WeightTriple, m: int) -> bool:
         top, bottom = (n1, n2, r), (n1 - s * g1, n2 - s * g2, r)
         terms[top] = terms.get(top, 0) + sign
         terms[bottom] = terms.get(bottom, 0) - sign
-    left = LaurentPolynomial._trusted({e: c for e, c in terms.items() if c})
-    return left == _weyl_numerator(lam)
+    return {e: c for e, c in terms.items() if c} == _weyl_numerator(lam)

@@ -2,7 +2,7 @@
 
 The package divides Laurent polynomials but never multiplies them or lists
 their terms, so the product the division tests check against lives here,
-built term by term and normalised by the public constructor.
+built term by term with its zero coefficients dropped.
 """
 
 from siegel_weights.laurent import LaurentPolynomial
@@ -10,7 +10,7 @@ from siegel_weights.laurent import LaurentPolynomial
 
 def sorted_terms(p: LaurentPolynomial) -> list[tuple[tuple[int, int, int], int]]:
     """The (exponent, coefficient) pairs of p, sorted by exponent."""
-    return sorted(p._terms.items())
+    return sorted(p.items())
 
 
 def times(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
@@ -20,4 +20,4 @@ def times(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
         for (a2, b2, c2), y in sorted_terms(q):
             e = (a1 + a2, b1 + b2, c1 + c2)
             out[e] = out.get(e, 0) + x * y
-    return LaurentPolynomial(out)
+    return LaurentPolynomial({e: c for e, c in out.items() if c})

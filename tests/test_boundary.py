@@ -249,6 +249,41 @@ def test_klingen_ranks_are_levi_dimensions():
         assert [e.rank_lower for e in klingen_profile(lam)] == [k2 + 1, k1 + 2, k1 + 2, k2 + 1]
 
 
+EULER_STRATA = ((P03,), (StratumDatum(1, 1), StratumDatum(2, 5)), (StratumDatum(3, 7),))
+EULER_STRATA_IDS = ["0,3", "1,1+2,5", "3,7"]
+
+
+def classical_euler(profile):
+    """sum_n (-1)^n rank H^n over the entries of a classical profile."""
+    return sum((-1) ** e.n_classical * e.rank_lower for e in profile)
+
+
+def classical_profiles(lam, strata):
+    """Each point stratum's classical profile, then the curve profile, from one analysis_report."""
+    report = analysis_report(lam, strata)
+    return [entries for _, entries in report.boundary[SIEGEL]] + [report.boundary[KLINGEN]]
+
+
+@pytest.mark.parametrize("strata", EULER_STRATA, ids=EULER_STRATA_IDS)
+def test_classical_boundary_euler_characteristic_vanishes(strata):
+    # sum_q (-1)^q dim H^q(Lie W_m, V) = sum_q (-1)^q dim (Lambda^q W_m^* (x) V) = 0,
+    # and a profile's Euler characteristic is that sum times the stratum's own
+    count = 0
+    for lam in dominant_grid(25):
+        for profile in classical_profiles(lam, strata):
+            assert classical_euler(profile) == 0, (lam, strata)
+            count += 1
+    assert count == 351 * (len(strata) + 1)  # 351 weights; a profile per point stratum, and the curve's
+
+
+@pytest.mark.parametrize("strata", EULER_STRATA, ids=EULER_STRATA_IDS)
+def test_negative_control_a_rank_off_by_one_breaks_the_euler_characteristic(strata):
+    for profile in classical_profiles(REFERENCE, strata):
+        first, *rest = profile
+        bumped = first._replace(rank_lower=first.rank_lower + 1, rank_upper=first.rank_upper + 1)
+        assert classical_euler([bumped, *rest]) != 0
+
+
 def test_profiles_reject_non_dominant_weights():
     with pytest.raises(NotDominant):
         analysis_report(WeightTriple(1, 2, 3), (P03,))

@@ -171,7 +171,7 @@ def test_affine_maps_are_built_once_per_rho(monkeypatch):
 
 
 def reference_numerator(lam):
-    """N(lam) term by term from weyl.dot and weyl.sign, through the checked constructor;
+    """N(lam) term by term from weyl.dot and weyl.sign, keyed by WeightTriples, equal to tuples;
     of equal images the last wins, as in kostant._weyl_numerator."""
     return LaurentPolynomial({weyl.dot(w, lam): weyl.sign(w) for w in all_elements()})
 
